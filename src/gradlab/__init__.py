@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import GradlabError, InvariantViolation, ResourceExhausted
 from .words import (Presentation, Word, commutator, free_reduce, parse_word,
                     presentation_from_texts, product_presentation, render_word)
-from .permgrp import Perm, PermGroup, group_order, subgroup_index
+from .permgrp import Perm, PermGroup, subgroup_index
 from .cosets import (CosetTable, low_index_subgroups, reidemeister_schreier,
                      todd_coxeter)
 from .homology import (GF2, GF3, QQ, ChainComplex, FieldSpec, Matrix, betti,

@@ -10,7 +10,7 @@ is not decidable here; constructors only certify nesting.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .cosets import (CosetTable, DEFAULT_MAX_COSETS, low_index_subgroups,
@@ -42,12 +42,14 @@ class ChainLevel:
 @dataclass(frozen=True)
 class Chain:
     """Descending chain of kernels.  group is the ambient presentation, or
-    None for shadow chains that only track indices inside a subgroup."""
+    None for shadow chains that only track indices inside a subgroup.
+    factors holds the factor chains of a product chain, level by level."""
 
     group: object
     levels: tuple
     notes: tuple = ()
     nesting_certified: bool = False
+    factors: tuple = ()
 
     def indices(self):
         return tuple(level.index for level in self.levels)
@@ -324,7 +326,8 @@ def product_chain(factor_chains, presentation=None):
             quotient, images, index,
             " x ".join(lvl.provenance for lvl in parts)))
     certified = all(c.nesting_certified for c in factor_chains)
-    return _make_chain(presentation, levels, notes, certified)
+    return replace(_make_chain(presentation, levels, notes, certified),
+                   factors=tuple(factor_chains))
 
 
 def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):

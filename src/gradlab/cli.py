@@ -11,16 +11,23 @@ import json
 import sys
 
 from .errors import InvariantViolation, ResourceExhausted
-from .experiments import ExperimentConfig, RUNNERS, emit_report, run_experiment
+from .experiments import ExperimentConfig, KINDS, emit_report, run_experiment
 from .selftest import run_all_checks
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on a usage error, but 2 means a budget was hit
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradlab",
         description="gradient experiments over chains of finite-index subgroups")
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in sorted(RUNNERS):
+    for kind in sorted(KINDS):
         p = sub.add_parser(kind, help=f"run the {kind} table for a config")
         p.add_argument("--config", required=True,
                        help="path to a JSON experiment config")
@@ -31,8 +38,6 @@ def _parser():
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for independent levels")
         p.add_argument("--max-cosets", type=int, default=None,
                        help="coset budget per level table")
         if kind == "volume":
@@ -48,10 +53,11 @@ def _load_config(args):
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"config {args.config} is not valid JSON: {e}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object, "
+                         f"got {raw!r}")
     if args.field:
         raw["fields"] = args.field
-    if args.jobs is not None:
-        raw["jobs"] = args.jobs
     if args.max_cosets is not None:
         raw["max_cosets"] = args.max_cosets
     if getattr(args, "degree", None) is not None:

@@ -8,9 +8,6 @@ All iteration orders are fixed, so a given presentation, subgroup and
 limit always produce the identical table.
 """
 
-import hashlib
-import json
-
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import Perm, PermGroup, compose, inverse_perm
 from .words import Word, free_reduce, render_word
@@ -82,42 +79,6 @@ class CosetTable:
             if self.trace(0, w) != 0:
                 raise InvariantViolation(f"subgroup word {w!r} leaves coset 0")
         return self
-
-    def to_json(self):
-        p = self.presentation
-        return json.dumps({
-            "strategy": STRATEGY_VERSION,
-            "generators": list(p.generator_names),
-            "relators": [render_word(r, p.generator_names) for r in p.relators],
-            "aspherical": p.aspherical,
-            "subgroup_words": [render_word(w, p.generator_names) for w in self.subgroup_words],
-            "table": self.table,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        from .words import presentation_from_texts
-        data = json.loads(text)
-        if data.get("strategy") != STRATEGY_VERSION:
-            raise ValueError(f"cached table has strategy {data.get('strategy')!r}, "
-                             f"current is {STRATEGY_VERSION!r}")
-        p = presentation_from_texts(data["generators"], data["relators"],
-                                    data.get("aspherical", False))
-        words = tuple(p.word(t) for t in data["subgroup_words"])
-        return cls(p, words, data["table"]).validate()
-
-
-def cache_key(presentation, subgroup_words):
-    """Stable key for caching enumerations across runs."""
-    h = hashlib.sha256()
-    h.update(STRATEGY_VERSION.encode())
-    for name in presentation.generator_names:
-        h.update(b"g" + name.encode())
-    for r in presentation.relators:
-        h.update(b"r" + render_word(r, presentation.generator_names).encode())
-    for w in subgroup_words:
-        h.update(b"s" + render_word(w, presentation.generator_names).encode())
-    return h.hexdigest()
 
 
 def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
@@ -295,10 +256,6 @@ def schreier_tree(t):
     return transversal, tree_edges
 
 
-def schreier_transversal(t):
-    return schreier_tree(t)[0]
-
-
 def schreier_generators(t):
     """Subgroup generators u_alpha g u_{alpha.g}^-1 for non-tree edges."""
     transversal, tree_edges = schreier_tree(t)
@@ -400,12 +357,6 @@ def regular_action_table(p, images, max_order=DEFAULT_MAX_COSETS):
     t = CosetTable(p, (), table)
     t.subgroup_words = tuple(schreier_generators(t))
     return t.validate()
-
-
-def normal_core_table(t, max_order=DEFAULT_MAX_COSETS):
-    """Table of the normal core: the kernel of the action on cosets."""
-    _, images = perm_rep(t)
-    return regular_action_table(t.presentation, images, max_order=max_order)
 
 
 def standardized_table(rows, start=0):

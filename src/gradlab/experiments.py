@@ -10,7 +10,6 @@ can be diffed across tools and re-parsed for regression checks.
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,9 +18,9 @@ from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
                      level_coset_table, product_chain)
 from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION
 from .errors import InvariantViolation
-from .gog import (analytic_sub_betti, block_from_dict, edge_shadow_indices,
-                  euler_characteristic, fundamental_presentation,
-                  graph_from_dict, subgroup_shadows, subgroup_volume_vector)
+from .gog import (block_from_dict, edge_shadow_indices, euler_characteristic,
+                  fundamental_presentation, graph_from_dict, subgroup_shadows,
+                  subgroup_volume_vector)
 from .homology import QQ, FieldSpec, betti, covering_complex, kunneth_product_dims
 from .towers import SurfaceAttach, TorusAttach, TowerSpec, build_tower, catalog
 from .words import (presentation_euler_characteristic, presentation_from_texts,
@@ -43,6 +42,17 @@ class ResolvedGroup:
     euler: int
     graph: object = None
     factors: tuple = ()
+
+
+def _need(spec, key, where, kind, item=None):
+    """spec[key], which must be a kind (holding only items, if given)."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{where} needs {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind) or (
+            item is not None and not all(isinstance(v, item) for v in value)):
+        raise ValueError(f"{where}: bad {key!r} value {value!r}")
+    return value
 
 
 def _tower_spec_from_dict(d):
@@ -71,7 +81,7 @@ def resolve_group(spec):
     (kind, body), = spec.items()
     if kind == "catalog":
         entries = catalog()
-        if body not in entries:
+        if not isinstance(body, str) or body not in entries:
             raise ValueError(f"unknown catalog group {body!r}; "
                              f"have {sorted(entries)}")
         e = entries[body]
@@ -80,7 +90,8 @@ def resolve_group(spec):
             factors = tuple(resolve_group({"catalog": f}) for f in e.factors)
         return ResolvedGroup(body, e.presentation, e.euler, e.graph, factors)
     if kind == "presentation":
-        p = presentation_from_texts(tuple(body["generators"]),
+        generators = _need(body, "generators", "presentation", list, str)
+        p = presentation_from_texts(tuple(generators),
                                     tuple(body.get("relators", ())),
                                     bool(body.get("aspherical", False)))
         return ResolvedGroup("presentation", p,
@@ -94,7 +105,8 @@ def resolve_group(spec):
         return ResolvedGroup("tower", result.presentation, result.euler,
                              result.graph)
     if kind == "product":
-        factors = tuple(resolve_group(s) for s in body["factors"])
+        factors = tuple(resolve_group(s)
+                        for s in _need(body, "factors", "product", list))
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
         p = product_presentation([f.presentation for f in factors])
@@ -112,23 +124,27 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
         raise ValueError(f"chain spec must be a dict with a type, got {spec!r}")
     kind = spec["type"]
     p = group.presentation
+    where = f"{kind} chain"
     if kind == "core":
-        return core_chain(p, list(spec["bounds"]))
+        return core_chain(p, _need(spec, "bounds", where, list, int))
     if kind == "homology":
-        return homology_cover_chain(p, list(spec["moduli"]))
+        return homology_cover_chain(p, _need(spec, "moduli", where, list, int))
     if kind == "cyclic":
-        return cyclic_cover_chain(p, dict(spec["weights"]), list(spec["moduli"]))
+        return cyclic_cover_chain(p, _need(spec, "weights", where, dict),
+                                  _need(spec, "moduli", where, list, int))
     if kind == "product":
+        specs = _need(spec, "factors", where, list)
         if not group.factors:
             raise ValueError("product chain needs a product group")
-        if len(spec["factors"]) != len(group.factors):
-            raise ValueError(f"{len(spec['factors'])} chain factors for "
+        if len(specs) != len(group.factors):
+            raise ValueError(f"{len(specs)} chain factors for "
                              f"{len(group.factors)} group factors")
         parts = [resolve_chain(s, g, max_cosets)
-                 for s, g in zip(spec["factors"], group.factors)]
+                 for s, g in zip(specs, group.factors)]
         return product_chain(parts, presentation=p)
     if kind == "fiber":
-        inner = resolve_chain(spec["inner"], group, max_cosets)
+        inner = resolve_chain(_need(spec, "inner", where, dict), group,
+                              max_cosets)
         if "subgroup_words" in spec:
             words = tuple(p.word(w) for w in spec["subgroup_words"])
         elif "kernel" in spec:
@@ -149,31 +165,23 @@ class ExperimentConfig:
     chain_spec: dict
     fields: tuple = (QQ,)
     max_cosets: int = DEFAULT_MAX_COSETS
-    jobs: int = 1
     volume_degree: int = 2
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d):
-        known = {"group", "chain", "fields", "max_cosets", "jobs",
-                 "volume_degree"}
+        known = {"group", "chain", "fields", "max_cosets", "volume_degree"}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         if "group" not in d or "chain" not in d:
             raise ValueError("config needs both a group and a chain")
-        fields = tuple(FieldSpec.parse(s) for s in d.get("fields", ["q"]))
-        return cls(group_spec=d["group"], chain_spec=d["chain"], fields=fields,
+        labels = _need(d, "fields", "config", list, str) if "fields" in d else ["q"]
+        return cls(group_spec=d["group"], chain_spec=d["chain"],
+                   fields=tuple(FieldSpec.parse(s) for s in labels),
                    max_cosets=int(d.get("max_cosets", DEFAULT_MAX_COSETS)),
-                   jobs=int(d.get("jobs", 1)),
                    volume_degree=int(d.get("volume_degree", 2)),
                    raw=dict(d))
-
-
-def resolve_experiment(cfg):
-    group = resolve_group(cfg.group_spec)
-    chain = resolve_chain(cfg.chain_spec, group, cfg.max_cosets)
-    return group, chain
 
 
 @dataclass
@@ -189,26 +197,21 @@ class GradientTable:
     extras: list = None
 
 
-def _blank_row(columns):
-    return {c: None for c in columns}
+@dataclass(frozen=True)
+class _Plan:
+    """How one report kind reads the levels of a chain.
 
+    fields are the coefficient fields whose betti numbers the rows read;
+    None means the kind reads no homology, and the walk then builds no coset
+    table or covering complex.  fill(n, level, cx, numbers) yields the
+    (row, extra) pairs of level n, numbers mapping each field to its betti
+    numbers.  notes are added after the chain's own notes.
+    """
 
-def _prepare_levels(chain, cfg, fields):
-    """Coset table, covering complex, and betti numbers for every level,
-    optionally fanned out over a thread pool."""
-
-    def work(item):
-        n, level = item
-        table = level_coset_table(chain.group, level, cfg.max_cosets)
-        cx = covering_complex(table)
-        numbers = {f.label: betti(cx, f) for f in fields}
-        return n, level, table, cx, numbers
-
-    items = list(enumerate(chain.levels, start=1))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(work, items))
-    return [work(item) for item in items]
+    columns: tuple
+    fields: object
+    fill: object
+    notes: tuple = ()
 
 
 def _require_presentation(chain, what):
@@ -217,29 +220,31 @@ def _require_presentation(chain, what):
                          "indices")
 
 
-def run_rank_gradient(cfg):
+def _row(columns, **values):
+    row = dict.fromkeys(columns)
+    row.update(values)
+    return row
+
+
+def _betti_row(n, level, f, b):
+    return _row(CSV_COLUMNS, level=n, index=level.index, field=f.label,
+                b0=b[0], b1=b[1], b2=b[2] if len(b) > 2 else 0)
+
+
+def _plan_rank(cfg, group, chain):
     """Sandwich the rank of each level kernel: first betti number below,
     volume count above.  target_rg is the expected limit of d/index."""
-    group, chain = resolve_experiment(cfg)
-    rows, extras, notes = [], [], list(chain.notes)
     if chain.group is None:
-        notes.append("shadow chain: only the index column is populated")
-        for n, level in enumerate(chain.levels, start=1):
-            row = _blank_row(CSV_COLUMNS)
-            row["level"], row["index"] = n, level.index
-            rows.append(row)
-            extras.append({"provenance": level.provenance})
-        return GradientTable("rank", group.name, CSV_COLUMNS, rows, cfg.raw,
-                             chain.indices(),
-                             tuple(l.provenance for l in chain.levels),
-                             tuple(notes), extras)
+        def shadow(n, level, cx, numbers):
+            yield (_row(CSV_COLUMNS, level=n, index=level.index),
+                   {"provenance": level.provenance})
+        return _Plan(CSV_COLUMNS, None, shadow,
+                     ("shadow chain: only the index column is populated",))
     target = Fraction(-group.euler)
-    for n, level, table, cx, numbers in _prepare_levels(chain, cfg, (QQ,)):
-        b = numbers[QQ.label]
-        row = _blank_row(CSV_COLUMNS)
-        row["level"], row["index"], row["field"] = n, level.index, QQ.label
-        row["b0"], row["b1"] = b[0], b[1]
-        row["b2"] = b[2] if len(b) > 2 else 0
+
+    def fill(n, level, cx, numbers):
+        b = numbers[QQ]
+        row = _betti_row(n, level, QQ, b)
         row["d_lower"] = b[1]
         extra = {"provenance": level.provenance}
         if group.graph is not None:
@@ -253,15 +258,11 @@ def run_rank_gradient(cfg):
             raise InvariantViolation(f"level {n}: rank bounds crossed, "
                                      f"{row['d_lower']} > {row['d_upper']}")
         row["target_rg"] = target
-        rows.append(row)
-        extras.append(extra)
-    return GradientTable("rank", group.name, CSV_COLUMNS, rows, cfg.raw,
-                         chain.indices(),
-                         tuple(l.provenance for l in chain.levels),
-                         tuple(notes), extras)
+        yield row, extra
+    return _Plan(CSV_COLUMNS, (QQ,), fill)
 
 
-def run_deficiency_gradient(cfg):
+def _plan_deficiency(cfg, group, chain):
     """Bound the (negated) deficiency of each kernel.
 
     def_upper = r2 - r1 + r0 - 1 counts cells of the cover; def_lower =
@@ -269,21 +270,17 @@ def run_deficiency_gradient(cfg):
     aspherical so the cover's second homology is the group's.  Both bounds
     divided by the index approach the Euler characteristic.
     """
-    group, chain = resolve_experiment(cfg)
     _require_presentation(chain, "deficiency bounds")
-    rows, extras, notes = [], [], list(chain.notes)
     aspherical = chain.group.aspherical
+    notes = ()
     if not aspherical:
-        notes.append("def_lower omitted: without an aspherical presentation "
-                     "complex, b2 of the cover only bounds the group's b2 "
-                     "from above")
+        notes = ("def_lower omitted: without an aspherical presentation "
+                 "complex, b2 of the cover only bounds the group's b2 "
+                 "from above",)
     target = Fraction(group.euler)
-    for n, level, table, cx, numbers in _prepare_levels(chain, cfg, (QQ,)):
-        b = numbers[QQ.label]
-        row = _blank_row(CSV_COLUMNS)
-        row["level"], row["index"], row["field"] = n, level.index, QQ.label
-        row["b0"], row["b1"] = b[0], b[1]
-        row["b2"] = b[2] if len(b) > 2 else 0
+
+    def fill(n, level, cx, numbers):
+        row = _betti_row(n, level, QQ, numbers[QQ])
         extra = {"provenance": level.provenance}
         if group.graph is not None:
             vv = subgroup_volume_vector(group.graph, level.quotient,
@@ -300,38 +297,31 @@ def run_deficiency_gradient(cfg):
                                          f"crossed, {row['def_lower']} > "
                                          f"{row['def_upper']}")
         row["target_dg"] = target
-        rows.append(row)
-        extras.append(extra)
-    return GradientTable("deficiency", group.name, CSV_COLUMNS, rows, cfg.raw,
-                         chain.indices(),
-                         tuple(l.provenance for l in chain.levels),
-                         tuple(notes), extras)
+        yield row, extra
+    return _Plan(CSV_COLUMNS, (QQ,), fill, notes)
 
 
-def run_volume_gradient(cfg, k=None):
-    """Track r_k(B)/[G:B] down the chain of a graph-of-groups kernel.
+def _plan_volume(cfg, group, chain):
+    """Track r_k(B)/[G:B] down the chain of a graph-of-groups kernel, with
+    k = cfg.volume_degree.
 
     When no vertex block carries k-cells the same ratio is recomputed as a
     sum of reciprocal edge shadows, and the two routes must agree exactly.
     """
-    group, chain = resolve_experiment(cfg)
     _require_presentation(chain, "volume vectors")
     if group.graph is None:
         raise ValueError("volume gradients need a graph of groups")
-    if k is None:
-        k = cfg.volume_degree
+    k = cfg.volume_degree
     if k < 1:
         raise ValueError(f"volume degree must be at least 1, got {k}")
     graph = group.graph
     vertex_cells = max(len(b.volume_vector().entries) for b in graph.vertices)
     check_edges = vertex_cells <= k and k >= 2
-    rows, extras = [], []
-    for n, level in enumerate(chain.levels, start=1):
+
+    def fill(n, level, cx, numbers):
         vv = subgroup_volume_vector(graph, level.quotient, level.images)
         ratio = Fraction(vv[k], level.index)
-        row = _blank_row(CSV_COLUMNS)
-        row["level"], row["index"] = n, level.index
-        row["vol2_ratio"] = ratio
+        row = _row(CSV_COLUMNS, level=n, index=level.index, vol2_ratio=ratio)
         extra = {"provenance": level.provenance,
                  "volume_vector": list(vv.entries), "volume_degree": k}
         if check_edges:
@@ -345,56 +335,32 @@ def run_volume_gradient(cfg, k=None):
                     f"level {n}: volume ratio {ratio} != edge shadow sum "
                     f"{expected}")
             extra["edge_shadows"] = shadows
-        rows.append(row)
-        extras.append(extra)
-    notes = list(chain.notes)
-    if k != 2:
-        notes.append(f"vol2_ratio column holds the degree-{k} ratio")
-    return GradientTable("volume", group.name, CSV_COLUMNS, rows, cfg.raw,
-                         chain.indices(),
-                         tuple(l.provenance for l in chain.levels),
-                         tuple(notes), extras)
+        yield row, extra
+    notes = (f"vol2_ratio column holds the degree-{k} ratio",) if k != 2 else ()
+    return _Plan(CSV_COLUMNS, None, fill, notes)
 
 
-def _kunneth_expectation(cfg, group):
-    """Factor kernel ranks for a product of free groups, or None."""
-    if not group.factors or cfg.chain_spec.get("type") != "product":
-        return None
-    if any(f.presentation.relators for f in group.factors):
-        return None
-    parts = [resolve_chain(s, g, cfg.max_cosets)
-             for s, g in zip(cfg.chain_spec["factors"], group.factors)]
-    depth = min(len(c.levels) for c in parts)
-    ranks = [f.presentation.num_generators for f in group.factors]
-    out = []
-    for i in range(depth):
-        out.append([c.levels[i].index * (r - 1) + 1
-                    for c, r in zip(parts, ranks)])
-    return out
-
-
-def run_homology_gradient(cfg):
+def _plan_homology(cfg, group, chain):
     """Betti numbers of every level cover over every requested field.
 
     For products of free groups built with a product chain, the answer is
     recomputed from the factor kernel ranks and must match in degrees 0..2.
     """
-    group, chain = resolve_experiment(cfg)
     _require_presentation(chain, "homology")
-    expected_factors = _kunneth_expectation(cfg, group)
-    rows, extras = [], []
-    for n, level, table, cx, numbers in _prepare_levels(chain, cfg, cfg.fields):
+    ranks = None
+    if chain.factors and not any(f.presentation.relators
+                                 for f in group.factors):
+        ranks = [f.presentation.num_generators for f in group.factors]
+
+    def fill(n, level, cx, numbers):
+        if ranks is not None:
+            dims = [c.levels[n - 1].index * (r - 1) + 1
+                    for c, r in zip(chain.factors, ranks)]
+            want = [kunneth_product_dims(dims, q) for q in range(len(dims) + 1)]
         for f in cfg.fields:
-            b = numbers[f.label]
-            row = _blank_row(CSV_COLUMNS)
-            row["level"], row["index"], row["field"] = n, level.index, f.label
-            row["b0"], row["b1"] = b[0], b[1]
-            row["b2"] = b[2] if len(b) > 2 else 0
+            b = numbers[f]
             extra = {"provenance": level.provenance, "betti": list(b)}
-            if expected_factors is not None:
-                dims = expected_factors[n - 1]
-                want = [kunneth_product_dims(dims, q)
-                        for q in range(len(dims) + 1)]
+            if ranks is not None:
                 for q in range(min(3, len(want))):
                     got = b[q] if q < len(b) else 0
                     if got != want[q]:
@@ -403,15 +369,11 @@ def run_homology_gradient(cfg):
                             f"the factor ranks {dims} predict {want[q]}")
                 extra["factor_ranks"] = dims
                 extra["predicted_betti"] = want
-            rows.append(row)
-            extras.append(extra)
-    return GradientTable("homology", group.name, CSV_COLUMNS, rows, cfg.raw,
-                         chain.indices(),
-                         tuple(l.provenance for l in chain.levels),
-                         tuple(chain.notes), extras)
+            yield _betti_row(n, level, f, b), extra
+    return _Plan(CSV_COLUMNS, cfg.fields, fill)
 
 
-def run_mv_check(cfg):
+def _plan_mvcheck(cfg, group, chain):
     """Verify the gluing inequality for b1 and b2 of every level cover:
 
         b_j(B) <= sum_v copies * b_j(B n G_v) + sum_e copies * b_j(B n G_e)
@@ -420,53 +382,67 @@ def run_mv_check(cfg):
     with unreduced b_0.  Local terms come from the closed-form subgroup
     betti numbers of the blocks; a negative slack fails the run.
     """
-    group, chain = resolve_experiment(cfg)
     _require_presentation(chain, "the gluing check")
     if group.graph is None:
         raise ValueError("the gluing check needs a graph of groups")
     graph = group.graph
-    rows, extras = [], []
-    for n, level, table, cx, numbers in _prepare_levels(chain, cfg, cfg.fields):
+
+    def fill(n, level, cx, numbers):
         vertex_rows, edge_rows = subgroup_shadows(graph, level.quotient,
                                                   level.images)
         for f in cfg.fields:
-            b = numbers[f.label]
+            b = numbers[f]
             for j in (1, 2):
                 lhs = b[j] if j < len(b) else 0
-                rhs = sum(copies * analytic_sub_betti(block, local, j)
+                rhs = sum(copies * block.sub_betti(local, j)
                           for block, copies, local in vertex_rows)
-                rhs += sum(copies * analytic_sub_betti(block, local, j)
+                rhs += sum(copies * block.sub_betti(local, j)
                            for block, copies, local in edge_rows)
-                rhs += 2 * sum(copies * analytic_sub_betti(block, local, j - 1)
+                rhs += 2 * sum(copies * block.sub_betti(local, j - 1)
                                for block, copies, local in edge_rows)
                 if lhs > rhs:
                     raise InvariantViolation(
                         f"level {n} field {f.label}: b{j} = {lhs} exceeds "
                         f"the gluing bound {rhs}")
-                row = _blank_row(MV_COLUMNS)
-                row.update(level=n, index=level.index, field=f.label, j=j,
-                           lhs=lhs, rhs=rhs, slack=rhs - lhs)
-                rows.append(row)
-                extras.append({"provenance": level.provenance})
-    return GradientTable("mvcheck", group.name, MV_COLUMNS, rows, cfg.raw,
-                         chain.indices(),
-                         tuple(l.provenance for l in chain.levels),
-                         tuple(chain.notes), extras)
+                yield (_row(MV_COLUMNS, level=n, index=level.index,
+                            field=f.label, j=j, lhs=lhs, rhs=rhs,
+                            slack=rhs - lhs),
+                       {"provenance": level.provenance})
+    return _Plan(MV_COLUMNS, cfg.fields, fill)
 
 
-RUNNERS = {
-    "rank": run_rank_gradient,
-    "deficiency": run_deficiency_gradient,
-    "volume": run_volume_gradient,
-    "homology": run_homology_gradient,
-    "mvcheck": run_mv_check,
+KINDS = {
+    "rank": _plan_rank,
+    "deficiency": _plan_deficiency,
+    "volume": _plan_volume,
+    "homology": _plan_homology,
+    "mvcheck": _plan_mvcheck,
 }
 
 
 def run_experiment(kind, cfg):
-    if kind not in RUNNERS:
-        raise ValueError(f"unknown experiment {kind!r}; have {sorted(RUNNERS)}")
-    return RUNNERS[kind](cfg)
+    """Resolve the config, then walk its chain one level at a time: build
+    the level's cover and betti numbers if the kind reads them, and let the
+    kind fill its rows."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown experiment {kind!r}; have {sorted(KINDS)}")
+    group = resolve_group(cfg.group_spec)
+    chain = resolve_chain(cfg.chain_spec, group, cfg.max_cosets)
+    plan = KINDS[kind](cfg, group, chain)
+    rows, extras = [], []
+    for n, level in enumerate(chain.levels, start=1):
+        cx = numbers = None
+        if plan.fields is not None:
+            cx = covering_complex(level_coset_table(chain.group, level,
+                                                    cfg.max_cosets))
+            numbers = {f: betti(cx, f) for f in plan.fields}
+        for row, extra in plan.fill(n, level, cx, numbers):
+            rows.append(row)
+            extras.append(extra)
+    return GradientTable(kind, group.name, plan.columns, rows, cfg.raw,
+                         chain.indices(),
+                         tuple(l.provenance for l in chain.levels),
+                         chain.notes + plan.notes, extras)
 
 
 def _cell(value):

@@ -1,11 +1,10 @@
 """Graphs of groups with trivial or infinite cyclic edge groups.
 
-Vertex groups come in four block shapes: free, finitely generated abelian
-(free abelian here), closed orientable surface of genus >= 2, or an
-explicit presentation carrying its own volume data.  Volume vectors count
-cells of a chosen classifying space per dimension; the calculus below
-assembles them along the graph and pushes them down to finite index
-subgroups through a permutation quotient.
+Vertex groups come in three block shapes: free, finitely generated abelian
+(free abelian here), or closed orientable surface of genus >= 2.  Volume
+vectors count cells of a chosen classifying space per dimension; the
+calculus below assembles them along the graph and pushes them down to
+finite index subgroups through a permutation quotient.
 """
 
 import math
@@ -173,37 +172,6 @@ class SurfaceBlock(Block):
 
 
 @dataclass(frozen=True)
-class ExplicitBlock(Block):
-    group: Presentation
-    volume: VolumeVector
-    euler_value: int
-    flagged_aspherical: bool = False
-
-    @property
-    def aspherical(self):
-        return self.flagged_aspherical
-
-    def local_names(self):
-        return self.group.generator_names
-
-    def presentation(self):
-        return self.group
-
-    def volume_vector(self):
-        return self.volume
-
-    def euler(self):
-        return self.euler_value
-
-    def sub_volume_vector(self, index):
-        raise ValueError("no volume rule for subgroups of an explicit block; "
-                         "pass a provider that knows this block")
-
-    def sub_betti(self, index, j):
-        raise ValueError("no homology rule for subgroups of an explicit block")
-
-
-@dataclass(frozen=True)
 class Edge:
     """An edge of the graph with its two boundary injections.
 
@@ -355,10 +323,6 @@ def euler_characteristic(g):
     return chi
 
 
-def default_provider(block, index):
-    return block.sub_volume_vector(index)
-
-
 def subgroup_shadows(g, quotient, images):
     """How each vertex and edge group meets B = ker(G -> quotient).
 
@@ -390,7 +354,7 @@ def subgroup_shadows(g, quotient, images):
     return vertex_rows, edge_rows
 
 
-def subgroup_volume_vector(g, quotient, images, provider=default_provider):
+def subgroup_volume_vector(g, quotient, images):
     """Volume vector of B = ker(G -> quotient) from the covering formula:
 
         r_k(B) = sum_v [G:BG_v] r_k(B n G_v) + sum_e [G:BG_e] r_{k-1}(B n G_e)
@@ -399,9 +363,9 @@ def subgroup_volume_vector(g, quotient, images, provider=default_provider):
     from the images of vertex generators and edge words in the quotient.
     """
     vertex_rows, edge_rows = subgroup_shadows(g, quotient, images)
-    pieces = [(copies, provider(block, local_index), 0)
+    pieces = [(copies, block.sub_volume_vector(local_index), 0)
               for block, copies, local_index in vertex_rows]
-    pieces.extend((copies, provider(block, local_index), 1)
+    pieces.extend((copies, block.sub_volume_vector(local_index), 1)
                   for block, copies, local_index in edge_rows)
 
     length = max(len(vv.entries) + shift for _, vv, shift in pieces)
@@ -436,30 +400,23 @@ def coset_ratio_check(quotient, h_images):
     return lhs, rhs
 
 
-def analytic_sub_betti(block, index, j):
-    """dim H_j(B n block) for the catalog shapes; provider hook for MV sums."""
-    return block.sub_betti(index, j)
+_SIZED_BLOCKS = {"free": (FreeBlock, "rank"), "abelian": (AbelianBlock, "rank"),
+                 "surface": (SurfaceBlock, "genus")}
 
 
 def block_from_dict(d):
     kind = d.get("type")
-    if kind == "free":
-        return FreeBlock(d["rank"])
     if kind == "trivial":
         return TRIVIAL_BLOCK
     if kind == "cyclic":
         return CYCLIC_BLOCK
-    if kind == "abelian":
-        return AbelianBlock(d["rank"])
-    if kind == "surface":
-        return SurfaceBlock(d["genus"])
-    if kind == "explicit":
-        p = Presentation(tuple(d["generators"]),
-                         tuple(parse_word(t, tuple(d["generators"])) for t in d["relators"]),
-                         aspherical=d.get("aspherical", False))
-        return ExplicitBlock(p, VolumeVector(tuple(d["volume_vector"])),
-                             d["euler"], d.get("aspherical", False))
-    raise ValueError(f"unknown block type {kind!r}")
+    if kind not in _SIZED_BLOCKS:
+        raise ValueError(f"unknown block type {kind!r}")
+    cls, key = _SIZED_BLOCKS[kind]
+    if not isinstance(d.get(key), int):
+        raise ValueError(f"{kind} block needs an integer {key!r}, "
+                         f"got {d.get(key)!r}")
+    return cls(d[key])
 
 
 def graph_from_dict(d):

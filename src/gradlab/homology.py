@@ -352,10 +352,3 @@ def kunneth_product_dims(factor_h1_dims, q):
                   for i, c in enumerate(coeffs)] + [d * coeffs[-1]]
     return coeffs[q] if 0 <= q < len(coeffs) else 0
 
-
-def nilpotent_betti_bound(q, hirsch_length):
-    """binomial(h, q): an upper bound for dim H_q of a finitely generated
-    torsion-free nilpotent group of Hirsch length h, over any field."""
-    if q < 0 or hirsch_length < 0:
-        raise ValueError(f"bad arguments q={q}, h={hirsch_length}")
-    return math.comb(hirsch_length, q)

@@ -6,8 +6,6 @@ smallest moved points, orbits grow breadth first with generators tried in
 insertion order, so repeated runs build identical transversals.
 """
 
-from .errors import ResourceExhausted
-
 
 class Perm:
     """A permutation stored as its tuple of images."""
@@ -233,33 +231,6 @@ class PermGroup:
                     return False
                 p = compose(p, inverse_perm(transversal[x]))
         return p.is_identity()
-
-    def elements(self, max_size=None):
-        """All group elements by breadth-first closure, in discovery order.
-
-        Starts at the identity and multiplies by generators on the right.
-        Raises ResourceExhausted past max_size.
-        """
-        out = [identity_perm(self.degree)]
-        seen = {out[0]}
-        head = 0
-        while head < len(out):
-            current = out[head]
-            head += 1
-            for g in self.generators:
-                nxt = compose(current, g)
-                if nxt not in seen:
-                    if max_size is not None and len(out) >= max_size:
-                        raise ResourceExhausted(
-                            f"group has more than {max_size} elements",
-                            limit=max_size, reached=len(out))
-                    seen.add(nxt)
-                    out.append(nxt)
-        return out
-
-
-def group_order(degree, generators):
-    return PermGroup(degree, generators).order()
 
 
 def subgroup_index(group, subgroup_gens):

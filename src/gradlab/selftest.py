@@ -11,8 +11,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import (cyclic_cover_chain, homology_cover_chain,
-                     level_coset_table)
+from .chains import homology_cover_chain, level_coset_table
 from .cosets import (low_index_subgroups, perm_rep, standardized_table,
                      todd_coxeter)
 from .experiments import ExperimentConfig, run_experiment

@@ -83,21 +83,6 @@ def free_reduce(w):
     return Word(tuple(stack))
 
 
-def cyclic_reduce(w):
-    """Conjugate-minimal form: freely reduce, then cancel first against last run."""
-    v = free_reduce(w)
-    runs = list(v.runs)
-    while len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        gen = runs[0][0]
-        total = runs[0][1] + runs[-1][1]
-        runs = runs[1:-1]
-        if total != 0:
-            # fold the leftover exponent into the front, then re-reduce
-            runs.insert(0, (gen, total))
-            return cyclic_reduce(Word(tuple(runs)))
-    return free_reduce(Word(tuple(runs)))
-
-
 def parse_word(text, generator_names):
     """Parse the token format into a freely reduced Word.
 
@@ -192,15 +177,6 @@ def presentation_from_texts(names, relator_texts, aspherical=False):
     names = tuple(names)
     rels = tuple(parse_word(t, names) for t in relator_texts)
     return Presentation(names, rels, aspherical)
-
-
-def presentation_deficiency_data(p):
-    """(num_generators, num_relators, num_generators - num_relators).
-
-    The last entry is the deficiency of this presentation; the group
-    deficiency is the max over presentations, so this is only a bound.
-    """
-    return (p.num_generators, len(p.relators), p.num_generators - len(p.relators))
 
 
 def abelianized_relator_matrix(p):

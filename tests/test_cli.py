@@ -110,3 +110,48 @@ def test_main_callable_in_process(tmp_path, capsys):
     assert main(["rank", "--config", path]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("level,index,field,")
+
+
+FREE_2 = {"catalog": "free_2"}
+HOMOLOGY_2 = {"type": "homology", "moduli": [2]}
+
+# (config, extra arguments, text stderr must contain)
+BAD_INPUTS = {
+    "cyclic-without-weights": (
+        {"group": FREE_2, "chain": {"type": "cyclic", "moduli": [2]}},
+        [], "'weights'"),
+    "moduli-string": (
+        {"group": FREE_2, "chain": {"type": "homology", "moduli": "ab"}},
+        [], "'moduli'"),
+    "free-block-without-rank": (
+        {"group": {"graph": {"vertices": [{"type": "free"}], "edges": []}},
+         "chain": HOMOLOGY_2},
+        [], "'rank'"),
+    "field-not-a-label": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": [2]},
+        [], "'fields'"),
+    "catalog-list": (
+        {"group": {"catalog": ["free_2"]}, "chain": HOMOLOGY_2},
+        [], "catalog"),
+    "core-without-bounds": (
+        {"group": FREE_2, "chain": {"type": "core"}}, [], "'bounds'"),
+    "homology-without-moduli": (
+        {"group": FREE_2, "chain": {"type": "homology"}}, [], "'moduli'"),
+    "presentation-without-generators": (
+        {"group": {"presentation": {"relators": []}}, "chain": HOMOLOGY_2},
+        [], "'generators'"),
+    "config-number": (7, [], "JSON object"),
+    "jobs-key": ({"group": FREE_2, "chain": HOMOLOGY_2, "jobs": 2},
+                 [], "'jobs'"),
+    "jobs-flag": ({"group": FREE_2, "chain": HOMOLOGY_2},
+                  ["--jobs", "2"], "--jobs"),
+}
+
+
+@pytest.mark.parametrize("config, extra, named", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_input_exits_one_without_traceback(tmp_path, config, extra, named):
+    out = run_cli("rank", "--config", write_config(tmp_path, config), *extra)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert named in out.stderr

@@ -1,22 +1,19 @@
 import pytest
 
 from gradlab.cosets import (
-    CosetTable,
-    cache_key,
     todd_coxeter,
     perm_rep,
-    schreier_transversal,
+    schreier_tree,
     schreier_generators,
     reidemeister_schreier,
     regular_action_table,
-    normal_core_table,
     standardized_table,
     low_index_subgroups,
 )
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
 from gradlab.permgrp import Perm, word_image
-from gradlab.words import presentation_from_texts, abelianized_relator_matrix, parse_word
+from gradlab.words import presentation_from_texts, abelianized_relator_matrix
 from oracles import (
     alternating_tetrahedral_images,
     count_transitive_pairs,
@@ -76,23 +73,6 @@ def test_validate_catches_corruption(sym3):
         t.validate()
 
 
-def test_json_round_trip(free2):
-    t = todd_coxeter(free2, (free2.word("a"), free2.word("b^2"), free2.word("b a b^-1")))
-    text = t.to_json()
-    back = CosetTable.from_json(text)
-    assert back.table == t.table
-    assert back.num_cosets == t.num_cosets
-    assert [free2.render(w) for w in back.subgroup_words] == \
-        [free2.render(w) for w in t.subgroup_words]
-
-
-def test_cache_key_distinguishes_subgroups(free2):
-    k1 = cache_key(free2, (free2.word("a"),))
-    k2 = cache_key(free2, (free2.word("b"),))
-    assert k1 == cache_key(free2, (free2.word("a"),))
-    assert k1 != k2
-
-
 def test_resource_limit(free2):
     with pytest.raises(ResourceExhausted):
         todd_coxeter(free2, (free2.word("a^50"),), max_cosets=10)
@@ -103,7 +83,7 @@ def test_schreier_transversal_carries_basepoint(free2):
     t = todd_coxeter(free2, tuple(free2.word(w) for w in
                                   ("b", "a^3", "a b a^-1", "a^2 b a^-2")))
     assert t.num_cosets == 3
-    transversal = schreier_transversal(t)
+    transversal = schreier_tree(t)[0]
     assert len(transversal) == t.num_cosets
     assert transversal[0].is_empty()
     for alpha, w in enumerate(transversal):
@@ -172,7 +152,7 @@ def test_regular_action_budget(free2):
 
 def test_normal_core(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
-    core = normal_core_table(t)
+    core = regular_action_table(sym3, perm_rep(t)[1])
     assert core.num_cosets == 6
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradlab.chains import Chain
 from gradlab.errors import ResourceExhausted
 from gradlab.experiments import (
     CSV_COLUMNS,
@@ -26,13 +27,14 @@ def test_config_validation():
         ExperimentConfig.from_dict({"group": {"catalog": "free_2"}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"group": {}, "chain": {}, "mystery": 1})
+    with pytest.raises(ValueError, match="jobs"):
+        ExperimentConfig.from_dict({"group": {}, "chain": {}, "jobs": 2})
     cfg = ExperimentConfig.from_dict({
         "group": {"catalog": "free_2"},
         "chain": {"type": "homology", "moduli": [2]},
         "fields": ["q", "gf:2"],
     })
     assert cfg.fields == (QQ, GF2)
-    assert cfg.jobs == 1
 
 
 def test_resolve_group_kinds():
@@ -139,7 +141,14 @@ def test_volume_gradient_requires_graph():
                                              {"type": "homology", "moduli": [2]}]})
 
 
-def test_homology_gradient_product_with_kunneth_check():
+def test_homology_gradient_product_with_kunneth_check(monkeypatch):
+    validated = []
+    validate = Chain.validate
+
+    def counted(chain):
+        validated.append(chain)
+        return validate(chain)
+    monkeypatch.setattr(Chain, "validate", counted)
     table = make("homology", {"catalog": "f2xf2"},
                  {"type": "product",
                   "factors": [{"type": "homology", "moduli": [2]},
@@ -152,6 +161,9 @@ def test_homology_gradient_product_with_kunneth_check():
         assert e["factor_ranks"] == [5, 5]
         assert e["predicted_betti"] == [1, 10, 25]
         assert e["betti"] == e["predicted_betti"]
+    # the two factor chains and their product, each validated once: the
+    # check reuses the factor chains instead of building them again
+    assert len(validated) == 3
 
 
 def test_mv_check_free_product():
@@ -191,14 +203,6 @@ def test_shadow_chain_reports_indices_only():
     assert all(r["b1"] is None and r["d_upper"] is None for r in table.rows)
     assert "shadow chain: only the index column is populated" in table.notes
     assert any("edge line" in n for n in table.notes)
-
-
-def test_jobs_parallel_matches_serial():
-    serial = make("rank", {"catalog": "free_2"},
-                  {"type": "homology", "moduli": [2, 4, 8]})
-    parallel = make("rank", {"catalog": "free_2"},
-                    {"type": "homology", "moduli": [2, 4, 8]}, jobs=3)
-    assert parallel.rows == serial.rows
 
 
 def test_max_cosets_budget_propagates():

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from gradlab.homology import (
     betti,
     covering_complex,
     kunneth_product_dims,
-    nilpotent_betti_bound,
 )
 from gradlab.permgrp import Perm
 from gradlab.words import presentation_from_texts
@@ -158,11 +156,3 @@ def test_kunneth_dims_match_subset_oracle():
     assert kunneth_product_dims((5, 5), 2) == 25
     assert kunneth_product_dims((2, 3, 4), 2) == 26
     assert kunneth_product_dims((2, 2), 2) == 4
-
-
-def test_nilpotent_bound():
-    assert nilpotent_betti_bound(2, 4) == math.comb(4, 2) == 6
-    assert nilpotent_betti_bound(0, 3) == 1
-    assert nilpotent_betti_bound(5, 3) == 0
-    with pytest.raises(ValueError):
-        nilpotent_betti_bound(-1, 2)

@@ -4,14 +4,12 @@ from hypothesis import given, strategies as st
 from gradlab.words import (
     Word,
     free_reduce,
-    cyclic_reduce,
     parse_word,
     render_word,
     exponent_sums,
     commutator,
     Presentation,
     presentation_from_texts,
-    presentation_deficiency_data,
     abelianized_relator_matrix,
     presentation_euler_characteristic,
     product_presentation,
@@ -63,15 +61,6 @@ def test_word_rejects_zero_exponent_run():
         Word(((0, 0),))
 
 
-def test_cyclic_reduce():
-    w = parse_word("a b a^-1", NAMES)
-    assert cyclic_reduce(w) == parse_word("b", NAMES)
-    # nested conjugation peels off layer by layer
-    w = parse_word("a^2 b c b^-1 a^-2", NAMES)
-    assert cyclic_reduce(w) == parse_word("c", NAMES)
-    assert cyclic_reduce(parse_word("a^3", NAMES)) == parse_word("a^3", NAMES)
-
-
 def test_exponent_sums():
     w = parse_word("a b^-1 a^2 c", NAMES)
     assert exponent_sums(w, 3) == [3, -1, 1]
@@ -112,13 +101,11 @@ def test_presentation_rejects_duplicate_names():
         Presentation(("a", "a"), ())
 
 
-def test_deficiency_data():
+def test_presentation_euler_characteristic():
     free2 = presentation_from_texts(("a", "b"), ())
-    assert presentation_deficiency_data(free2) == (2, 0, 2)
     surf = presentation_from_texts(
         ("a1", "b1", "a2", "b2"),
         ("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1",))
-    assert presentation_deficiency_data(surf) == (4, 1, 3)
     assert presentation_euler_characteristic(surf) == -2
     assert presentation_euler_characteristic(free2) == -1
 
