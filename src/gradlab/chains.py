@@ -17,7 +17,7 @@ from .cosets import (CosetTable, DEFAULT_MAX_COSETS, low_index_subgroups,
                      perm_rep, regular_action_table, schreier_generators)
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
-                      identity_perm, inverse_perm, word_image)
+                      identity_perm, inverse_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
 
 # diagonal nesting certificates and order recomputation are only run when the
@@ -369,17 +369,11 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
         raise ResourceExhausted(f"level index {level.index} exceeds the "
                                 f"coset budget", limit=max_cosets,
                                 reached=level.index)
-    inverses = [inverse_perm(img) for img in level.images]
-    order = [0]
-    position = {0: 0}
-    for pt in order:
-        for img in level.images:
-            nxt = img.images[pt]
-            if nxt not in position:
-                position[nxt] = len(order)
-                order.append(nxt)
+    order = orbit(0, level.images)
     if len(order) != level.index:
         return regular_action_table(p, level.images, max_order=max_cosets)
+    position = {pt: k for k, pt in enumerate(order)}
+    inverses = [inverse_perm(img) for img in level.images]
     rows = []
     for pt in order:
         row = []

@@ -1,7 +1,8 @@
 """Exceptions shared across the toolkit.
 
 The command line maps these to exit codes: ResourceExhausted -> 2,
-InvariantViolation -> 3.  Everything else is an ordinary error.
+InvariantViolation -> 3.  Everything else is an ordinary error; bad input
+is a ValueError that names the offending config key.
 """
 
 
@@ -24,3 +25,15 @@ class InvariantViolation(GradlabError):
     These are raised when two pipelines that must agree do not, or when a
     certified identity fails.  They indicate a bug, never bad user input.
     """
+
+
+def need(spec, key, where, kind, item=None):
+    """spec[key] of a config object, which must be a kind (holding only
+    items, if given); a ValueError naming the key otherwise."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{where} needs {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind) or (
+            item is not None and not all(isinstance(v, item) for v in value)):
+        raise ValueError(f"{where}: bad {key!r} value {value!r}")
+    return value

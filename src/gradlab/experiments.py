@@ -17,7 +17,7 @@ from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
                      homology_cover_chain, kernel_generator_words,
                      level_coset_table, product_chain)
 from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION
-from .errors import InvariantViolation
+from .errors import InvariantViolation, need
 from .gog import (block_from_dict, edge_shadow_indices, euler_characteristic,
                   fundamental_presentation, graph_from_dict, subgroup_shadows,
                   subgroup_volume_vector)
@@ -44,30 +44,24 @@ class ResolvedGroup:
     factors: tuple = ()
 
 
-def _need(spec, key, where, kind, item=None):
-    """spec[key], which must be a kind (holding only items, if given)."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValueError(f"{where} needs {key!r}")
-    value = spec[key]
-    if not isinstance(value, kind) or (
-            item is not None and not all(isinstance(v, item) for v in value)):
-        raise ValueError(f"{where}: bad {key!r} value {value!r}")
-    return value
-
-
 def _tower_spec_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"tower spec must be an object, got {d!r}")
     base = tuple(block_from_dict(b) for b in d.get("base", ()))
     if not base:
         raise ValueError("tower needs at least one base block")
     stages = []
     for s in d.get("stages", ()):
-        kind = s.get("type")
+        kind = s.get("type") if isinstance(s, dict) else None
+        where = f"tower {kind} stage"
         if kind == "torus":
-            stages.append(TorusAttach(int(s["rank"]), s["word"]))
+            stages.append(TorusAttach(need(s, "rank", where, int),
+                                      need(s, "word", where, str)))
         elif kind == "surface":
-            stages.append(SurfaceAttach(int(s["genus"]),
-                                        tuple(s["boundaries"]),
-                                        bool(s.get("asserted_retraction", True))))
+            stages.append(SurfaceAttach(
+                need(s, "genus", where, int),
+                tuple(need(s, "boundaries", where, list, str)),
+                bool(s.get("asserted_retraction", True))))
         else:
             raise ValueError(f"unknown tower stage type {kind!r}")
     return TowerSpec(base, tuple(stages))
@@ -90,7 +84,7 @@ def resolve_group(spec):
             factors = tuple(resolve_group({"catalog": f}) for f in e.factors)
         return ResolvedGroup(body, e.presentation, e.euler, e.graph, factors)
     if kind == "presentation":
-        generators = _need(body, "generators", "presentation", list, str)
+        generators = need(body, "generators", "presentation", list, str)
         p = presentation_from_texts(tuple(generators),
                                     tuple(body.get("relators", ())),
                                     bool(body.get("aspherical", False)))
@@ -106,7 +100,7 @@ def resolve_group(spec):
                              result.graph)
     if kind == "product":
         factors = tuple(resolve_group(s)
-                        for s in _need(body, "factors", "product", list))
+                        for s in need(body, "factors", "product", list))
         if len(factors) < 2:
             raise ValueError("product needs at least two factors")
         p = product_presentation([f.presentation for f in factors])
@@ -126,14 +120,14 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     p = group.presentation
     where = f"{kind} chain"
     if kind == "core":
-        return core_chain(p, _need(spec, "bounds", where, list, int))
+        return core_chain(p, need(spec, "bounds", where, list, int))
     if kind == "homology":
-        return homology_cover_chain(p, _need(spec, "moduli", where, list, int))
+        return homology_cover_chain(p, need(spec, "moduli", where, list, int))
     if kind == "cyclic":
-        return cyclic_cover_chain(p, _need(spec, "weights", where, dict),
-                                  _need(spec, "moduli", where, list, int))
+        return cyclic_cover_chain(p, need(spec, "weights", where, dict),
+                                  need(spec, "moduli", where, list, int))
     if kind == "product":
-        specs = _need(spec, "factors", where, list)
+        specs = need(spec, "factors", where, list)
         if not group.factors:
             raise ValueError("product chain needs a product group")
         if len(specs) != len(group.factors):
@@ -143,14 +137,15 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                  for s, g in zip(specs, group.factors)]
         return product_chain(parts, presentation=p)
     if kind == "fiber":
-        inner = resolve_chain(_need(spec, "inner", where, dict), group,
+        inner = resolve_chain(need(spec, "inner", where, dict), group,
                               max_cosets)
         if "subgroup_words" in spec:
             words = tuple(p.word(w) for w in spec["subgroup_words"])
         elif "kernel" in spec:
             k = spec["kernel"]
-            helper = cyclic_cover_chain(p, dict(k["weights"]),
-                                        [int(k["modulus"])])
+            helper = cyclic_cover_chain(
+                p, need(k, "weights", "fiber kernel", dict),
+                [need(k, "modulus", "fiber kernel", int)])
             words = tuple(kernel_generator_words(p, helper.levels[0].images,
                                                  max_order=max_cosets))
         else:
@@ -176,12 +171,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         if "group" not in d or "chain" not in d:
             raise ValueError("config needs both a group and a chain")
-        labels = _need(d, "fields", "config", list, str) if "fields" in d else ["q"]
+        labels = need(d, "fields", "config", list, str) if "fields" in d else ["q"]
+        numbers = {key: need(d, key, "config", int)
+                   for key in ("max_cosets", "volume_degree") if key in d}
+        for key, value in numbers.items():
+            if isinstance(value, bool) or value < 1:
+                raise ValueError(f"config: bad {key!r} value {value!r}")
         return cls(group_spec=d["group"], chain_spec=d["chain"],
                    fields=tuple(FieldSpec.parse(s) for s in labels),
-                   max_cosets=int(d.get("max_cosets", DEFAULT_MAX_COSETS)),
-                   volume_degree=int(d.get("volume_degree", 2)),
-                   raw=dict(d))
+                   raw=dict(d), **numbers)
 
 
 @dataclass
@@ -249,7 +247,7 @@ def _plan_rank(cfg, group, chain):
         extra = {"provenance": level.provenance}
         if group.graph is not None:
             vv = subgroup_volume_vector(group.graph, level.quotient,
-                                        level.images)
+                                        level.images, level.index)
             row["d_upper"] = vv[1] - vv[0] + 1
             extra["volume_vector"] = list(vv.entries)
         else:
@@ -284,7 +282,7 @@ def _plan_deficiency(cfg, group, chain):
         extra = {"provenance": level.provenance}
         if group.graph is not None:
             vv = subgroup_volume_vector(group.graph, level.quotient,
-                                        level.images)
+                                        level.images, level.index)
             row["def_upper"] = vv[2] - vv[1] + vv[0] - 1
             extra["volume_vector"] = list(vv.entries)
         else:
@@ -319,13 +317,14 @@ def _plan_volume(cfg, group, chain):
     check_edges = vertex_cells <= k and k >= 2
 
     def fill(n, level, cx, numbers):
-        vv = subgroup_volume_vector(graph, level.quotient, level.images)
+        vv = subgroup_volume_vector(graph, level.quotient, level.images,
+                                    level.index)
         ratio = Fraction(vv[k], level.index)
         row = _row(CSV_COLUMNS, level=n, index=level.index, vol2_ratio=ratio)
         extra = {"provenance": level.provenance,
                  "volume_vector": list(vv.entries), "volume_degree": k}
         if check_edges:
-            shadows = edge_shadow_indices(graph, level.quotient, level.images)
+            shadows = edge_shadow_indices(graph, level.images)
             expected = Fraction(0)
             for e, s in zip(graph.edges, shadows):
                 weight = e.block.sub_volume_vector(s)[k - 1]
@@ -389,7 +388,7 @@ def _plan_mvcheck(cfg, group, chain):
 
     def fill(n, level, cx, numbers):
         vertex_rows, edge_rows = subgroup_shadows(graph, level.quotient,
-                                                  level.images)
+                                                  level.images, level.index)
         for f in cfg.fields:
             b = numbers[f]
             for j in (1, 2):
@@ -420,6 +419,25 @@ KINDS = {
 }
 
 
+def _certify_betti(n, numbers):
+    """Certificates every level's betti numbers must pass: b0 = 1 over every
+    field, since the cover is connected, and b_i over GF(p) >= b_i over Q,
+    by universal coefficients, when Q is among the fields."""
+    for f, b in numbers.items():
+        if b[0] != 1:
+            raise InvariantViolation(f"level {n} field {f.label}: b0 = "
+                                     f"{b[0]}, but the cover is connected")
+    rational = numbers.get(QQ)
+    if rational is None:
+        return
+    for f, b in numbers.items():
+        for i, (mod_p, over_q) in enumerate(zip(b, rational)):
+            if mod_p < over_q:
+                raise InvariantViolation(
+                    f"level {n} field {f.label}: b{i} = {mod_p} is below "
+                    f"b{i} = {over_q} over q")
+
+
 def run_experiment(kind, cfg):
     """Resolve the config, then walk its chain one level at a time: build
     the level's cover and betti numbers if the kind reads them, and let the
@@ -436,6 +454,7 @@ def run_experiment(kind, cfg):
             cx = covering_complex(level_coset_table(chain.group, level,
                                                     cfg.max_cosets))
             numbers = {f: betti(cx, f) for f in plan.fields}
+            _certify_betti(n, numbers)
         for row, extra in plan.fill(n, level, cx, numbers):
             rows.append(row)
             extras.append(extra)

@@ -5,14 +5,25 @@ Vertex groups come in three block shapes: free, finitely generated abelian
 vectors count cells of a chosen classifying space per dimension; the
 calculus below assembles them along the graph and pushes them down to
 finite index subgroups through a permutation quotient.
+
+Pushing down needs, for each vertex and edge group, its shadow: the order
+[G_v : B n G_v] of its image in the quotient, and the count
+[G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
+cyclic or trivial, so its order is the lcm of the cycle lengths of the edge
+word's image.  A level is regular when the orbit of point 0 under all the
+images has [G : B] points, the test level_coset_table uses too; the
+quotient then acts regularly on that orbit, and a vertex image's order is
+the size of the orbit of 0 under its generators.  Only a vertex on a
+level that is not regular (a core or product chain, say) still runs
+Schreier-Sims, once, for the order of its image.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantViolation
-from .permgrp import PermGroup, subgroup_index, word_image
+from .errors import InvariantViolation, need
+from .permgrp import PermGroup, orbit, perm_order, subgroup_index, word_image
 from .words import Presentation, Word, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -323,12 +334,31 @@ def euler_characteristic(g):
     return chi
 
 
-def subgroup_shadows(g, quotient, images):
-    """How each vertex and edge group meets B = ker(G -> quotient).
+def _copies(index, local_index):
+    """[G : B G_v] = [G : B] / [G_v : B n G_v]."""
+    copies, remainder = divmod(index, local_index)
+    if remainder:
+        raise InvariantViolation(f"local index {local_index} does not divide "
+                                 f"the level index {index}")
+    return copies
+
+
+def _edge_local_indices(layout, images):
+    """[G_e : B n G_e] for each edge: the order of the edge word's image,
+    1 for trivial edges (edge groups have at most one generator)."""
+    return [perm_order(word_image(layout.lift(e.iota_words[0], e.source),
+                                  images)) if e.iota_words else 1
+            for e in layout.graph.edges]
+
+
+def subgroup_shadows(g, quotient, images, index):
+    """How each vertex and edge group meets B = ker(G -> quotient), where
+    index = [G : B] is the order of the quotient.
 
     Returns two lists of (block, copies, local_index) triples, vertices then
-    edges, where copies = [G : B G_v] counts the lifted pieces and
-    local_index = [G_v : B n G_v] is the order of the local image.
+    edges, where local_index = [G_v : B n G_v] is the order of the local
+    image and copies = [G : B G_v] = index / local_index counts the lifted
+    pieces.
     """
     layout = _Layout(g)
     p = layout.presentation()
@@ -338,31 +368,32 @@ def subgroup_shadows(g, quotient, images):
         if not word_image(r, images).is_identity():
             raise ValueError(f"images do not satisfy relator {p.render(r)!r}")
 
+    regular = len(orbit(0, images)) == index
     vertex_rows = []
     for v, block in enumerate(g.vertices):
         off = layout.offsets[v]
-        v_images = list(images[off:off + layout.vertex_gen_counts[v]])
-        local_index = PermGroup(quotient.degree, v_images).order()
-        copies = subgroup_index(quotient, v_images)
-        vertex_rows.append((block, copies, local_index))
-    edge_rows = []
-    for e in g.edges:
-        edge_images = [word_image(layout.lift(w, e.source), images) for w in e.iota_words]
-        local_index = PermGroup(quotient.degree, edge_images).order()
-        copies = subgroup_index(quotient, edge_images)
-        edge_rows.append((e.block, copies, local_index))
+        v_images = images[off:off + layout.vertex_gen_counts[v]]
+        if regular:
+            local_index = len(orbit(0, v_images))
+        else:
+            local_index = PermGroup(quotient.degree, v_images).order()
+        vertex_rows.append((block, _copies(index, local_index), local_index))
+    edge_rows = [(e.block, _copies(index, local_index), local_index)
+                 for e, local_index in zip(g.edges,
+                                           _edge_local_indices(layout, images))]
     return vertex_rows, edge_rows
 
 
-def subgroup_volume_vector(g, quotient, images):
-    """Volume vector of B = ker(G -> quotient) from the covering formula:
+def subgroup_volume_vector(g, quotient, images, index):
+    """Volume vector of B = ker(G -> quotient), of index [G : B] = index,
+    from the covering formula:
 
         r_k(B) = sum_v [G:BG_v] r_k(B n G_v) + sum_e [G:BG_e] r_{k-1}(B n G_e)
 
     The counts [G:BG_v] and the local indices [G_v : B n G_v] are read off
     from the images of vertex generators and edge words in the quotient.
     """
-    vertex_rows, edge_rows = subgroup_shadows(g, quotient, images)
+    vertex_rows, edge_rows = subgroup_shadows(g, quotient, images, index)
     pieces = [(copies, block.sub_volume_vector(local_index), 0)
               for block, copies, local_index in vertex_rows]
     pieces.extend((copies, block.sub_volume_vector(local_index), 1)
@@ -376,15 +407,10 @@ def subgroup_volume_vector(g, quotient, images):
     return VolumeVector(tuple(entries))
 
 
-def edge_shadow_indices(g, quotient, images):
+def edge_shadow_indices(g, images):
     """[G_e : B n G_e] for each edge: the order of the edge word's image
     (1 for trivial edges).  Useful for slowness diagnostics."""
-    layout = _Layout(g)
-    out = []
-    for e in g.edges:
-        edge_images = [word_image(layout.lift(w, e.source), images) for w in e.iota_words]
-        out.append(PermGroup(quotient.degree, edge_images).order())
-    return out
+    return _edge_local_indices(_Layout(g), images)
 
 
 def coset_ratio_check(quotient, h_images):
@@ -405,6 +431,9 @@ _SIZED_BLOCKS = {"free": (FreeBlock, "rank"), "abelian": (AbelianBlock, "rank"),
 
 
 def block_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"block spec must be an object with a 'type', "
+                         f"got {d!r}")
     kind = d.get("type")
     if kind == "trivial":
         return TRIVIAL_BLOCK
@@ -420,14 +449,20 @@ def block_from_dict(d):
 
 
 def graph_from_dict(d):
-    vertices = tuple(block_from_dict(b) for b in d["vertices"])
+    vertices = tuple(block_from_dict(b)
+                     for b in need(d, "vertices", "graph", list, dict))
     edges = []
-    for e in d["edges"]:
+    for e in need(d, "edges", "graph", list, dict):
         block = block_from_dict(e.get("edge_block", {"type": "cyclic"}))
-        src, tgt = e["source"], e["target"]
+        src, tgt = (need(e, key, "graph edge", int)
+                    for key in ("source", "target"))
+        if not (0 <= src < len(vertices) and 0 <= tgt < len(vertices)):
+            raise ValueError(f"graph edge {src} -> {tgt} names a missing vertex")
         iota = tau = ()
         if block.rank == 1:
-            iota = (parse_word(e["iota_word"], vertices[src].local_names()),)
-            tau = (parse_word(e["tau_word"], vertices[tgt].local_names()),)
+            iota = (parse_word(need(e, "iota_word", "graph edge", str),
+                               vertices[src].local_names()),)
+            tau = (parse_word(need(e, "tau_word", "graph edge", str),
+                              vertices[tgt].local_names()),)
         edges.append(Edge(src, tgt, block, iota, tau))
     return GraphOfGroups(vertices, tuple(edges))

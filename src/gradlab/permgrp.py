@@ -6,6 +6,8 @@ smallest moved points, orbits grow breadth first with generators tried in
 insertion order, so repeated runs build identical transversals.
 """
 
+import math
+
 
 class Perm:
     """A permutation stored as its tuple of images."""
@@ -29,7 +31,7 @@ class Perm:
         return self.images[point]
 
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __mul__(self, other):
         return compose(self, other)
@@ -44,23 +46,60 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
+def _trusted(images):
+    """A Perm of a tuple already known to be a permutation, without the
+    validity scan of Perm(...)."""
+    p = Perm.__new__(Perm)
+    p.images = images
+    return p
+
+
 def identity_perm(degree):
-    return Perm(range(degree))
+    return _trusted(tuple(range(degree)))
 
 
 def compose(p, q):
     """Apply p, then q: compose(p, q)(x) == q(p(x))."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch {p.degree} != {q.degree}")
-    qi = q.images
-    return Perm(tuple(qi[x] for x in p.images))
+    return _trusted(tuple(map(q.images.__getitem__, p.images)))
 
 
 def inverse_perm(p):
     images = [0] * p.degree
     for i, x in enumerate(p.images):
         images[x] = i
-    return Perm(images)
+    return _trusted(tuple(images))
+
+
+def perm_order(p):
+    """Order of p: the lcm of its cycle lengths."""
+    seen = [False] * p.degree
+    order = 1
+    for start in range(p.degree):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p.images[x]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def orbit(point, perms):
+    """The orbit of point under the group the perms generate, in
+    breadth-first order with the perms tried in the given order."""
+    points = [point]
+    seen = {point}
+    for x in points:
+        for p in perms:
+            y = p.images[x]
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+    return points
 
 
 def perm_from_cycles(cycles, degree):

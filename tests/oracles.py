@@ -47,6 +47,36 @@ def brute_order(degree, gens):
     return len(brute_closure(degree, gens))
 
 
+def tuple_word_image(degree, images, letters):
+    """Image of a word given as (generator, sign) letters, sign +1 or -1."""
+    out = tuple(range(degree))
+    for gen, sign in letters:
+        g = images[gen] if sign > 0 else tuple_inverse(images[gen])
+        out = tuple_compose(out, g)
+    return out
+
+
+def closure_shadows(degree, images, vertex_gens, edge_words):
+    """(copies, local_index) of each vertex and each edge group, by closure.
+
+    images generate the quotient Q.  vertex_gens lists, per vertex, the
+    positions in images of its generators; edge_words lists, per edge, its
+    word as (position, sign) letters, empty for a trivial edge.  The local
+    index is the order of the local image L, and copies = |Q| / |L|.
+    """
+    order = brute_order(degree, images)
+
+    def row(gens):
+        local = brute_order(degree, gens)
+        assert order % local == 0
+        return order // local, local
+
+    vertices = [row([images[i] for i in gens]) for gens in vertex_gens]
+    edges = [row([tuple_word_image(degree, images, w)] if w else [])
+             for w in edge_words]
+    return vertices, edges
+
+
 def is_transitive(degree, gens):
     reached = {0}
     frontier = [0]

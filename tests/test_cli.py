@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gradlab import experiments
 from gradlab.cli import main
 
 
@@ -145,6 +146,26 @@ BAD_INPUTS = {
                  [], "'jobs'"),
     "jobs-flag": ({"group": FREE_2, "chain": HOMOLOGY_2},
                   ["--jobs", "2"], "--jobs"),
+    "max-cosets-list": ({"group": FREE_2, "chain": HOMOLOGY_2,
+                         "max_cosets": [1]}, [], "'max_cosets'"),
+    "max-cosets-negative": ({"group": FREE_2, "chain": HOMOLOGY_2,
+                             "max_cosets": -5}, [], "'max_cosets'"),
+    "volume-degree-bool": ({"group": FREE_2, "chain": HOMOLOGY_2,
+                            "volume_degree": True}, [], "'volume_degree'"),
+    "graph-vertex-not-an-object": (
+        {"group": {"graph": {"vertices": ["free"], "edges": []}},
+         "chain": HOMOLOGY_2},
+        [], "'vertices'"),
+    "fiber-kernel-without-weights": (
+        {"group": FREE_2,
+         "chain": {"type": "fiber", "inner": HOMOLOGY_2,
+                   "kernel": {"modulus": 2}}},
+        [], "'weights'"),
+    "torus-stage-without-rank": (
+        {"group": {"tower": {"base": [{"type": "free", "rank": 2}],
+                             "stages": [{"type": "torus", "word": "a0"}]}},
+         "chain": HOMOLOGY_2},
+        [], "'rank'"),
 }
 
 
@@ -155,3 +176,28 @@ def test_bad_input_exits_one_without_traceback(tmp_path, config, extra, named):
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     assert named in out.stderr
+
+
+def _skewed(real, field_label, degree, shift):
+    """betti, with b_degree moved by shift over the named field only."""
+    def skewed(cx, field):
+        b = real(cx, field)
+        if field.label == field_label:
+            b[degree] += shift
+        return b
+    return skewed
+
+
+@pytest.mark.parametrize("field_label, degree, shift, named", [
+    ("q", 0, 1, "b0 = 2"),
+    ("gf:2", 0, -1, "b0 = 0"),
+    ("gf:2", 1, -1, "below b1"),
+], ids=["b0-over-q", "b0-over-gf2", "gf2-below-q"])
+def test_wrong_betti_numbers_exit_three(tmp_path, monkeypatch, capsys,
+                                        field_label, degree, shift, named):
+    monkeypatch.setattr(experiments, "betti",
+                        _skewed(experiments.betti, field_label, degree, shift))
+    path = write_config(tmp_path, {"group": FREE_2, "chain": HOMOLOGY_2,
+                                   "fields": ["q", "gf:2"]})
+    assert main(["homology", "--config", path]) == 3
+    assert named in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,12 @@ from gradlab.gog import (
     coset_ratio_check,
     graph_from_dict,
 )
-from gradlab.permgrp import Perm, PermGroup, word_image
-from gradlab.towers import double_of_free
+from gradlab.chains import core_chain, cyclic_cover_chain, homology_cover_chain
+from gradlab.errors import InvariantViolation
+from gradlab.permgrp import Perm, PermGroup, orbit, word_image
+from gradlab.towers import catalog, double_of_free
 from gradlab.words import parse_word
+from oracles import closure_shadows
 
 
 def cyclic_quotient(m, exponents):
@@ -130,7 +134,7 @@ def test_subgroup_volume_vector_double(double):
     p = fundamental_presentation(double)
     # kill both vertex words mod 2 by sending every generator to the flip
     group, images = cyclic_quotient(2, (1, 1, 1, 1))
-    vv = subgroup_volume_vector(double, group, images)
+    vv = subgroup_volume_vector(double, group, images, group.order())
     # both vertex groups survive with local index 2, the edge word a b
     # has image of order 1, so the edge splits into two trivial-meeting copies
     assert vv.entries == (2, 8, 2)
@@ -139,12 +143,12 @@ def test_subgroup_volume_vector_double(double):
 
 def test_subgroup_shadow_bookkeeping(double):
     group, images = cyclic_quotient(2, (1, 0, 1, 0))
-    vertex_rows, edge_rows = subgroup_shadows(double, group, images)
+    vertex_rows, edge_rows = subgroup_shadows(double, group, images, group.order())
     assert [(copies, local) for _, copies, local in vertex_rows] == [(1, 2), (1, 2)]
     # edge word a b maps to the flip: one copy, local index 2
     assert [(copies, local) for _, copies, local in edge_rows] == [(1, 2)]
-    assert edge_shadow_indices(double, group, images) == [2]
-    vv = subgroup_volume_vector(double, group, images)
+    assert edge_shadow_indices(double, images) == [2]
+    vv = subgroup_volume_vector(double, group, images, group.order())
     assert vv.entries == (2, 7, 1)
     assert vv.euler() == -4
 
@@ -152,9 +156,9 @@ def test_subgroup_shadow_bookkeeping(double):
 def test_subgroup_volume_vector_rejects_bad_images(double):
     group, images = cyclic_quotient(2, (1, 0, 0, 0))
     with pytest.raises(ValueError):
-        subgroup_volume_vector(double, group, images)
+        subgroup_volume_vector(double, group, images, group.order())
     with pytest.raises(ValueError):
-        subgroup_volume_vector(double, group, images[:2])
+        subgroup_volume_vector(double, group, images[:2], group.order())
 
 
 def test_coset_ratio_identity():
@@ -188,7 +192,63 @@ def test_relator_images_checked_through_lift(double):
     group, images = cyclic_quotient(3, (1, 0, 1, 0))
     for r in p.relators:
         assert word_image(r, images).is_identity()
-    vv = subgroup_volume_vector(double, group, images)
+    vv = subgroup_volume_vector(double, group, images, group.order())
     # index 3: two free rank-4 pieces joined along three cyclic stripes
     assert vv.entries == (2, 9, 1)
     assert vv.euler() == 3 * euler_characteristic(double)
+
+
+def _assert_shadows_match_closure(graph, level, regular):
+    """subgroup_shadows on a level equals the closure oracle, and the level
+    takes the route (orbit counts or Schreier-Sims) the caller expects."""
+    assert (len(orbit(0, level.images)) == level.index) == regular
+    # generator positions as fundamental_presentation lays them out
+    offsets = list(itertools.accumulate(
+        (len(b.local_names()) for b in graph.vertices), initial=0))
+    vertex_gens = [range(offsets[v], offsets[v + 1])
+                   for v in range(len(graph.vertices))]
+    edge_words = [[(g + offsets[e.source], sign)
+                   for w in e.iota_words for g, sign in w.letters()]
+                  for e in graph.edges]
+    want = closure_shadows(level.quotient.degree,
+                           [img.images for img in level.images],
+                           vertex_gens, edge_words)
+    rows = subgroup_shadows(graph, level.quotient, level.images, level.index)
+    got = tuple([(copies, local) for _, copies, local in r] for r in rows)
+    assert got == want
+    assert edge_shadow_indices(graph, level.images) == [
+        local for _, local in want[1]]
+
+
+def test_shadows_match_closure_on_every_catalog_graph_level():
+    checked = 0
+    for entry in catalog().values():
+        if entry.graph is None:
+            continue
+        chain = homology_cover_chain(entry.presentation, [2, 4])
+        for level in chain.levels:
+            if level.index <= 256:
+                _assert_shadows_match_closure(entry.graph, level, True)
+                checked += 1
+    assert checked >= 19
+
+
+def test_shadows_match_closure_off_transitive_levels():
+    double = catalog()["double_f2_ab"]
+    # weights sharing a factor with the modulus: the quotient is not
+    # transitive, but acts regularly on the orbit of 0
+    cyclic = cyclic_cover_chain(double.presentation, {"a0": 2, "a1": 2},
+                                [4, 8])
+    assert [level.index for level in cyclic.levels] == [2, 4]
+    for level in cyclic.levels:
+        assert level.quotient.degree > level.index
+        _assert_shadows_match_closure(double.graph, level, True)
+    # a core level acts on several coset spaces at once: Schreier-Sims
+    level = core_chain(double.presentation, [2]).levels[0]
+    _assert_shadows_match_closure(double.graph, level, False)
+
+
+def test_shadows_reject_an_index_the_local_orders_do_not_divide(double):
+    group, images = cyclic_quotient(2, (1, 0, 1, 0))
+    with pytest.raises(InvariantViolation):
+        subgroup_shadows(double, group, images, 3)

@@ -4,15 +4,17 @@ Each case in golden/cases.json runs through the command line once per
 format.  The CSV report, the JSON report, and the exit code followed by
 stderr must equal the stored files <name>.csv, <name>.json and <name>.exit.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME...]
 
-rewrites the stored files from the current code; run it only when a change
-to the reports is intended.
+rewrites the stored files of the named cases (of every case, given no name)
+from the current code; run it only when a change to the reports is intended,
+and name the new case when adding one, so the others cannot change unseen.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,8 +46,14 @@ def test_golden_report(case, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = set(names) - {case["name"] for case in CASES}
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory() as workdir:
         for case in CASES:
+            if names and case["name"] not in names:
+                continue
             for fmt in FORMATS:
                 report, status = run_case(case, fmt, workdir)
                 (GOLDEN / f"{case['name']}.{fmt}").write_text(report)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gradlab.permgrp import (
     Perm,
@@ -9,6 +10,7 @@ from gradlab.permgrp import (
     compose,
     inverse_perm,
     perm_from_cycles,
+    perm_order,
     direct_sum_perm,
     embed_perm,
     word_image,
@@ -54,6 +56,25 @@ def test_inverse_and_cycles():
         assert inverse_perm(p).images == tuple_inverse(p.images)
     c = perm_from_cycles([(0, 1, 2), (3, 4)], 6)
     assert c.images == (1, 2, 0, 4, 3, 5)
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_internal_constructors_match_tuple_oracles(pair):
+    p, q = (tuple(x) for x in pair)
+    a, b = Perm(p), Perm(q)
+    results = ((compose(a, b), tuple_compose(p, q)),
+               (inverse_perm(a), tuple_inverse(p)),
+               (identity_perm(len(p)), tuple(range(len(p)))))
+    for result, want in results:
+        assert type(result.images) is tuple and result.images == want
+        # the unchecked constructor only ever builds what Perm(...) accepts
+        assert Perm(result.images) == result
+    assert a.is_identity() == (p == tuple(range(len(p))))
+    assert perm_order(a) == brute_order(len(p), [p])
+    assert compose(a, inverse_perm(a)).is_identity()
+    with pytest.raises(ValueError):
+        Perm((0, 0, 1))
 
 
 def test_direct_sum_and_embed():
