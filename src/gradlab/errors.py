@@ -27,13 +27,19 @@ class InvariantViolation(GradlabError):
     """
 
 
+def _is(value, kind):
+    # JSON true and false are Python bools, which are ints too
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def need(spec, key, where, kind, item=None):
     """spec[key] of a config object, which must be a kind (holding only
-    items, if given); a ValueError naming the key otherwise."""
+    items, if given); a ValueError naming the key otherwise.  A bool is
+    not an int here."""
     if not isinstance(spec, dict) or key not in spec:
         raise ValueError(f"{where} needs {key!r}")
     value = spec[key]
-    if not isinstance(value, kind) or (
-            item is not None and not all(isinstance(v, item) for v in value)):
+    if not _is(value, kind) or (
+            item is not None and not all(_is(v, item) for v in value)):
         raise ValueError(f"{where}: bad {key!r} value {value!r}")
     return value

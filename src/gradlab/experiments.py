@@ -172,10 +172,12 @@ class ExperimentConfig:
         if "group" not in d or "chain" not in d:
             raise ValueError("config needs both a group and a chain")
         labels = need(d, "fields", "config", list, str) if "fields" in d else ["q"]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"config: repeated field in 'fields' {labels!r}")
         numbers = {key: need(d, key, "config", int)
                    for key in ("max_cosets", "volume_degree") if key in d}
         for key, value in numbers.items():
-            if isinstance(value, bool) or value < 1:
+            if value < 1:
                 raise ValueError(f"config: bad {key!r} value {value!r}")
         return cls(group_spec=d["group"], chain_spec=d["chain"],
                    fields=tuple(FieldSpec.parse(s) for s in labels),

@@ -442,10 +442,7 @@ def block_from_dict(d):
     if kind not in _SIZED_BLOCKS:
         raise ValueError(f"unknown block type {kind!r}")
     cls, key = _SIZED_BLOCKS[kind]
-    if not isinstance(d.get(key), int):
-        raise ValueError(f"{kind} block needs an integer {key!r}, "
-                         f"got {d.get(key)!r}")
-    return cls(d[key])
+    return cls(need(d, key, f"{kind} block", int))
 
 
 def graph_from_dict(d):

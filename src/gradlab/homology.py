@@ -1,19 +1,24 @@
 """Exact homology of covering 2-complexes over Q and prime fields.
 
-Matrices are sparse maps (row, col) -> integer.  Rank over the rationals
-uses fraction-free Bareiss elimination on the integer entries; rank mod p
-uses ordinary elimination.  Pivots are chosen deterministically: among the
-sparsest live rows take the first, and within it the smallest column.
-Elimination switches to a dense representation once fill-in of the live
-block passes 30%.
+Matrices are sparse maps (row, col) -> integer.  One sparse eliminator
+computes rank over every field.  Rows are dicts, and each column lists the
+rows that have held it; a listed row that no longer has the column is
+skipped (lazy deletion).  The pivot row is the shortest live row: rows
+wait on one stack per length, the smallest index on top at the start, and
+an entry whose row has changed length since is skipped the same way.  The
+pivot column is the one of that row with the fewest listed rows, ties going
+to the smallest index.  Only the rows listed under the pivot column are
+updated.  Over GF(p) one inverse per pivot scales the pivot row to a
+leading 1.  Over Q the update stays in the integers: with the pivot made
+positive, row <- (piv/g) row - (f/g) pivot_row for g = gcd(piv, f), and
+then the row is divided by the gcd of its entries.  Scaling a row leaves
+the rank unchanged, and every division is exact.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-
-DENSE_FILL_THRESHOLD = 0.30
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,18 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, label):
+        """The field a label names, written exactly as `label` writes it."""
+        field = None
         if label == "q":
-            return cls(0)
-        if label.startswith("gf:"):
-            return cls(int(label[3:]))
-        raise ValueError(f"bad field label {label!r}, expected 'q' or 'gf:<p>'")
+            field = cls(0)
+        elif label.startswith("gf:") and label[3:].isdecimal():
+            try:
+                field = cls(int(label[3:]))
+            except ValueError as err:
+                raise ValueError(f"bad field label {label!r}: {err}") from None
+        if field is None or field.label != label:
+            raise ValueError(f"bad field label {label!r}, expected 'q' or 'gf:<p>' for a prime p")
+        return field
 
     @property
     def label(self):
@@ -89,12 +101,6 @@ class Matrix:
     def nnz(self):
         return len(self.entries)
 
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def multiply(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
@@ -111,169 +117,84 @@ class Matrix:
         return not self.entries
 
 
-def _pick_pivot(live):
-    best = None
-    best_len = None
-    for idx, row in enumerate(live):
-        if best_len is None or len(row) < best_len:
-            best, best_len = idx, len(row)
-            if best_len == 1:
-                break
-    col = min(live[best])
-    return best, col
-
-
-def _fill_ratio(live, cols_left):
-    cells = len(live) * cols_left
-    if cells == 0:
-        return 0.0
-    return sum(len(r) for r in live) / cells
-
-
-def _rank_dense_mod(dense, p):
-    rank = 0
-    rows = [[v % p for v in r] for r in dense]
-    rows = [r for r in rows if any(r)]
-    ncols = len(dense[0]) if dense else 0
-    col_used = [False] * ncols
-    while rows:
-        pr = pc = None
-        for i, row in enumerate(rows):
-            for j in range(ncols):
-                if not col_used[j] and row[j]:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        piv_row = rows.pop(pr)
-        inv = pow(piv_row[pc], -1, p)
-        col_used[pc] = True
-        nxt = []
-        for row in rows:
-            f = (row[pc] * inv) % p
-            if f:
-                row = [(a - f * b) % p for a, b in zip(row, piv_row)]
-            if any(row):
-                nxt.append(row)
-        rows = nxt
-        rank += 1
-    return rank
-
-
 def rank(m, field):
     """Exact rank of m over the given field."""
-    live = [r for r in m.row_dicts() if r]
-    if field.characteristic:
-        p = field.characteristic
-        for row in live:
-            for c in list(row):
-                row[c] %= p
-                if not row[c]:
-                    del row[c]
-        live = [r for r in live if r]
-    rk = 0
-    prev = 1
     p = field.characteristic
-    while live:
-        cols_left = m.cols - rk
-        if cols_left <= 0:
-            break
-        if _fill_ratio(live, cols_left) > DENSE_FILL_THRESHOLD:
-            dense = []
-            for row in live:
-                flat = [0] * m.cols
-                for c, v in row.items():
-                    flat[c] = v
-                dense.append(flat)
-            if p:
-                return rk + _rank_dense_mod(dense, p)
-            # entries are already exact k x k minors; dense Bareiss continues
-            # the same recurrence with the same previous pivot
-            return rk + _dense_bareiss_resume(dense, prev)
-        idx, col = _pick_pivot(live)
-        piv_row = live.pop(idx)
-        piv = piv_row[col]
-        nxt = []
-        for row in live:
-            f = row.pop(col, 0)
-            if p:
-                if f:
-                    mul = (f * pow(piv, -1, p)) % p
-                    for c, v in piv_row.items():
-                        if c == col:
-                            continue
-                        new = (row.get(c, 0) - mul * v) % p
-                        if new:
-                            row[c] = new
-                        else:
-                            row.pop(c, None)
-            else:
-                if f:
-                    keys = set(row) | set(piv_row)
-                    keys.discard(col)
-                    for c in keys:
-                        val = piv * row.get(c, 0) - f * piv_row.get(c, 0)
-                        q, rem = divmod(val, prev)
-                        if rem:
-                            raise InvariantViolation("fraction-free elimination lost exactness")
-                        if q:
-                            row[c] = q
-                        else:
-                            row.pop(c, None)
-                else:
-                    for c in list(row):
-                        val = piv * row[c]
-                        q, rem = divmod(val, prev)
-                        if rem:
-                            raise InvariantViolation("fraction-free elimination lost exactness")
-                        row[c] = q
-            if row:
-                nxt.append(row)
-        live = nxt
-        prev = piv
+    rows = [None] * m.rows
+    listed = [[] for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        if p:
+            v %= p
+            if not v:
+                continue
+        if rows[r] is None:
+            rows[r] = {}
+        rows[r][c] = v
+        listed[c].append(r)
+    stacks = []
+
+    def push(r):
+        k = len(rows[r])
+        while len(stacks) <= k:
+            stacks.append([])
+        stacks[k].append(r)
+        return k
+
+    for r in reversed(range(m.rows)):
+        if rows[r]:
+            push(r)
+    rk = n = 0
+    while n < len(stacks):
+        if not stacks[n]:
+            n += 1
+            continue
+        r = stacks[n].pop()
+        piv_row = rows[r]
+        if piv_row is None or len(piv_row) != n:
+            continue
+        rows[r] = None
         rk += 1
+        col = min(piv_row, key=lambda c: (len(listed[c]), c))
+        piv = piv_row.pop(col)
+        if p:
+            inv = pow(piv, -1, p)
+            piv_row = {c: v * inv % p for c, v in piv_row.items()}
+        elif piv < 0:
+            piv = -piv
+            piv_row = {c: -v for c, v in piv_row.items()}
+        targets, listed[col] = listed[col], None
+        for t in targets:
+            row = rows[t]
+            if row is None or col not in row:
+                continue
+            f = row.pop(col)
+            if not p:
+                g = math.gcd(piv, f)
+                if g != piv:
+                    a = piv // g
+                    for c in row:
+                        row[c] *= a
+                f //= g
+            for c, v in piv_row.items():
+                new = row.get(c, 0) - f * v
+                if p:
+                    new %= p
+                if new:
+                    if c not in row:
+                        listed[c].append(t)
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+            if not row:
+                rows[t] = None
+                continue
+            if not p:
+                content = math.gcd(*row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
+            n = min(n, push(t))
     return rk
-
-
-def _dense_bareiss_resume(dense, prev):
-    rank = 0
-    rows = [r for r in dense if any(r)]
-    ncols = len(dense[0]) if dense else 0
-    col_used = [False] * ncols
-    while rows:
-        pr = pc = None
-        for i, row in enumerate(rows):
-            for j in range(ncols):
-                if not col_used[j] and row[j]:
-                    pr, pc = i, j
-                    break
-            if pr is not None:
-                break
-        if pr is None:
-            break
-        piv_row = rows.pop(pr)
-        piv = piv_row[pc]
-        col_used[pc] = True
-        nxt = []
-        for row in rows:
-            f = row[pc]
-            new = [0] * ncols
-            for j in range(ncols):
-                if col_used[j]:
-                    continue
-                val = piv * row[j] - f * piv_row[j]
-                q, rem = divmod(val, prev)
-                if rem:
-                    raise InvariantViolation("fraction-free elimination lost exactness")
-                new[j] = q
-            if any(new):
-                nxt.append(new)
-        rows = nxt
-        prev = piv
-        rank += 1
-    return rank
 
 
 class ChainComplex:

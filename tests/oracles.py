@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written in the most naive style available: dense
-matrices, exhaustive enumeration, stack-based reduction.  None of it
-imports from gradlab, so a bug in the library cannot hide in its own
-oracle.
+matrices, exhaustive enumeration, stack-based reduction.  The exception is
+bareiss_rank, the elimination gradlab's rank used to run, kept as the slow
+route its replacement is checked against.  None of it imports from
+gradlab, so a bug in the library cannot hide in its own oracle.
 """
 
 import itertools
@@ -158,6 +159,100 @@ def gaussian_rank_mod(rows, p):
     return rank
 
 
+def bareiss_rank(rows, ncols, p=None):
+    """Rank over Q (p=None) or GF(p) by sparse Bareiss with a dense fallback.
+
+    rows is a list of dense integer rows or of {column: value} dicts.  This
+    is the elimination gradlab used before its column-indexed eliminator:
+    the pivot row is the first of the sparsest live rows and the pivot
+    column its smallest; over Q every live row is updated by the
+    fraction-free Bareiss step, whose divisions by the previous pivot must
+    be exact; once more than 30% of the live block is filled it goes dense.
+    """
+    live = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {c: (v % p if p else v) for c, v in items}
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live.append(row)
+    rk = 0
+    prev = 1
+    while live:
+        cols_left = ncols - rk
+        if cols_left <= 0:
+            break
+        if sum(len(r) for r in live) > 0.30 * len(live) * cols_left:
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in live]
+            if p:
+                return rk + gaussian_rank_mod(dense, p)
+            # the entries are k x k minors, so dense Bareiss continues the
+            # same recurrence with the same previous pivot
+            return rk + _dense_bareiss_resume(dense, prev)
+        idx = min(range(len(live)), key=lambda i: len(live[i]))
+        piv_row = live.pop(idx)
+        col = min(piv_row)
+        piv = piv_row[col]
+        nxt = []
+        for row in live:
+            f = row.pop(col, 0)
+            if p:
+                mul = (f * pow(piv, -1, p)) % p
+                for c, v in piv_row.items():
+                    if c != col and mul:
+                        row[c] = (row.get(c, 0) - mul * v) % p
+                        if not row[c]:
+                            del row[c]
+            else:
+                for c in (set(row) | set(piv_row)) - {col}:
+                    q, rem = divmod(piv * row.get(c, 0) - f * piv_row.get(c, 0), prev)
+                    if rem:
+                        raise ArithmeticError("Bareiss division was not exact")
+                    if q:
+                        row[c] = q
+                    else:
+                        row.pop(c, None)
+            if row:
+                nxt.append(row)
+        live = nxt
+        prev = piv
+        rk += 1
+    return rk
+
+
+def _dense_bareiss_resume(dense, prev):
+    rank = 0
+    rows = [r for r in dense if any(r)]
+    ncols = len(dense[0]) if dense else 0
+    col_used = [False] * ncols
+    while rows:
+        pivot = next(((i, j) for i, row in enumerate(rows) for j in range(ncols)
+                      if not col_used[j] and row[j]), None)
+        if pivot is None:
+            break
+        piv_row = rows.pop(pivot[0])
+        pc = pivot[1]
+        piv = piv_row[pc]
+        col_used[pc] = True
+        nxt = []
+        for row in rows:
+            f = row[pc]
+            new = [0] * ncols
+            for j in range(ncols):
+                if col_used[j]:
+                    continue
+                q, rem = divmod(piv * row[j] - f * piv_row[j], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss division was not exact")
+                new[j] = q
+            if any(new):
+                nxt.append(new)
+        rows = nxt
+        prev = piv
+        rank += 1
+    return rank
+
+
 def integer_smith_divisors(rows):
     """Nonzero diagonal of the Smith normal form of a dense integer matrix."""
     work = [list(map(int, row)) for row in rows]
@@ -241,6 +336,14 @@ def predicted_betti(dims, boundary_rows, p=None):
 def dense_rows(matrix):
     """Dense row-list view of the library's sparse Matrix (glue, not math)."""
     return [[matrix.get(r, c) for c in range(matrix.cols)] for r in range(matrix.rows)]
+
+
+def dict_rows(matrix):
+    """{column: value} row view of the library's sparse Matrix (glue, not math)."""
+    rows = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,48 @@ BAD_INPUTS = {
                              "stages": [{"type": "torus", "word": "a0"}]}},
          "chain": HOMOLOGY_2},
         [], "'rank'"),
+    # a label is accepted only as FieldSpec.label writes it
+    "field-label-not-a-number": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": ["gf:x"]},
+        [], "'gf:x'"),
+    "field-label-with-space": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": ["gf: 3"]},
+        [], "'gf: 3'"),
+    "field-label-with-sign": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": ["gf:+3"]},
+        [], "'gf:+3'"),
+    "fields-repeated": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": ["q", "gf:2", "q"]},
+        [], "'fields'"),
+    # JSON true is a Python int; each of these ran as 1 before
+    "moduli-bool": (
+        {"group": FREE_2, "chain": {"type": "homology", "moduli": [True, 2]}},
+        [], "'moduli'"),
+    "bounds-bool": (
+        {"group": FREE_2, "chain": {"type": "core", "bounds": [True]}},
+        [], "'bounds'"),
+    "rank-bool": (
+        {"group": {"graph": {"vertices": [{"type": "free", "rank": True}],
+                             "edges": []}},
+         "chain": HOMOLOGY_2},
+        [], "'rank'"),
+    "genus-bool": (
+        {"group": {"graph": {"vertices": [{"type": "surface", "genus": True}],
+                             "edges": []}},
+         "chain": HOMOLOGY_2},
+        [], "'genus'"),
+    "source-bool": (
+        {"group": {"graph": {"vertices": [{"type": "free", "rank": 1}] * 2,
+                             "edges": [{"source": True, "target": 0,
+                                        "iota_word": "a", "tau_word": "a"}]}},
+         "chain": HOMOLOGY_2},
+        [], "'source'"),
+    "target-bool": (
+        {"group": {"graph": {"vertices": [{"type": "free", "rank": 1}] * 2,
+                             "edges": [{"source": 0, "target": True,
+                                        "iota_word": "a", "tau_word": "a"}]}},
+         "chain": HOMOLOGY_2},
+        [], "'target'"),
 }
 
 

@@ -1,9 +1,13 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradlab.chains import homology_cover_chain, level_coset_table
 from gradlab.cosets import todd_coxeter, regular_action_table
 from gradlab.errors import InvariantViolation
+from gradlab.experiments import ExperimentConfig, run_experiment
 from gradlab.homology import (
     FieldSpec,
     QQ,
@@ -17,9 +21,12 @@ from gradlab.homology import (
     kunneth_product_dims,
 )
 from gradlab.permgrp import Perm
+from gradlab.towers import catalog
 from gradlab.words import presentation_from_texts
 from oracles import (
+    bareiss_rank,
     dense_rows,
+    dict_rows,
     gaussian_rank_fractions,
     gaussian_rank_mod,
     kunneth_by_subsets,
@@ -33,8 +40,8 @@ def test_field_spec_parse():
     assert FieldSpec.parse("gf:101").characteristic == 101
     assert GF3.label == "gf:3"
     assert QQ.label == "q"
-    for bad in ("gf:4", "gf:1", "r", "gf:x"):
-        with pytest.raises(ValueError):
+    for bad in ("gf:4", "gf:1", "r", "gf:x", "gf: 3", "gf:+3", "gf:03", "gf:", "Q"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             FieldSpec.parse(bad)
 
 
@@ -80,6 +87,84 @@ def test_rank_against_dense_elimination():
         assert rank(m, QQ) == gaussian_rank_fractions(dense)
         for p in (2, 3, 5):
             assert rank(m, FieldSpec.gf(p)) == gaussian_rank_mod(dense, p)
+
+
+PRIMES = (2, 3, 5, 2 ** 31 - 1)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices with empty rows and columns, zero, tall and wide
+    shapes, entries up to 10^6 in size, and products of thin factors so
+    that low rank is common."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    span = draw(st.sampled_from((1, 3, 10 ** 6)))
+
+    def sparse(n, k):
+        if not (n and k):
+            return Matrix(n, k)
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1))
+        return Matrix(n, k, draw(st.dictionaries(
+            cells, st.integers(-span, span), max_size=n * k)))
+
+    if draw(st.booleans()):
+        return sparse(rows, cols)
+    inner = draw(st.integers(0, 3))
+    return sparse(rows, inner).multiply(sparse(inner, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rank_matches_the_oracles(m):
+    dense = dense_rows(m)
+    want = gaussian_rank_fractions(dense)
+    assert bareiss_rank(dict_rows(m), m.cols) == want
+    assert rank(m, QQ) == want
+    for p in PRIMES:
+        want = gaussian_rank_mod(dense, p)
+        assert bareiss_rank(dense, m.cols, p) == want
+        assert rank(m, FieldSpec.gf(p)) == want
+
+
+def test_rank_matches_the_oracle_on_catalog_levels():
+    checked = 0
+    for entry in catalog().values():
+        p = entry.presentation
+        for level in homology_cover_chain(p, [2, 4]).levels:
+            if level.index > 256:
+                continue
+            for b in covering_complex(level_coset_table(p, level)).boundaries:
+                rows = dict_rows(b)
+                for field in (QQ, GF2, GF3):
+                    assert rank(b, field) == bareiss_rank(
+                        rows, b.cols, field.characteristic or None)
+                    checked += 1
+    assert checked >= 100
+
+
+def _homology_rows(group, moduli):
+    cfg = ExperimentConfig.from_dict({
+        "group": group, "chain": {"type": "homology", "moduli": moduli},
+        "fields": ["q", "gf:2"]})
+    return run_experiment("homology", cfg).rows
+
+
+def test_genus_two_b1_at_index_4096():
+    rows = _homology_rows({"catalog": "surface_2"}, [2, 4, 8])
+    top = [(r["field"], r["b1"]) for r in rows if r["index"] == 4096]
+    assert top == [("q", 8194), ("gf:2", 8194)]
+
+
+def test_genus_two_b1_at_index_1296_in_another_generator_order():
+    # a closed surface cover of index n has Euler characteristic -2n, so
+    # b1 = 2n + 2 over every field
+    group = {"presentation": {
+        "generators": ["b2", "a2", "b1", "a1"],
+        "relators": ["a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1"],
+        "aspherical": True}}
+    rows = _homology_rows(group, [3, 6])
+    top = [(r["field"], r["b1"]) for r in rows if r["index"] == 1296]
+    assert top == [("q", 2594), ("gf:2", 2594)]
 
 
 def test_rank_characteristic_sensitive():
