@@ -5,7 +5,9 @@ normal subgroups, each given as the kernel of a map onto a finite permutation
 group.  Levels carry the generator images, so downstream code can rebuild
 coset tables, covering complexes, and volume data without re-running any
 search.  Whether a chain actually exhausts the group (intersection trivial)
-is not decidable here; constructors only certify nesting.
+is not decidable here.  Chain.validate certifies every nesting by orbit
+maps, and every level's index by an orbit map or, on a level that is not
+regular, by Schreier-Sims up to ORDER_CHECK_LIMIT points.
 """
 
 import itertools
@@ -20,11 +22,9 @@ from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
                       identity_perm, inverse_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
 
-# diagonal nesting certificates and order recomputation are only run when the
-# permutation degree is comfortable; larger levels rely on the constructor's
-# divisibility guarantees and say so in the notes
-ORDER_CHECK_LIMIT = 600
-NESTING_CHECK_LIMIT = 2000
+# Schreier-Sims recomputes the order of a level that is not regular only up
+# to this many points; a regular level is certified by its orbit map instead
+ORDER_CHECK_LIMIT = 2000
 DEFAULT_MAX_COVER_INDEX = 5000
 
 
@@ -48,13 +48,27 @@ class Chain:
     group: object
     levels: tuple
     notes: tuple = ()
-    nesting_certified: bool = False
     factors: tuple = ()
 
     def indices(self):
         return tuple(level.index for level in self.levels)
 
     def validate(self):
+        """Certify every level's index and every nesting, or raise
+        InvariantViolation.
+
+        An orbit map x.w -> y.w is well defined exactly when every word
+        fixing x fixes y.  A level whose orbit of 0 has `index` points
+        must map 0 onto 0.s for every generator s, so its stabilizer of 0
+        is normal, and onto the least point of every other orbit, so that
+        stabilizer is the kernel and the quotient has `index` elements.
+        Any other level has its order recomputed by Schreier-Sims up to
+        ORDER_CHECK_LIMIT points.  Nesting needs, for each coarse orbit, a
+        fine orbit whose least point maps onto the coarse least point; the
+        fine kernel then fixes every coarse point.  Every constructor here
+        yields such a witness.  A hand-built pair whose kernels nest
+        without one is rejected: a false alarm, never a false pass.
+        """
         if not self.levels:
             raise ValueError("chain has no levels")
         width = len(self.levels[0].images)
@@ -62,6 +76,7 @@ class Chain:
             raise InvariantViolation(f"level carries {width} images for "
                                      f"{self.group.num_generators} generators")
         last = 0
+        leaders = []
         for n, level in enumerate(self.levels):
             if len(level.images) != width:
                 raise InvariantViolation(f"level {n} image count changed")
@@ -75,41 +90,61 @@ class Chain:
                     if word_image(r, level.images) != ident:
                         raise InvariantViolation(
                             f"relator {j} survives in level {n} quotient")
-            if level.quotient.degree <= ORDER_CHECK_LIMIT:
+            leaders.append(_orbit_leaders(level))
+            if len(orbit(0, level.images)) == level.index:
+                targets = {s.images[0] for s in level.images}
+                targets.update(leaders[n][1:])
+                if not all(_maps_onto(level.images, level.images, 0, y)
+                           for y in targets):
+                    raise InvariantViolation(
+                        f"level {n} has an orbit of {level.index} points "
+                        "but does not act regularly on it")
+            elif level.quotient.degree <= ORDER_CHECK_LIMIT:
                 order = level.quotient.order()
                 if order != level.index:
                     raise InvariantViolation(f"level {n} index {level.index} "
                                              f"!= quotient order {order}")
         for n in range(len(self.levels) - 1):
             a, b = self.levels[n], self.levels[n + 1]
-            if a.quotient.degree + b.quotient.degree <= NESTING_CHECK_LIMIT:
-                if not _kernel_contained(b, a):
+            for c in leaders[n]:
+                if not any(_maps_onto(b.images, a.images, f, c)
+                           for f in leaders[n + 1]):
                     raise InvariantViolation(
                         f"level {n + 1} kernel is not contained in level {n}")
-            elif not self.nesting_certified:
-                raise ResourceExhausted(
-                    f"nesting check between levels {n} and {n + 1} needs "
-                    f"{a.quotient.degree + b.quotient.degree} points",
-                    limit=NESTING_CHECK_LIMIT)
         return self
 
 
-def _kernel_contained(fine, coarse):
-    """ker(fine) <= ker(coarse), decided by the order of the diagonal image.
+def _maps_onto(src, dst, x, y):
+    """Whether x.w -> y.w is well defined on the orbit of x under the src
+    images, that is, whether every word fixing x under src fixes y under
+    dst.  The orbit is walked breadth first."""
+    image = {x: y}
+    queue = [x]
+    pairs = [(s.images, t.images) for s, t in zip(src, dst)]
+    for p in queue:
+        q = image[p]
+        for s, t in pairs:
+            if s[p] not in image:
+                image[s[p]] = t[q]
+                queue.append(s[p])
+            elif image[s[p]] != t[q]:
+                return False
+    return True
 
-    The map g -> (fine(g), coarse(g)) has image of order [G : ker f ^ ker c];
-    that equals the fine index exactly when the fine kernel sits inside the
-    coarse one.  The smaller block goes first to keep base points shallow.
-    """
-    blocks = [(fine.quotient.degree, fine.images), (coarse.quotient.degree, coarse.images)]
-    blocks.sort(key=lambda pair: pair[0])
-    gens = tuple(direct_sum_perm((u, v))
-                 for u, v in zip(blocks[0][1], blocks[1][1]))
-    degree = blocks[0][0] + blocks[1][0]
-    return PermGroup(degree, gens).order() == fine.index
+
+def _orbit_leaders(level):
+    """The least point of every orbit of the level's images."""
+    seen = [False] * level.quotient.degree
+    leaders = []
+    for x in range(len(seen)):
+        if not seen[x]:
+            leaders.append(x)
+            for y in orbit(x, level.images):
+                seen[y] = True
+    return leaders
 
 
-def _make_chain(group, levels, notes, certified):
+def _make_chain(group, levels, notes):
     kept = []
     extra = list(notes)
     for level in levels:
@@ -120,13 +155,7 @@ def _make_chain(group, levels, notes, certified):
         kept.append(level)
     if not kept:
         raise ValueError("no usable levels: every quotient was trivial")
-    for n in range(len(kept) - 1):
-        d = kept[n].quotient.degree + kept[n + 1].quotient.degree
-        if d > NESTING_CHECK_LIMIT and certified:
-            extra.append(f"nesting between levels {n} and {n + 1} certified "
-                         "by construction (degree too large to recheck)")
-    chain = Chain(group, tuple(kept), tuple(extra), certified)
-    return chain.validate()
+    return Chain(group, tuple(kept), tuple(extra)).validate()
 
 
 def _require_ladder(moduli):
@@ -164,7 +193,7 @@ def core_chain(p, bounds, max_nodes=None):
         quotient = PermGroup(degree, images)
         levels.append(ChainLevel(quotient, images, quotient.order(),
                                  f"core of all subgroups of index <= {bound}"))
-    return _make_chain(p, levels, (), certified=True)
+    return _make_chain(p, levels, ())
 
 
 def _hermite_form(rows, n):
@@ -257,7 +286,7 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COVER_INDEX):
         quotient = PermGroup(index, images)
         levels.append(ChainLevel(quotient, images, index,
                                  f"first homology cover mod {m}"))
-    return _make_chain(p, levels, (), certified=True)
+    return _make_chain(p, levels, ())
 
 
 def cyclic_cover_chain(p, weights, moduli):
@@ -284,7 +313,7 @@ def cyclic_cover_chain(p, weights, moduli):
         g = reduce(math.gcd, w, m)
         levels.append(ChainLevel(quotient, images, m // g,
                                  f"cyclic cover mod {m}"))
-    return _make_chain(p, levels, (), certified=True)
+    return _make_chain(p, levels, ())
 
 
 def product_chain(factor_chains, presentation=None):
@@ -325,8 +354,7 @@ def product_chain(factor_chains, presentation=None):
         levels.append(ChainLevel(
             quotient, images, index,
             " x ".join(lvl.provenance for lvl in parts)))
-    certified = all(c.nesting_certified for c in factor_chains)
-    return replace(_make_chain(presentation, levels, notes, certified),
+    return replace(_make_chain(presentation, levels, notes),
                    factors=tuple(factor_chains))
 
 
@@ -349,21 +377,22 @@ def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):
                                  f"shadow of {label} in {level.provenance}"))
     notes = [f"shadow chain: indices are [H : H ^ B_n] for {label}; "
              "no presentation is carried"]
-    return _make_chain(None, levels, notes, ambient_chain.nesting_certified)
+    return _make_chain(None, levels, notes)
 
 
 def kernel_generator_words(p, images, max_order=DEFAULT_MAX_COSETS):
     """Generator words for the kernel of the map sending generators to the
     given permutations, read off a Schreier transversal of the image."""
-    return regular_action_table(p, images, max_order).subgroup_words
+    return schreier_generators(regular_action_table(p, images, max_order))
 
 
 def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
     """Coset table of the level kernel, one row per quotient element.
 
-    When the level's permutation action is already regular on the orbit of
-    point 0 the table is read straight off the images; otherwise the image
-    group is enumerated elementwise.
+    When the orbit of point 0 has `index` points, Chain.validate has
+    certified that the level acts regularly on it, and the table is read
+    straight off the images; otherwise the image group is enumerated
+    elementwise.
     """
     if level.index > max_cosets:
         raise ResourceExhausted(f"level index {level.index} exceeds the "
@@ -381,7 +410,4 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
             row.append(position[level.images[g].images[pt]])
             row.append(position[inverses[g].images[pt]])
         rows.append(row)
-    bare = CosetTable(p, (), rows)
-    table = CosetTable(p, tuple(schreier_generators(bare)), rows)
-    table.validate()
-    return table
+    return CosetTable(p, (), rows).validate()

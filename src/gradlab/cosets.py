@@ -47,9 +47,6 @@ class CosetTable:
     def num_cosets(self):
         return len(self.table)
 
-    def apply(self, coset, gen, sign=1):
-        return self.table[coset][2 * gen if sign > 0 else 2 * gen + 1]
-
     def trace(self, coset, w):
         for c in _word_cols(w):
             coset = self.table[coset][c]
@@ -323,6 +320,8 @@ def regular_action_table(p, images, max_order=DEFAULT_MAX_COSETS):
     Enumerates the image group by breadth-first products (discovery order
     numbers the cosets; the identity is coset 0) and lets generators act by
     right multiplication, i.e. this is the regular action of the image.
+    The table carries no subgroup words; schreier_generators(table) gives
+    generators of the kernel.
     """
     if len(images) != p.num_generators:
         raise ValueError(f"{len(images)} images for {p.num_generators} generators")
@@ -354,9 +353,7 @@ def regular_action_table(p, images, max_order=DEFAULT_MAX_COSETS):
             row.append(order[compose(x, g)])
             row.append(order[compose(x, ginv)])
         table.append(row)
-    t = CosetTable(p, (), table)
-    t.subgroup_words = tuple(schreier_generators(t))
-    return t.validate()
+    return CosetTable(p, (), table).validate()
 
 
 def standardized_table(rows, start=0):
@@ -391,7 +388,7 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
     completed table is renumbered from each possible base point and the
     lexicographically least flattening is kept, which both canonicalizes
     the numbering and collapses conjugate subgroups.  Output is sorted by
-    index, then by canonical table.
+    index, then by canonical table; the tables carry no subgroup words.
     """
     ngens = p.num_generators
     ncols = 2 * ngens
@@ -470,11 +467,5 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     search([[-1] * ncols])
 
-    tables = []
-    for canon in sorted(found, key=lambda f: (len(f) // ncols, f)):
-        body = found[canon]
-        t = CosetTable(p, (), body)
-        t.subgroup_words = tuple(schreier_generators(t))
-        t.validate()
-        tables.append(t)
-    return tables
+    return [CosetTable(p, (), found[canon]).validate()
+            for canon in sorted(found, key=lambda f: (len(f) // ncols, f))]

@@ -11,11 +11,12 @@ Pushing down needs, for each vertex and edge group, its shadow: the order
 [G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
 cyclic or trivial, so its order is the lcm of the cycle lengths of the edge
 word's image.  A level is regular when the orbit of point 0 under all the
-images has [G : B] points, the test level_coset_table uses too; the
-quotient then acts regularly on that orbit, and a vertex image's order is
-the size of the orbit of 0 under its generators.  Only a vertex on a
-level that is not regular (a core or product chain, say) still runs
-Schreier-Sims, once, for the order of its image.
+images has [G : B] points, the test level_coset_table uses too.  On a
+chain level Chain.validate has certified that the quotient then acts
+regularly on that orbit, and a vertex image's order is the size of the
+orbit of 0 under its generators.  Only a vertex on a level that is not
+regular (a core or product chain, say) still runs Schreier-Sims, once,
+for the order of its image.
 """
 
 import math

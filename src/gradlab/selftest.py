@@ -6,6 +6,8 @@ suite both run these, so a shipped build can prove itself on any machine
 with one command.
 """
 
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from .cosets import (low_index_subgroups, perm_rep, standardized_table,
 from .experiments import ExperimentConfig, run_experiment
 from .gog import coset_ratio_check
 from .homology import GF2, GF3, QQ, betti, covering_complex, kunneth_product_dims
-from .permgrp import Perm, PermGroup, inverse_perm
+from .permgrp import Perm, PermGroup, inverse_perm, orbit
 from .towers import catalog
 from .words import presentation_from_texts
 
@@ -186,13 +188,10 @@ def check_enumeration_counts():
     # brute force: transitive generator pairs on k points, divided by (k-1)!
     brute = {}
     for k in (2, 3):
-        perms = [Perm(p) for p in _all_perms(k)]
-        count = 0
-        for p in perms:
-            for q in perms:
-                if _transitive_pair(p, q, k):
-                    count += 1
-        brute[k] = count // _factorial(k - 1)
+        perms = [Perm(p) for p in itertools.permutations(range(k))]
+        count = sum(1 for p in perms for q in perms
+                    if len(orbit(0, (p, q))) == k)
+        brute[k] = count // math.factorial(k - 1)
     if subgroups != {1: 1, 2: brute[2], 3: brute[3]}:
         return False, f"subgroup counts {subgroups} vs brute {brute}"
     a4 = presentation_from_texts(("a", "b"), ("a^2", "b^3", "a b a b a b"))
@@ -202,35 +201,6 @@ def check_enumeration_counts():
         return False, f"enumeration gave {len(t.table)} cosets, order {group.order()}"
     return True, (f"3 + 13 subgroups of index 2, 3 match brute transitive "
                   f"counts; enumeration closes at 12")
-
-
-def _all_perms(k):
-    if k == 1:
-        return [(0,)]
-    out = []
-    for rest in _all_perms(k - 1):
-        for slot in range(k):
-            out.append(rest[:slot] + (k - 1,) + rest[slot:])
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _transitive_pair(p, q, k):
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for img in (p.images[x], q.images[x]):
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return len(seen) == k
 
 
 def _smith_divisors(m):
@@ -276,15 +246,9 @@ def _smith_divisors(m):
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
             a, b = divisors[i], divisors[j]
-            g = _gcd(a, b)
+            g = math.gcd(a, b)
             divisors[i], divisors[j] = g, a * b // g
     return divisors
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _predicted_mod_p_betti(cx, p):

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradlab.chains import (
     Chain,
@@ -14,7 +17,7 @@ from gradlab.chains import (
 from gradlab.cosets import regular_action_table
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
-from gradlab.permgrp import Perm, PermGroup, word_image
+from gradlab.permgrp import Perm, PermGroup, orbit, perm_from_cycles, word_image
 from gradlab.towers import catalog
 from gradlab.words import presentation_from_texts
 from oracles import brute_order
@@ -28,7 +31,6 @@ def free2():
 def test_homology_cover_indices(free2):
     chain = homology_cover_chain(free2, (2, 4, 8))
     assert chain.indices() == (4, 16, 64)
-    assert chain.nesting_certified
     assert [l.provenance for l in chain.levels] == [
         "first homology cover mod 2",
         "first homology cover mod 4",
@@ -113,7 +115,6 @@ def test_product_chain(free2):
     chain = product_chain(factors)
     assert chain.indices() == (16, 256)
     assert chain.group.generator_names == ("a0", "b0", "a1", "b1")
-    assert chain.nesting_certified
     # ragged factors truncate with a note
     ragged = product_chain((homology_cover_chain(free2, (2, 4)),
                             homology_cover_chain(free2, (2,))))
@@ -132,6 +133,18 @@ def test_fiber_restrict(free2):
     # a^2 dies mod 2 but its image grows with the modulus afterwards
     slow = fiber_restrict(chain, (free2.word("a^2"),))
     assert slow.indices() == (1, 2, 4)
+
+
+def test_mixed_products_and_fibers_over_core_validate(free2):
+    # non-regular levels on both sides of every nesting: the orbit-point
+    # witnesses come from the coset spaces the finer core repeats
+    core = core_chain(free2, (2, 3))
+    mixed = product_chain((core, homology_cover_chain(free2, (2, 4))))
+    assert mixed.indices() == (16, 15552)
+    assert fiber_restrict(core, (free2.word("b"),)).indices() == (2, 6)
+    words = (free2.word("a^2"), free2.word("b a b^-1"))
+    assert fiber_restrict(core, words).indices() == (2, 18)
+    assert fiber_restrict(mixed, (mixed.group.word("a0 b1"),)).indices() == (2, 12)
 
 
 def test_kernel_generator_words(free2):
@@ -191,3 +204,118 @@ def test_validate_rejects_bad_relator_images():
     level = ChainLevel(PermGroup(3, [step]), (step,), 3, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(p, (level,)).validate()
+
+
+def _cycle_level(length):
+    step = Perm(tuple((x + 1) % length for x in range(length)))
+    return ChainLevel(PermGroup(length, [step]), (step,), length, "by hand")
+
+
+def test_validate_rejects_a_wrong_index_on_many_points():
+    # a -> (0 1)(2 3 4) has order 6, not 2; the orbit of 0 has 2 points,
+    # but a^2 fixes 0 and moves 2, so the action is not regular there
+    free1 = catalog()["free_1"].presentation
+    a = perm_from_cycles([(0, 1), (2, 3, 4)], 601)
+    level = ChainLevel(PermGroup(601, [a]), (a,), 2, "by hand")
+    with pytest.raises(InvariantViolation):
+        Chain(free1, (level,)).validate()
+
+
+def test_validate_certifies_nesting_on_many_points():
+    free1 = catalog()["free_1"].presentation
+    chain = Chain(free1, (_cycle_level(1000), _cycle_level(2000)))
+    assert chain.validate() is chain
+    with pytest.raises(InvariantViolation):
+        Chain(free1, (_cycle_level(1000), _cycle_level(1500))).validate()
+
+
+def test_validate_rejects_a_transitive_level_that_is_not_regular():
+    # S3 on 3 points claimed to have index 3: the orbit of 0 has 3 points,
+    # but the stabilizer of 0 moves 1
+    free2 = catalog()["free_2"].presentation
+    a, b = Perm((1, 0, 2)), Perm((0, 2, 1))
+    level = ChainLevel(PermGroup(3, [a, b]), (a, b), 3, "by hand")
+    with pytest.raises(InvariantViolation):
+        Chain(free2, (level,)).validate()
+
+
+def test_validate_checks_nesting_on_every_coarse_orbit():
+    # the coarse level fixes 0 and swaps 1, 2; a^3 dies in the fine level
+    # but not in the coarse one, which only the orbit of 1 shows
+    free1 = catalog()["free_1"].presentation
+    a = Perm((0, 2, 1))
+    coarse = ChainLevel(PermGroup(3, [a]), (a,), 2, "by hand")
+    with pytest.raises(InvariantViolation):
+        Chain(free1, (coarse, _cycle_level(3))).validate()
+
+
+def _brute_level(images):
+    """A level built by hand from tuples, with the index by brute force."""
+    perms = tuple(Perm(img) for img in images)
+    degree = len(images[0])
+    return ChainLevel(PermGroup(degree, perms), perms,
+                      brute_order(degree, images), "by hand")
+
+
+def _accepts(levels):
+    free = presentation_from_texts(("a", "b")[:len(levels[0].images)], ())
+    try:
+        Chain(free, levels).validate()
+    except InvariantViolation:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda ngens: st.integers(1, 6).flatmap(
+        lambda degree: st.lists(st.permutations(range(degree)),
+                                min_size=ngens, max_size=ngens))))
+def test_validate_certifies_an_index_read_off_the_orbit_of_0(images):
+    # claim the orbit size of 0 as the index: right exactly when the
+    # images act regularly on that orbit
+    true = _brute_level(images)
+    claimed = replace(true, index=len(orbit(0, true.images)))
+    assert _accepts((claimed,)) == (claimed.index == true.index)
+
+
+@st.composite
+def level_pairs(draw):
+    """(coarse images, fine images) as tuples of degree at most 6, on one
+    or two generators.  A fine level is random, or holds the coarse action
+    beside a second one (after or before it), so that it nests by
+    construction."""
+    ngens = draw(st.integers(1, 2))
+
+    def images(degree):
+        return tuple(tuple(draw(st.permutations(range(degree))))
+                     for _ in range(ngens))
+
+    coarse = images(draw(st.integers(1, 6)))
+    shape = draw(st.sampled_from(("random", "after", "before")))
+    if shape == "random":
+        return coarse, images(draw(st.integers(len(coarse[0]), 6)))
+    extra = images(draw(st.integers(0, 6 - len(coarse[0]))))
+    if shape == "after" or not extra[0]:
+        return coarse, _beside(coarse, extra)
+    return coarse, _beside(extra, coarse)
+
+
+def _beside(left, right):
+    return tuple(u + tuple(x + len(u) for x in v) for u, v in zip(left, right))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_pairs())
+def test_validate_accepts_only_nested_pairs(pair):
+    coarse, fine = pair
+    levels = (_brute_level(coarse), _brute_level(fine))
+    diagonal = brute_order(len(coarse[0]) + len(fine[0]),
+                           _beside(coarse, fine))
+    nested = diagonal == levels[1].index
+    regular = len(orbit(0, levels[1].images)) == levels[1].index
+    accepted = _accepts(levels)
+    if accepted:
+        assert nested
+    if nested and regular and levels[0].index < levels[1].index:
+        assert accepted

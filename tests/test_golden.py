@@ -2,7 +2,8 @@
 
 Each case in golden/cases.json runs through the command line once per
 format.  The CSV report, the JSON report, and the exit code followed by
-stderr must equal the stored files <name>.csv, <name>.json and <name>.exit.
+stderr must equal the stored files <name>.csv, <name>.json and <name>.exit,
+and the directory must hold nothing else.
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
@@ -43,6 +44,12 @@ def test_golden_report(case, tmp_path):
         report, status = run_case(case, fmt, tmp_path)
         assert report == (GOLDEN / f"{case['name']}.{fmt}").read_text()
         assert status == (GOLDEN / f"{case['name']}.exit").read_text()
+
+
+def test_golden_directory_holds_exactly_the_case_files():
+    expected = {"cases.json"} | {f"{case['name']}.{ext}" for case in CASES
+                                 for ext in FORMATS + ("exit",)}
+    assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
 if __name__ == "__main__":
