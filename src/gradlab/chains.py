@@ -6,13 +6,14 @@ group.  Levels carry the generator images, so downstream code can rebuild
 coset tables, covering complexes, and volume data without re-running any
 search.  Whether a chain actually exhausts the group (intersection trivial)
 is not decidable here.  Chain.validate certifies every nesting by orbit
-maps, and every level's index by an orbit map or, on a level that is not
-regular, by Schreier-Sims up to ORDER_CHECK_LIMIT points.
+maps, and every level's index by an orbit map, by the factor levels of a
+product chain, or on any other level by Schreier-Sims up to
+ORDER_CHECK_LIMIT points.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 from .cosets import (CosetTable, DEFAULT_MAX_COSETS, low_index_subgroups,
@@ -22,10 +23,9 @@ from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
                       identity_perm, inverse_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
 
-# Schreier-Sims recomputes the order of a level that is not regular only up
-# to this many points; a regular level is certified by its orbit map instead
+# Schreier-Sims recomputes the order of a level that is neither regular nor
+# a product level only up to this many points
 ORDER_CHECK_LIMIT = 2000
-DEFAULT_MAX_COVER_INDEX = 5000
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ class Chain:
         must map 0 onto 0.s for every generator s, so its stabilizer of 0
         is normal, and onto the least point of every other orbit, so that
         stabilizer is the kernel and the quotient has `index` elements.
+        A level of a product chain must hold each factor's level n on a
+        block of its own: image j is the factor's image, moved to the
+        factor's block and fixing every other point, and the index must be
+        the product of the factor indices.  Factor chains are validated
+        when they are built, so that index is certified at any degree.
         Any other level has its order recomputed by Schreier-Sims up to
         ORDER_CHECK_LIMIT points.  Nesting needs, for each coarse orbit, a
         fine orbit whose least point maps onto the coarse least point; the
@@ -75,6 +80,9 @@ class Chain:
         if self.group is not None and width != self.group.num_generators:
             raise InvariantViolation(f"level carries {width} images for "
                                      f"{self.group.num_generators} generators")
+        if any(len(c.levels) < len(self.levels) for c in self.factors):
+            raise InvariantViolation("a factor chain has fewer levels than "
+                                     "its product")
         last = 0
         leaders = []
         for n, level in enumerate(self.levels):
@@ -91,7 +99,18 @@ class Chain:
                         raise InvariantViolation(
                             f"relator {j} survives in level {n} quotient")
             leaders.append(_orbit_leaders(level))
-            if len(orbit(0, level.images)) == level.index:
+            if self.factors:
+                parts = [c.levels[n] for c in self.factors]
+                if level.images != _block_images(parts):
+                    raise InvariantViolation(f"level {n} does not hold its "
+                                             "factor levels on blocks of "
+                                             "their own")
+                index = math.prod(p.index for p in parts)
+                if level.index != index:
+                    raise InvariantViolation(
+                        f"level {n} index {level.index} != {index}, the "
+                        "product of its factor indices")
+            elif len(orbit(0, level.images)) == level.index:
                 targets = {s.images[0] for s in level.images}
                 targets.update(leaders[n][1:])
                 if not all(_maps_onto(level.images, level.images, 0, y)
@@ -112,6 +131,18 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n + 1} kernel is not contained in level {n}")
         return self
+
+
+def _block_images(parts):
+    """The images of factor levels side by side, each moved to a block of
+    points of its own and fixing every other point."""
+    total = sum(p.quotient.degree for p in parts)
+    images = []
+    offset = 0
+    for part in parts:
+        images.extend(embed_perm(img, offset, total) for img in part.images)
+        offset += part.quotient.degree
+    return tuple(images)
 
 
 def _maps_onto(src, dst, x, y):
@@ -144,7 +175,7 @@ def _orbit_leaders(level):
     return leaders
 
 
-def _make_chain(group, levels, notes):
+def _make_chain(group, levels, notes, factors=()):
     kept = []
     extra = list(notes)
     for level in levels:
@@ -155,7 +186,7 @@ def _make_chain(group, levels, notes):
         kept.append(level)
     if not kept:
         raise ValueError("no usable levels: every quotient was trivial")
-    return Chain(group, tuple(kept), tuple(extra)).validate()
+    return Chain(group, tuple(kept), tuple(extra), factors).validate()
 
 
 def _require_ladder(moduli):
@@ -251,13 +282,15 @@ def _box_reduce(x, h, n):
     return tuple(y)
 
 
-def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COVER_INDEX):
+def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
     """Kernels of the maps onto first homology with coefficients mod m.
 
     The quotient is Z^n modulo relator exponent rows and m, presented as a
     translation action on the canonical box of its Hermite form.  Moduli
     must form a divisibility ladder so the kernels nest.  These covers are
     built directly from integer linear algebra; no coset enumeration runs.
+    A level whose index passes max_index, the coset budget, raises
+    ResourceExhausted before its points are built.
     """
     _require_ladder(moduli)
     n = p.num_generators
@@ -272,7 +305,8 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COVER_INDEX):
         for i in range(n):
             index *= h[i][i]
         if index > max_index:
-            raise ResourceExhausted(f"homology cover mod {m} has index {index}",
+            raise ResourceExhausted(f"homology cover mod {m} has index {index}, "
+                                    f"above the coset budget {max_index}",
                                     limit=max_index, reached=index)
         box = list(itertools.product(*[range(h[i][i]) for i in range(n)]))
         position = {pt: k for k, pt in enumerate(box)}
@@ -338,24 +372,12 @@ def product_chain(factor_chains, presentation=None):
     levels = []
     for k in range(depth):
         parts = [c.levels[k] for c in factor_chains]
-        degrees = [lvl.quotient.degree for lvl in parts]
-        total = sum(degrees)
-        images = []
-        offset = 0
-        for lvl in parts:
-            for img in lvl.images:
-                images.append(embed_perm(img, offset, total))
-            offset += lvl.quotient.degree
-        images = tuple(images)
-        index = 1
-        for lvl in parts:
-            index *= lvl.index
-        quotient = PermGroup(total, images)
+        images = _block_images(parts)
         levels.append(ChainLevel(
-            quotient, images, index,
+            PermGroup(sum(lvl.quotient.degree for lvl in parts), images), images,
+            math.prod(lvl.index for lvl in parts),
             " x ".join(lvl.provenance for lvl in parts)))
-    return replace(_make_chain(presentation, levels, notes),
-                   factors=tuple(factor_chains))
+    return _make_chain(presentation, levels, notes, tuple(factor_chains))
 
 
 def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):

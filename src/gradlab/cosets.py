@@ -10,7 +10,7 @@ limit always produce the identical table.
 
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import Perm, PermGroup, compose, inverse_perm
-from .words import Word, free_reduce, render_word
+from .words import Presentation, Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
 
@@ -218,52 +218,72 @@ def perm_rep(t):
     return PermGroup(t.num_cosets, images), images
 
 
-def schreier_tree(t):
-    """BFS spanning tree from coset 0.
+def spanning_tree(t):
+    """Breadth-first spanning tree of the coset graph, from coset 0.
 
-    Returns (transversal, tree_edges): transversal[alpha] is a minimal
-    length word carrying coset 0 to alpha (ties resolved by discovery:
-    smaller coset first, then column order), tree_edges is the set of
-    positive edges (alpha, g) the tree uses.
+    Returns (discoveries, symbol).  discoveries lists a triple
+    (alpha, c, beta) per coset beta other than 0, in discovery order: beta
+    was first reached as table[alpha][c], smaller cosets tried first, then
+    columns in order.  symbol[alpha * |X| + g] numbers the positive edge
+    (alpha, g) among the edges off the tree, in (alpha, g) order, and is
+    None on a tree edge; k(|X|-1)+1 edges are off the tree.  Raises
+    InvariantViolation unless every coset is reached, the certificate that
+    the table is transitive.
     """
     n = t.num_cosets
     ngens = t.presentation.num_generators
-    transversal = [None] * n
-    transversal[0] = Word()
-    tree_edges = set()
+    seen = [False] * n
+    seen[0] = True
     queue = [0]
-    head = 0
-    while head < len(queue):
-        alpha = queue[head]
-        head += 1
-        for c in range(2 * ngens):
-            beta = t.table[alpha][c]
-            if transversal[beta] is None:
-                g, sign = divmod(c, 2)
-                letter = Word(((g, 1 if sign == 0 else -1),))
-                transversal[beta] = transversal[alpha] * letter
-                # record the positive form of the edge used
-                if sign == 0:
-                    tree_edges.add((alpha, g))
-                else:
-                    tree_edges.add((beta, g))
+    discoveries = []
+    for alpha in queue:
+        for c, beta in enumerate(t.table[alpha]):
+            if not seen[beta]:
+                seen[beta] = True
+                discoveries.append((alpha, c, beta))
                 queue.append(beta)
-    if any(w is None for w in transversal):
-        raise InvariantViolation("coset table is not transitive")
-    return transversal, tree_edges
+    if len(queue) != n:
+        raise InvariantViolation(f"coset table is not transitive: {len(queue)} "
+                                 f"of {n} cosets reached from coset 0")
+    symbol = [0] * (n * ngens)
+    for alpha, c, beta in discoveries:
+        g, sign = divmod(c, 2)
+        symbol[(beta if sign else alpha) * ngens + g] = None
+    count = 0
+    for e, s in enumerate(symbol):
+        if s is not None:
+            symbol[e] = count
+            count += 1
+    return discoveries, symbol
+
+
+def schreier_tree(t):
+    """Schreier transversal along the spanning tree.
+
+    Returns (transversal, symbol): transversal[alpha] is a minimal length
+    word carrying coset 0 to alpha, and symbol is spanning_tree's edge
+    numbering.
+    """
+    discoveries, symbol = spanning_tree(t)
+    transversal = [None] * t.num_cosets
+    transversal[0] = Word()
+    for alpha, c, beta in discoveries:
+        g, sign = divmod(c, 2)
+        transversal[beta] = transversal[alpha] * Word(((g, -1 if sign else 1),))
+    return transversal, symbol
 
 
 def schreier_generators(t):
     """Subgroup generators u_alpha g u_{alpha.g}^-1 for non-tree edges."""
-    transversal, tree_edges = schreier_tree(t)
+    transversal, symbol = schreier_tree(t)
+    ngens = t.presentation.num_generators
     gens = []
-    for alpha in range(t.num_cosets):
-        for g in range(t.presentation.num_generators):
-            if (alpha, g) in tree_edges:
-                continue
+    for e, s in enumerate(symbol):
+        if s is not None:
+            alpha, g = divmod(e, ngens)
             beta = t.table[alpha][2 * g]
-            w = transversal[alpha] * Word(((g, 1),)) * transversal[beta].inverse()
-            gens.append(w)
+            gens.append(transversal[alpha] * Word(((g, 1),))
+                        * transversal[beta].inverse())
     return gens
 
 
@@ -271,36 +291,26 @@ def reidemeister_schreier(t):
     """Presentation of the subgroup a coset table describes.
 
     Generators: one symbol per non-tree positive edge of the Schreier tree,
-    k(|X|-1)+1 of them for k cosets over |X| ambient generators.  Relators:
-    each ambient relator rewritten from each coset, k|R| in all (kept even
-    when they reduce to nothing, so the counts stay exact).
+    k(|X|-1)+1 of them for k cosets over |X| ambient generators, numbered
+    as spanning_tree numbers them.  Relators: each ambient relator
+    rewritten from each coset, k|R| in all (kept even when they reduce to
+    nothing, so the counts stay exact).
     """
-    transversal, tree_edges = schreier_tree(t)
-    symbol = {}
-    names = []
-    for alpha in range(t.num_cosets):
-        for g in range(t.presentation.num_generators):
-            if (alpha, g) in tree_edges:
-                continue
-            symbol[(alpha, g)] = len(names)
-            names.append(f"s{len(names)}")
+    symbol = spanning_tree(t)[1]
+    ngens = t.presentation.num_generators
+    names = tuple(f"s{i}" for i in range(sum(s is not None for s in symbol)))
 
     def rewrite(alpha, r):
         runs = []
         cur = alpha
         for gen, sign in r.letters():
+            if sign < 0:
+                cur = t.table[cur][2 * gen + 1]
+            s = symbol[cur * ngens + gen]
+            if s is not None:
+                runs.append((s, sign))
             if sign > 0:
-                edge = (cur, gen)
-                nxt = t.table[cur][2 * gen]
-                if edge in symbol:
-                    runs.append((symbol[edge], 1))
-            else:
-                prev = t.table[cur][2 * gen + 1]
-                edge = (prev, gen)
-                nxt = prev
-                if edge in symbol:
-                    runs.append((symbol[edge], -1))
-            cur = nxt
+                cur = t.table[cur][2 * gen]
         if cur != alpha:
             raise InvariantViolation(f"relator trace did not close from coset {alpha}")
         return free_reduce(Word(tuple(runs)))
@@ -309,8 +319,7 @@ def reidemeister_schreier(t):
     for alpha in range(t.num_cosets):
         for r in t.presentation.relators:
             relators.append(rewrite(alpha, r))
-    from .words import Presentation
-    return Presentation(tuple(names), tuple(relators),
+    return Presentation(names, tuple(relators),
                         aspherical=t.presentation.aspherical)
 
 

@@ -113,7 +113,8 @@ def resolve_group(spec):
 
 
 def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
-    """Build the chain a spec dict describes over the resolved group."""
+    """Build the chain a spec dict describes over the resolved group.
+    max_cosets also bounds the index of a homology chain's levels."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError(f"chain spec must be a dict with a type, got {spec!r}")
     kind = spec["type"]
@@ -122,7 +123,8 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     if kind == "core":
         return core_chain(p, need(spec, "bounds", where, list, int))
     if kind == "homology":
-        return homology_cover_chain(p, need(spec, "moduli", where, list, int))
+        return homology_cover_chain(p, need(spec, "moduli", where, list, int),
+                                    max_cosets)
     if kind == "cyclic":
         return cyclic_cover_chain(p, need(spec, "weights", where, dict),
                                   need(spec, "moduli", where, list, int))
@@ -424,7 +426,9 @@ KINDS = {
 def _certify_betti(n, numbers):
     """Certificates every level's betti numbers must pass: b0 = 1 over every
     field, since the cover is connected, and b_i over GF(p) >= b_i over Q,
-    by universal coefficients, when Q is among the fields."""
+    by universal coefficients, when Q is among the fields.  The collapsed
+    cover has one vertex and d1 = 0, so b0 = 1 also holds by construction;
+    the check stays as a guard on the complex."""
     for f, b in numbers.items():
         if b[0] != 1:
             raise InvariantViolation(f"level {n} field {f.label}: b0 = "

@@ -1,5 +1,10 @@
 """Exact homology of covering 2-complexes over Q and prime fields.
 
+A cover is built with the spanning tree of its coset table collapsed: one
+vertex, the edges off the tree, and every face.  Collapsing a contractible
+subcomplex keeps the homology over Z, so every field reads the same Betti
+numbers as on the full cover, and b0 = 1 holds by construction.
+
 Matrices are sparse maps (row, col) -> integer.  One sparse eliminator
 computes rank over every field.  Rows are dicts, and each column lists the
 rows that have held it; a listed row that no longer has the column is
@@ -18,6 +23,7 @@ the rank unchanged, and every division is exact.
 import math
 from dataclasses import dataclass
 
+from .cosets import spanning_tree
 from .errors import InvariantViolation
 
 
@@ -104,6 +110,8 @@ class Matrix:
     def multiply(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
+        if not (self.entries and other.entries):
+            return Matrix(self.rows, other.cols)
         by_row = [[] for _ in range(other.rows)]
         for (r, c), v in other.entries.items():
             by_row[r].append((c, v))
@@ -230,38 +238,46 @@ def betti(complex_, field):
 
 
 def covering_complex(t):
-    """Chain complex of the cover of the presentation complex a table describes.
+    """Chain complex of the cover of the presentation complex a table
+    describes, with the spanning tree of the coset table collapsed.
 
-    One vertex per coset, one edge per (coset, generator), one face per
-    (coset, relator).  Faces attach along the relator trace: each positive
-    letter crossing contributes +1 on the edge it crosses, each negative
-    letter -1.
+    The full cover has one vertex per coset, one edge per (coset, generator)
+    and one face per (coset, relator).  Its breadth-first spanning tree
+    (cosets.spanning_tree) is contractible, and collapsing it keeps the
+    homology over Z.  What is left is one vertex, one edge per positive
+    edge (alpha, g) off the tree, numbered in (alpha, g) order, k(|X|-1)+1
+    in all, and every face.  d1 is zero.  Faces attach along the relator
+    trace: each positive letter crossing an edge off the tree contributes
+    +1 on it, each negative letter -1.  Each trace must close, and closing
+    is exactly d1.d2 = 0 on the full cover, whose column for a face is the
+    sum of head - tail over the letters crossed.
     """
     p = t.presentation
-    k = t.num_cosets
     nx = p.num_generators
     nr = len(p.relators)
-    d1 = Matrix(k, k * nx)
-    for alpha in range(k):
-        for g in range(nx):
-            e = alpha * nx + g
-            d1.add(t.table[alpha][2 * g], e, 1)
-            d1.add(alpha, e, -1)
-    d2 = Matrix(k * nx, k * nr)
-    for alpha in range(k):
-        for j, r in enumerate(p.relators):
+    symbol = spanning_tree(t)[1]
+    edges = sum(s is not None for s in symbol)
+    d2 = Matrix(edges, t.num_cosets * nr)
+    traces = [list(r.letters()) for r in p.relators]
+    for alpha in range(t.num_cosets):
+        for j, letters in enumerate(traces):
             face = alpha * nr + j
+            column = {}
             cur = alpha
-            for gen, sign in r.letters():
-                if sign > 0:
-                    d2.add(cur * nx + gen, face, 1)
-                    cur = t.table[cur][2 * gen]
-                else:
+            for gen, sign in letters:
+                if sign < 0:
                     cur = t.table[cur][2 * gen + 1]
-                    d2.add(cur * nx + gen, face, -1)
+                s = symbol[cur * nx + gen]
+                if s is not None:
+                    column[s] = column.get(s, 0) + sign
+                if sign > 0:
+                    cur = t.table[cur][2 * gen]
             if cur != alpha:
                 raise InvariantViolation(f"relator {j} does not close from coset {alpha}")
-    return ChainComplex((k, k * nx, k * nr), (d1, d2))
+            for s, v in column.items():
+                if v:
+                    d2.entries[s, face] = v
+    return ChainComplex((1, edges, t.num_cosets * nr), (Matrix(1, edges), d2))
 
 
 def kunneth_product_dims(factor_h1_dims, q):

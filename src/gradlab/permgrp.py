@@ -102,15 +102,6 @@ def orbit(point, perms):
     return points
 
 
-def perm_from_cycles(cycles, degree):
-    """Build a Perm from disjoint cycles, e.g. [(0, 1, 2)] sends 0->1->2->0."""
-    images = list(range(degree))
-    for cycle in cycles:
-        for i, point in enumerate(cycle):
-            images[point] = cycle[(i + 1) % len(cycle)]
-    return Perm(images)
-
-
 def direct_sum_perm(perms):
     """Concatenate permutations acting on consecutive blocks of points."""
     images = []

@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written in the most naive style available: dense
-matrices, exhaustive enumeration, stack-based reduction.  The exception is
-bareiss_rank, the elimination gradlab's rank used to run, kept as the slow
-route its replacement is checked against.  None of it imports from
-gradlab, so a bug in the library cannot hide in its own oracle.
+matrices, exhaustive enumeration, stack-based reduction.  The exceptions
+are routes gradlab used to run, kept as the slow routes their replacements
+are checked against: bareiss_rank, the elimination before the
+column-indexed one, and full_covering_complex, the cover before its
+spanning tree was collapsed.  None of it imports from gradlab, so a bug in
+the library cannot hide in its own oracle.
 """
 
 import itertools
@@ -25,6 +27,16 @@ def tuple_inverse(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def perm_from_cycles(cycles, degree):
+    """Image tuple of the permutation with the given disjoint cycles, e.g.
+    [(0, 1, 2)] sends 0 -> 1 -> 2 -> 0."""
+    images = list(range(degree))
+    for cycle in cycles:
+        for i, point in enumerate(cycle):
+            images[point] = cycle[(i + 1) % len(cycle)]
+    return tuple(images)
 
 
 def brute_closure(degree, gens):
@@ -331,6 +343,50 @@ def predicted_betti(dims, boundary_rows, p=None):
             b += (torsion[i - 1] if i > 0 else 0)
         out.append(b)
     return out
+
+
+def full_covering_complex(table):
+    """The whole cover of the presentation complex a coset table describes.
+
+    One vertex per coset, one edge per (coset, generator), one face per
+    (coset, relator), the face attached along its relator trace.  Returns
+    (dims, [d1, d2]) with each boundary a {(row, col): value} dict, after
+    multiplying d1 by d2 out and asserting the product is zero.
+    """
+    p = table.presentation
+    k = len(table.table)
+    nx = p.num_generators
+    nr = len(p.relators)
+    d1, d2 = {}, {}
+
+    def add(m, key, v):
+        m[key] = m.get(key, 0) + v
+        if not m[key]:
+            del m[key]
+
+    for alpha in range(k):
+        for g in range(nx):
+            add(d1, (table.table[alpha][2 * g], alpha * nx + g), 1)
+            add(d1, (alpha, alpha * nx + g), -1)
+    for alpha in range(k):
+        for j, r in enumerate(p.relators):
+            cur = alpha
+            for gen, sign in r.letters():
+                if sign > 0:
+                    add(d2, (cur * nx + gen, alpha * nr + j), 1)
+                    cur = table.table[cur][2 * gen]
+                else:
+                    cur = table.table[cur][2 * gen + 1]
+                    add(d2, (cur * nx + gen, alpha * nr + j), -1)
+    faces_of = {}
+    for (e, f), w in d2.items():
+        faces_of.setdefault(e, []).append((f, w))
+    product = {}
+    for (r, e), v in d1.items():
+        for f, w in faces_of.get(e, ()):
+            add(product, (r, f), v * w)
+    assert not product, "d1 . d2 is not zero"
+    return (k, k * nx, k * nr), [d1, d2]
 
 
 def dense_rows(matrix):

@@ -17,10 +17,10 @@ from gradlab.chains import (
 from gradlab.cosets import regular_action_table
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
-from gradlab.permgrp import Perm, PermGroup, orbit, perm_from_cycles, word_image
+from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
 from gradlab.words import presentation_from_texts
-from oracles import brute_order
+from oracles import brute_order, perm_from_cycles
 
 
 @pytest.fixture
@@ -122,6 +122,32 @@ def test_product_chain(free2):
     assert any("truncat" in n for n in ragged.notes)
 
 
+def test_product_levels_are_certified_from_their_factors(free2):
+    # one level on 2048 points of index 1024^2: too large for Schreier-Sims,
+    # so only the factor levels can certify its index
+    factor = homology_cover_chain(free2, (32,))
+    chain = product_chain((factor, factor))
+    level = chain.levels[0]
+    assert (level.quotient.degree, level.index) == (2048, 1048576)
+    doubled = replace(chain, levels=(replace(level, index=2 * level.index),))
+    with pytest.raises(InvariantViolation, match="product of its factor"):
+        doubled.validate()
+    # the factor images must stay on their own blocks
+    a, b, c, d = level.images
+    swapped = replace(level, images=(c, d, a, b))
+    with pytest.raises(InvariantViolation, match="blocks"):
+        replace(chain, levels=(swapped,)).validate()
+    with pytest.raises(InvariantViolation, match="fewer levels"):
+        replace(chain, levels=chain.levels * 2).validate()
+
+
+def test_homology_cover_chain_reads_the_coset_budget(free2):
+    # index 16384 passes the default budget of 50000
+    assert homology_cover_chain(free2, (128,)).indices() == (16384,)
+    with pytest.raises(ResourceExhausted, match="coset budget 10000"):
+        homology_cover_chain(free2, (128,), max_index=10000)
+
+
 def test_fiber_restrict(free2):
     chain = homology_cover_chain(free2, (2, 4, 8))
     fiber = fiber_restrict(chain, (free2.word("b"),))
@@ -215,7 +241,7 @@ def test_validate_rejects_a_wrong_index_on_many_points():
     # a -> (0 1)(2 3 4) has order 6, not 2; the orbit of 0 has 2 points,
     # but a^2 fixes 0 and moves 2, so the action is not regular there
     free1 = catalog()["free_1"].presentation
-    a = perm_from_cycles([(0, 1), (2, 3, 4)], 601)
+    a = Perm(perm_from_cycles([(0, 1), (2, 3, 4)], 601))
     level = ChainLevel(PermGroup(601, [a]), (a,), 2, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(free1, (level,)).validate()

@@ -103,6 +103,20 @@ def test_budget_exits_two(tmp_path):
     assert "resource limit:" in out.stderr
 
 
+def test_budget_bounds_the_index_of_homology_chains(tmp_path):
+    # free_2 mod 128 has index 16384
+    path = write_config(tmp_path, {
+        "group": {"catalog": "free_2"},
+        "chain": {"type": "homology", "moduli": [128]},
+    })
+    out = run_cli("homology", "--config", path, "--max-cosets", "100000")
+    assert out.returncode == 0
+    assert out.stdout.split("\n")[1] == "1,16384,q,1,16385,0,,,,,,,"
+    out = run_cli("homology", "--config", path, "--max-cosets", "10000")
+    assert out.returncode == 2
+    assert "above the coset budget 10000" in out.stderr
+
+
 def test_main_callable_in_process(tmp_path, capsys):
     path = write_config(tmp_path, {
         "group": {"catalog": "free_2"},

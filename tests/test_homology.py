@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradlab.chains import homology_cover_chain, level_coset_table
-from gradlab.cosets import todd_coxeter, regular_action_table
+from gradlab.cosets import CosetTable, todd_coxeter, regular_action_table
 from gradlab.errors import InvariantViolation
 from gradlab.experiments import ExperimentConfig, run_experiment
 from gradlab.homology import (
@@ -20,13 +20,14 @@ from gradlab.homology import (
     covering_complex,
     kunneth_product_dims,
 )
-from gradlab.permgrp import Perm
+from gradlab.permgrp import Perm, inverse_perm, orbit
 from gradlab.towers import catalog
 from gradlab.words import presentation_from_texts
 from oracles import (
     bareiss_rank,
     dense_rows,
     dict_rows,
+    full_covering_complex,
     gaussian_rank_fractions,
     gaussian_rank_mod,
     kunneth_by_subsets,
@@ -66,6 +67,9 @@ def test_matrix_multiply():
     assert dense_rows(c) == [[14], [15]]
     with pytest.raises(ValueError):
         b.multiply(a)
+    zero = Matrix(1, 2).multiply(a)
+    assert (zero.rows, zero.cols, zero.nnz) == (1, 2, 0)
+    assert a.multiply(Matrix(2, 3)).is_zero()
 
 
 def random_matrix(rng, rows, cols, density=0.5, span=4):
@@ -126,6 +130,13 @@ def test_rank_matches_the_oracles(m):
         assert rank(m, FieldSpec.gf(p)) == want
 
 
+def full_complex(t):
+    """The oracle's whole cover as a library ChainComplex."""
+    dims, maps = full_covering_complex(t)
+    return ChainComplex(dims, [Matrix(dims[i], dims[i + 1], m)
+                               for i, m in enumerate(maps)])
+
+
 def test_rank_matches_the_oracle_on_catalog_levels():
     checked = 0
     for entry in catalog().values():
@@ -133,7 +144,9 @@ def test_rank_matches_the_oracle_on_catalog_levels():
         for level in homology_cover_chain(p, [2, 4]).levels:
             if level.index > 256:
                 continue
-            for b in covering_complex(level_coset_table(p, level)).boundaries:
+            t = level_coset_table(p, level)
+            # the collapsed cover's d1 is zero; the full cover's is not
+            for b in covering_complex(t).boundaries + full_complex(t).boundaries[:1]:
                 rows = dict_rows(b)
                 for field in (QQ, GF2, GF3):
                     assert rank(b, field) == bareiss_rank(
@@ -195,14 +208,102 @@ def test_circle_and_euler():
 def test_projective_plane_covering_complex():
     p = presentation_from_texts(("a",), ("a^2",))
     t = regular_action_table(p, [Perm((1, 0))])
+    full = full_complex(t)
+    assert full.dims == (2, 2, 2)
     cx = covering_complex(t)
-    assert cx.dims == (2, 2, 2)
-    assert betti(cx, QQ) == [1, 0, 1]  # the double cover is a sphere
+    assert cx.dims == (1, 1, 2)
+    assert cx.euler_characteristic() == full.euler_characteristic() == 2
+    assert betti(cx, QQ) == betti(full, QQ) == [1, 0, 1]  # a sphere
     sub = todd_coxeter(p, (p.word("a"),))
     one = covering_complex(sub)
     assert betti(one, QQ) == [1, 0, 0]
     assert betti(one, GF2) == [1, 1, 1]
     assert betti(one, GF3) == [1, 0, 0]
+
+
+def _check_against_full_cover(t):
+    cx = covering_complex(t)
+    k = t.num_cosets
+    nx = t.presentation.num_generators
+    assert cx.dims == (1, k * (nx - 1) + 1, k * len(t.presentation.relators))
+    assert cx.boundaries[0].nnz == 0
+    full = full_complex(t)
+    assert cx.euler_characteristic() == full.euler_characteristic()
+    for field in (QQ, GF2, GF3):
+        assert betti(cx, field) == betti(full, field)
+
+
+def test_collapsed_cover_matches_the_full_cover_on_catalog_levels():
+    checked = 0
+    for entry in catalog().values():
+        p = entry.presentation
+        for level in homology_cover_chain(p, [2, 4]).levels:
+            if level.index <= 256:
+                _check_against_full_cover(level_coset_table(p, level))
+                checked += 1
+    assert checked >= 20
+
+
+def _orbit_table(p, images):
+    """Coset table of the stabilizer of 0: the action on the orbit of 0."""
+    points = orbit(0, images)
+    position = {x: i for i, x in enumerate(points)}
+    pairs = [(g.images, inverse_perm(g).images) for g in images]
+    return CosetTable(p, (), [[position[y] for g, ginv in pairs
+                               for y in (g[x], ginv[x])]
+                              for x in points]).validate()
+
+
+@st.composite
+def finite_quotient_tables(draw):
+    """Tables of random finite quotients of free_2 and surface_2 acting on
+    the orbit of 0.  Surface images are (x, y, y, x y^j), whose commutators
+    cancel, or two commuting pairs of powers."""
+    degree = draw(st.integers(1, 6))
+
+    def perm():
+        return Perm(draw(st.permutations(range(degree))))
+
+    def power(g, e):
+        out = Perm(range(degree))
+        for _ in range(e):
+            out = out * g
+        return out
+
+    name = draw(st.sampled_from(("free_2", "surface_2")))
+    p = catalog()[name].presentation
+    if name == "free_2":
+        images = [perm(), perm()]
+    elif draw(st.booleans()):
+        x, y = perm(), perm()
+        images = [x, y, y, x * power(y, draw(st.integers(0, 5)))]
+    else:
+        z, w = perm(), perm()
+        images = [power(g, draw(st.integers(0, 5))) for g in (z, z, w, w)]
+    return _orbit_table(p, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_quotient_tables())
+def test_collapsed_cover_matches_the_full_cover_on_random_quotients(t):
+    _check_against_full_cover(t)
+
+
+def test_covering_complex_rejects_a_disconnected_table():
+    # a fixes both cosets: two components, so no spanning tree
+    p = presentation_from_texts(("a",), ("a^2",))
+    t = CosetTable(p, (), [[0, 0], [1, 1]])
+    with pytest.raises(InvariantViolation, match="not transitive"):
+        covering_complex(t)
+
+
+def test_covering_complex_rejects_a_relator_that_does_not_close():
+    # a acts as a 3-cycle, so a^2 does not close; with d1 collapsed the
+    # trace check is what stands for d1.d2 = 0
+    p = presentation_from_texts(("a",), ("a^2",))
+    t = CosetTable(p, (), [[1, 2], [2, 0], [0, 1]])
+    with pytest.raises(InvariantViolation, match="does not close"):
+        covering_complex(t)
 
 
 def test_covering_complex_against_smith_form_prediction():
