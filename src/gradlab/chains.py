@@ -7,8 +7,7 @@ coset tables, covering complexes, and volume data without re-running any
 search.  Whether a chain actually exhausts the group (intersection trivial)
 is not decidable here.  Chain.validate certifies every nesting by orbit
 maps, and every level's index by an orbit map, by the factor levels of a
-product chain, or on any other level by Schreier-Sims up to
-ORDER_CHECK_LIMIT points.
+product chain, or on any other level by Schreier-Sims, at any degree.
 """
 
 import itertools
@@ -22,10 +21,6 @@ from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
                       identity_perm, inverse_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
-
-# Schreier-Sims recomputes the order of a level that is neither regular nor
-# a product level only up to this many points
-ORDER_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,14 @@ class Chain:
         factor's block and fixing every other point, and the index must be
         the product of the factor indices.  Factor chains are validated
         when they are built, so that index is certified at any degree.
-        Any other level has its order recomputed by Schreier-Sims up to
-        ORDER_CHECK_LIMIT points.  Nesting needs, for each coarse orbit, a
-        fine orbit whose least point maps onto the coarse least point; the
-        fine kernel then fixes every coarse point.  Every constructor here
-        yields such a witness.  A hand-built pair whose kernels nest
-        without one is rejected: a false alarm, never a false pass.
+        Any other level's index must be its quotient's order, by
+        Schreier-Sims at any degree; a core or fiber level's index is that
+        order by construction, so there the check reads the cached chain.
+        Nesting needs, for each coarse orbit, a fine orbit whose least point
+        maps onto the coarse least point; the fine kernel then fixes every
+        coarse point.  Every constructor here yields such a witness.  A
+        hand-built pair whose kernels nest without one is rejected: a false
+        alarm, never a false pass.
         """
         if not self.levels:
             raise ValueError("chain has no levels")
@@ -118,7 +115,7 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n} has an orbit of {level.index} points "
                         "but does not act regularly on it")
-            elif level.quotient.degree <= ORDER_CHECK_LIMIT:
+            else:
                 order = level.quotient.order()
                 if order != level.index:
                     raise InvariantViolation(f"level {n} index {level.index} "

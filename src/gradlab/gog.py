@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, need
-from .permgrp import PermGroup, orbit, perm_order, subgroup_index, word_image
+from .permgrp import (Perm, PermGroup, compose, orbit, perm_order,
+                      subgroup_index, word_image)
 from .words import Presentation, Word, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -419,11 +420,17 @@ def coset_ratio_check(quotient, h_images):
 
     With B the kernel of G -> quotient, [G:BH] is the index of the image of
     H and [G:B] the quotient order, while [H : B n H] is the order of the
-    image of H.  The two fractions must agree.
+    image of H.  The left side certifies that every image of H lies in the
+    quotient and that its order divides the quotient order (Lagrange).  The
+    right side takes the order of the image of H conjugated by the point
+    reversal x -> n-1-x, a chain with a different base and different
+    transversals.  The two fractions must agree.
     """
     q_order = quotient.order()
     lhs = Fraction(subgroup_index(quotient, list(h_images)), q_order)
-    rhs = Fraction(1, PermGroup(quotient.degree, list(h_images)).order())
+    reverse = Perm(tuple(range(quotient.degree - 1, -1, -1)))
+    reversed_h = [compose(compose(reverse, h), reverse) for h in h_images]
+    rhs = Fraction(1, PermGroup(quotient.degree, reversed_h).order())
     return lhs, rhs
 
 

@@ -1,9 +1,14 @@
 """Permutation groups on {0..n-1} with a deterministic stabilizer chain.
 
-Composition order: compose(p, q) applies p first, then q.  All chain
-construction is deterministic (no randomized sifting): base points are the
-smallest moved points, orbits grow breadth first with generators tried in
-insertion order, so repeated runs build identical transversals.
+Composition order: compose(p, q) applies p first, then q.  The stabilizer
+chain is built by incremental Schreier-Sims on image tuples, with no
+randomized sifting.  A level's base point is the least point moved by the
+strong generator that opened it.  Each level keeps its strong generators in
+insertion order and its orbit in discovery order; a new strong generator
+extends the orbit in place, old points under the new generator and new
+points under every generator, so transversal entries never change and
+repeated runs build identical chains.  Each level stores its transversal and
+the inverses, so a sift step is one tuple lookup per point.
 """
 
 import math
@@ -65,11 +70,15 @@ def compose(p, q):
     return _trusted(tuple(map(q.images.__getitem__, p.images)))
 
 
+def _invert(images):
+    inverse = [0] * len(images)
+    for i, x in enumerate(images):
+        inverse[x] = i
+    return tuple(inverse)
+
+
 def inverse_perm(p):
-    images = [0] * p.degree
-    for i, x in enumerate(p.images):
-        images[x] = i
-    return _trusted(tuple(images))
+    return _trusted(_invert(p.images))
 
 
 def perm_order(p):
@@ -136,6 +145,80 @@ def word_image(w, generator_images):
     return out
 
 
+class _Level:
+    """One level of a stabilizer chain: its base point, the strong
+    generators fixing every earlier base point (image tuples in insertion
+    order, with their inverses), the orbit of the base point in discovery
+    order, the transversal u[x] sending the base point to x and its inverse
+    u_inv[x], and per generator the number of orbit points whose Schreier
+    pair has been sifted."""
+
+    __slots__ = ("base", "gens", "gens_inv", "orbit", "u", "u_inv", "done")
+
+    def __init__(self, base, identity):
+        self.base = base
+        self.gens = []
+        self.gens_inv = []
+        self.orbit = [base]
+        self.u = {base: identity}
+        self.u_inv = {base: identity}
+        self.done = []
+
+    def add_generator(self, s, s_inv):
+        """Extend the orbit in place: old points under s alone, new points
+        under every generator.  Existing transversal entries never change."""
+        self.gens.append(s)
+        self.gens_inv.append(s_inv)
+        self.done.append(0)
+        orbit, u, u_inv = self.orbit, self.u, self.u_inv
+        old = len(orbit)
+        pairs = ((s, s_inv),)
+        for k, x in enumerate(orbit):
+            if k == old:
+                pairs = tuple(zip(self.gens, self.gens_inv))
+            for g, g_inv in pairs:
+                y = g[x]
+                if y not in u:
+                    u[y] = tuple(map(g.__getitem__, u[x]))
+                    u_inv[y] = tuple(map(u_inv[x].__getitem__, g_inv))
+                    orbit.append(y)
+
+
+def _sift(levels, p, start):
+    """Strip p through levels[start:]: (residue, level where it dropped
+    out), the level being len(levels) when it fixes every base point."""
+    for k in range(start, len(levels)):
+        level = levels[k]
+        x = p[level.base]
+        if x != level.base:
+            inv = level.u_inv.get(x)
+            if inv is None:
+                return p, k
+            p = tuple(map(inv.__getitem__, p))
+    return p, len(levels)
+
+
+def _unsifted_residue(levels, i):
+    """Sift the Schreier pairs u[x] s u[s(x)]^-1 of level i not yet sifted
+    through the levels past i.  Returns the first residue that is not the
+    identity with the level it dropped out at, or None."""
+    level = levels[i]
+    u, u_inv, orbit, done = level.u, level.u_inv, level.orbit, level.done
+    identity = u[level.base]
+    for k, s in enumerate(level.gens):
+        while done[k] < len(orbit):
+            x = orbit[done[k]]
+            done[k] += 1
+            p = tuple(map(s.__getitem__, u[x]))
+            y = s[x]
+            if p != u[y]:
+                residue, j = _sift(levels, tuple(map(u_inv[y].__getitem__, p)),
+                                   i + 1)
+                if residue != identity:
+                    return residue, j
+    return None
+
+
 class PermGroup:
     """Group generated by permutations, with a cached stabilizer chain."""
 
@@ -152,115 +235,52 @@ class PermGroup:
         self.generators = tuple(gens)
         self._chain = None
 
-    # chain levels are (base_point, level_generators, transversal) where the
-    # transversal maps each orbit point to a perm sending base_point there
-
     def _stabilizer_chain(self):
+        """Incremental deterministic Schreier-Sims.  Levels are verified
+        from the deepest up: once every level past i is complete and every
+        Schreier pair of level i sifts to the identity through them, level i
+        is complete.  A residue that drops out at level j joins levels
+        i+1..j (a new level when j is past the end) and verification
+        resumes at j.  Transversal entries never change, so a pair that
+        sifted to the identity once still does, and each is sifted once.
+        """
         if self._chain is not None:
             return self._chain
-        base = []
-        strong = []
+        identity = tuple(range(self.degree))
+        levels = []
 
-        def min_moved(p):
-            for i, x in enumerate(p.images):
-                if x != i:
-                    return i
-            raise AssertionError("identity has no moved point")
-
-        def add_strong(p):
-            strong.append(p)
-            k = 0
-            while k < len(base) and p.images[base[k]] == base[k]:
-                k += 1
-            if k == len(base):
-                base.append(min_moved(p))
-            return k
+        def add_strong(p, first, last):
+            if last == len(levels):
+                base = next(x for x, y in enumerate(p) if x != y)
+                levels.append(_Level(base, identity))
+            p_inv = _invert(p)
+            for level in levels[first:last + 1]:
+                level.add_generator(p, p_inv)
 
         for g in self.generators:
-            add_strong(g)
-
-        levels = {}
-
-        def build_level(i):
-            gens_i = [g for g in strong if all(g.images[b] == b for b in base[:i])]
-            b = base[i]
-            transversal = {b: identity_perm(self.degree)}
-            queue = [b]
-            head = 0
-            while head < len(queue):
-                point = queue[head]
-                head += 1
-                for g in gens_i:
-                    img = g.images[point]
-                    if img not in transversal:
-                        transversal[img] = compose(transversal[point], g)
-                        queue.append(img)
-            levels[i] = (b, gens_i, transversal)
-
-        def strip(p, start):
-            for i in range(start, len(base)):
-                x = p.images[base[i]]
-                if x == base[i]:
-                    continue
-                t = levels[i][2]
-                if x not in t:
-                    return p, i
-                p = compose(p, inverse_perm(t[x]))
-            return p, len(base)
-
-        def verify(i):
-            # returns the level where a new strong generator landed, or None
-            build_level(i)
-            b, gens_i, transversal = levels[i]
-            for point in sorted(transversal):
-                t_point = transversal[point]
-                for g in gens_i:
-                    img = g.images[point]
-                    schreier = compose(compose(t_point, g), inverse_perm(transversal[img]))
-                    if schreier.is_identity():
-                        continue
-                    residue, _ = strip(schreier, i + 1)
-                    if not residue.is_identity():
-                        k = add_strong(residue)
-                        if k <= i:
-                            raise AssertionError("Schreier residue moved a shallow base point")
-                        return k
-            return None
-
-        if not base:
-            self._chain = []
-            return self._chain
-
-        i = len(base) - 1
+            residue, j = _sift(levels, g.images, 0)
+            if residue != identity:
+                add_strong(residue, 0, j)
+        i = len(levels) - 1
         while i >= 0:
-            changed = verify(i)
-            if changed is None:
+            found = _unsifted_residue(levels, i)
+            if found is None:
                 i -= 1
             else:
-                i = changed
-        # rebuild all levels once more so cached transversals reflect the
-        # final strong generating set
-        for i in range(len(base)):
-            build_level(i)
-        self._chain = [levels[i] for i in range(len(base))]
-        return self._chain
+                residue, j = found
+                add_strong(residue, i + 1, j)
+                i = j
+        self._chain = levels
+        return levels
 
     def order(self):
-        n = 1
-        for _, _, transversal in self._stabilizer_chain():
-            n *= len(transversal)
-        return n
+        return math.prod(len(level.orbit) for level in self._stabilizer_chain())
 
     def contains(self, p):
         if p.degree != self.degree:
             return False
-        for b, _, transversal in self._stabilizer_chain():
-            x = p.images[b]
-            if x != b:
-                if x not in transversal:
-                    return False
-                p = compose(p, inverse_perm(transversal[x]))
-        return p.is_identity()
+        residue, _ = _sift(self._stabilizer_chain(), p.images, 0)
+        return residue == tuple(range(self.degree))
 
 
 def subgroup_index(group, subgroup_gens):

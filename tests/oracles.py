@@ -4,8 +4,9 @@ Everything here is written in the most naive style available: dense
 matrices, exhaustive enumeration, stack-based reduction.  The exceptions
 are routes gradlab used to run, kept as the slow routes their replacements
 are checked against: bareiss_rank, the elimination before the
-column-indexed one, and full_covering_complex, the cover before its
-spanning tree was collapsed.  None of it imports from gradlab, so a bug in
+column-indexed one, full_covering_complex, the cover before its
+spanning tree was collapsed, and naive_schreier_sims_order, the
+Schreier-Sims that rebuilt a level on every new strong generator.  None of it imports from gradlab, so a bug in
 the library cannot hide in its own oracle.
 """
 
@@ -58,6 +59,79 @@ def brute_closure(degree, gens):
 
 def brute_order(degree, gens):
     return len(brute_closure(degree, gens))
+
+
+def naive_schreier_sims_order(degree, gens):
+    """Group order by the restart form of deterministic Schreier-Sims.
+
+    Base points are least moved points.  Whenever a Schreier generator
+    leaves a residue, the residue becomes a strong generator and the level
+    it lands on is rebuilt from scratch, with every Schreier generator of
+    that level sifted again.
+    """
+    ident = tuple(range(degree))
+    base = []
+    strong = []
+
+    def add_strong(p):
+        strong.append(p)
+        k = 0
+        while k < len(base) and p[base[k]] == base[k]:
+            k += 1
+        if k == len(base):
+            base.append(min(i for i in range(degree) if p[i] != i))
+        return k
+
+    for g in gens:
+        if g != ident and g not in strong:
+            add_strong(g)
+    levels = {}
+
+    def build_level(i):
+        gens_i = [g for g in strong if all(g[b] == b for b in base[:i])]
+        transversal = {base[i]: ident}
+        queue = [base[i]]
+        for point in queue:
+            for g in gens_i:
+                if g[point] not in transversal:
+                    transversal[g[point]] = tuple_compose(transversal[point], g)
+                    queue.append(g[point])
+        levels[i] = (gens_i, transversal)
+
+    def strip(p, start):
+        for i in range(start, len(base)):
+            x = p[base[i]]
+            if x != base[i]:
+                transversal = levels[i][1]
+                if x not in transversal:
+                    return p
+                p = tuple_compose(p, tuple_inverse(transversal[x]))
+        return p
+
+    def verify(i):
+        build_level(i)
+        gens_i, transversal = levels[i]
+        for point in sorted(transversal):
+            for g in gens_i:
+                schreier = tuple_compose(tuple_compose(transversal[point], g),
+                                         tuple_inverse(transversal[g[point]]))
+                if schreier != ident:
+                    residue = strip(schreier, i + 1)
+                    if residue != ident:
+                        k = add_strong(residue)
+                        assert k > i, "Schreier residue moved a shallow base point"
+                        return k
+        return None
+
+    i = len(base) - 1
+    while i >= 0:
+        changed = verify(i)
+        i = i - 1 if changed is None else changed
+    order = 1
+    for i in range(len(base)):
+        build_level(i)
+        order *= len(levels[i][1])
+    return order
 
 
 def tuple_word_image(degree, images, letters):

@@ -247,6 +247,17 @@ def test_validate_rejects_a_wrong_index_on_many_points():
         Chain(free1, (level,)).validate()
 
 
+def test_validate_checks_the_order_past_two_thousand_points():
+    # a -> (0 1)(2 3 4) has order 6; the orbit of 0 has 2 points, so the
+    # claimed index 7 is checked by Schreier-Sims, on 2001 points as on 2000
+    free1 = catalog()["free_1"].presentation
+    for degree in (2000, 2001):
+        a = Perm(perm_from_cycles([(0, 1), (2, 3, 4)], degree))
+        level = ChainLevel(PermGroup(degree, [a]), (a,), 7, "by hand")
+        with pytest.raises(InvariantViolation, match="quotient order 6"):
+            Chain(free1, (level,)).validate()
+
+
 def test_validate_certifies_nesting_on_many_points():
     free1 = catalog()["free_1"].presentation
     chain = Chain(free1, (_cycle_level(1000), _cycle_level(2000)))

@@ -169,6 +169,12 @@ def test_coset_ratio_identity():
     # trivial H: image index 6 over order 6 on one side, 1/order(image) on the other
     lhs, rhs = coset_ratio_check(group, [])
     assert lhs == rhs == Fraction(1, 1)
+    # H = <(0 1 2), (3 4)> in Sym(5): the reversed copy <(2 3 4), (0 1)>
+    # opens its chain at another base point
+    sym5 = PermGroup(5, [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))])
+    lhs, rhs = coset_ratio_check(sym5, [Perm((1, 2, 0, 3, 4)),
+                                        Perm((0, 1, 2, 4, 3))])
+    assert lhs == rhs == Fraction(1, 6)
 
 
 def test_graph_from_dict_round_trip():

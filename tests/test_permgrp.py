@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gradlab import permgrp
 from gradlab.permgrp import (
     Perm,
     PermGroup,
@@ -16,8 +17,8 @@ from gradlab.permgrp import (
     subgroup_index,
 )
 from gradlab.words import parse_word
-from oracles import (brute_closure, brute_order, perm_from_cycles, tuple_compose,
-                     tuple_inverse)
+from oracles import (brute_closure, brute_order, naive_schreier_sims_order,
+                     perm_from_cycles, tuple_compose, tuple_inverse)
 
 
 def test_perm_basics():
@@ -104,17 +105,123 @@ def test_group_order_symmetric_and_alternating():
     assert PermGroup(4, a4).order() == 12
 
 
-def test_order_matches_brute_closure_on_random_groups():
-    rng = random.Random(11)
-    for _ in range(30):
-        degree = rng.randint(2, 6)
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            images = list(range(degree))
-            rng.shuffle(images)
-            gens.append(Perm(images))
-        g = PermGroup(degree, gens)
-        assert g.order() == brute_order(degree, [p.images for p in gens])
+def small_groups(max_degree):
+    """(degree, generator tuples) with up to four generators."""
+    return st.integers(1, max_degree).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=4)))
+
+
+@st.composite
+def block_sums(draw):
+    """Generators acting on 2-3 consecutive blocks at once, as on a core
+    level, or plain random generators; 8 to 16 points either way.  On a
+    block the first generator is a cycle through every point, so it acts
+    transitively; each other generator is the identity, a cycle on the
+    block's first points or any permutation of the block."""
+    if draw(st.booleans()):
+        n = draw(st.integers(8, 16))
+        return n, [tuple(draw(st.permutations(range(n))))
+                   for _ in range(draw(st.integers(1, 3)))]
+    sizes = draw(st.lists(st.integers(2, 8), min_size=2, max_size=3)
+                 .filter(lambda sizes: 8 <= sum(sizes) <= 16))
+    gens = [[] for _ in range(draw(st.integers(1, 3)))]
+    offset = 0
+    for size in sizes:
+        for k, g in enumerate(gens):
+            if k and draw(st.booleans()):
+                points = list(draw(st.permutations(range(size))))
+            else:
+                length = size if k == 0 else draw(st.integers(1, size))
+                points = list(range(1, length)) + [0] + list(range(length, size))
+            g.extend(offset + x for x in points)
+        offset += size
+    return offset, [tuple(g) for g in gens]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_groups(6))
+def test_order_matches_brute_closure_on_random_groups(group):
+    degree, gens = group
+    assert PermGroup(degree, [Perm(g) for g in gens]).order() == \
+        brute_order(degree, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sums())
+def test_order_matches_the_naive_schreier_sims(group):
+    degree, gens = group
+    assert PermGroup(degree, [Perm(g) for g in gens]).order() == \
+        naive_schreier_sims_order(degree, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_groups(6), st.randoms(use_true_random=False))
+def test_contains_matches_brute_closure(group, rng):
+    degree, gens = group
+    g = PermGroup(degree, [Perm(p) for p in gens])
+    closure = brute_closure(degree, gens)
+    # members: random products of the generators and their inverses
+    for _ in range(10):
+        p = tuple(range(degree))
+        for _ in range(rng.randint(0, 8)):
+            q = rng.choice(gens) if gens else p
+            p = tuple_compose(p, q if rng.random() < 0.5 else tuple_inverse(q))
+        assert p in closure and g.contains(Perm(p))
+    # arbitrary permutations, members or not
+    for _ in range(10):
+        p = list(range(degree))
+        rng.shuffle(p)
+        assert g.contains(Perm(p)) == (tuple(p) in closure)
+    assert not g.contains(identity_perm(degree + 1))
+
+
+def test_each_schreier_pair_is_sifted_once(monkeypatch):
+    sifts = []
+    sift = permgrp._sift
+    monkeypatch.setattr(permgrp, "_sift", lambda levels, p, start:
+                        sifts.append(start) or sift(levels, p, start))
+    generators = ([[(0, 1)], [tuple(range(8))]],
+                  [[(0, 1, 2, 3, 4)], [(0, 1), tuple(range(5, 12))]])
+    for cycles in generators:
+        degree = max(max(c) for gen in cycles for c in gen) + 1
+        g = PermGroup(degree, [Perm(perm_from_cycles(gen, degree))
+                               for gen in cycles])
+        del sifts[:]
+        assert g.order() == naive_schreier_sims_order(
+            g.degree, [p.images for p in g.generators])
+        levels = g._stabilizer_chain()
+        assert all(done == len(level.orbit) for level in levels
+                   for done in level.done)
+        pairs = sum(len(level.gens) * len(level.orbit) for level in levels)
+        assert 0 < len(sifts) <= len(g.generators) + pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_sums())
+def test_orbits_only_grow_and_every_schreier_pair_sifts(group):
+    degree, gens = group
+    add_generator = permgrp._Level.add_generator
+
+    def checked(level, s, s_inv):
+        orbit, u, u_inv = list(level.orbit), dict(level.u), dict(level.u_inv)
+        add_generator(level, s, s_inv)
+        assert level.orbit[:len(orbit)] == orbit
+        assert all(level.u[x] == u[x] and level.u_inv[x] == u_inv[x]
+                   for x in orbit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permgrp._Level, "add_generator", checked)
+        levels = PermGroup(degree, [Perm(g) for g in gens])._stabilizer_chain()
+    identity = tuple(range(degree))
+    for i, level in enumerate(levels):
+        assert sorted(level.orbit) == sorted(level.u) == sorted(level.u_inv)
+        for x in level.orbit:
+            assert level.u[x][level.base] == x
+            assert tuple_compose(level.u[x], level.u_inv[x]) == identity
+            for s in level.gens:
+                schreier = tuple_compose(tuple_compose(level.u[x], s),
+                                         level.u_inv[s[x]])
+                assert permgrp._sift(levels, schreier, i + 1)[0] == identity
 
 
 def test_elements_and_contains():
