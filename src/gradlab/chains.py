@@ -89,13 +89,17 @@ class Chain:
                 raise InvariantViolation(f"level {n} index {level.index} does "
                                          f"not increase past {last}")
             last = level.index
+            if any(s.degree != level.quotient.degree for s in level.images):
+                raise InvariantViolation(f"level {n} images do not act on "
+                                         f"its {level.quotient.degree} points")
             if self.group is not None:
                 ident = identity_perm(level.quotient.degree)
                 for j, r in enumerate(self.group.relators):
                     if word_image(r, level.images) != ident:
                         raise InvariantViolation(
                             f"relator {j} survives in level {n} quotient")
-            leaders.append(_orbit_leaders(level))
+            zero_orbit = orbit(0, level.images)
+            leaders.append(_orbit_leaders(level, zero_orbit))
             if self.factors:
                 parts = [c.levels[n] for c in self.factors]
                 if level.images != _block_images(parts):
@@ -107,11 +111,10 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n} index {level.index} != {index}, the "
                         "product of its factor indices")
-            elif len(orbit(0, level.images)) == level.index:
+            elif len(zero_orbit) == level.index:
                 targets = {s.images[0] for s in level.images}
                 targets.update(leaders[n][1:])
-                if not all(_maps_onto(level.images, level.images, 0, y)
-                           for y in targets):
+                if not all(_maps_onto(level, level, 0, y) for y in targets):
                     raise InvariantViolation(
                         f"level {n} has an orbit of {level.index} points "
                         "but does not act regularly on it")
@@ -123,8 +126,7 @@ class Chain:
         for n in range(len(self.levels) - 1):
             a, b = self.levels[n], self.levels[n + 1]
             for c in leaders[n]:
-                if not any(_maps_onto(b.images, a.images, f, c)
-                           for f in leaders[n + 1]):
+                if not any(_maps_onto(b, a, f, c) for f in leaders[n + 1]):
                     raise InvariantViolation(
                         f"level {n + 1} kernel is not contained in level {n}")
         return self
@@ -144,30 +146,33 @@ def _block_images(parts):
 
 def _maps_onto(src, dst, x, y):
     """Whether x.w -> y.w is well defined on the orbit of x under the src
-    images, that is, whether every word fixing x under src fixes y under
-    dst.  The orbit is walked breadth first."""
-    image = {x: y}
+    level's images, that is, whether every word fixing x under src fixes y
+    under dst.  The orbit is walked breadth first."""
+    image = [-1] * src.quotient.degree
+    image[x] = y
     queue = [x]
-    pairs = [(s.images, t.images) for s, t in zip(src, dst)]
+    pairs = [(s.images, t.images) for s, t in zip(src.images, dst.images)]
     for p in queue:
         q = image[p]
         for s, t in pairs:
-            if s[p] not in image:
-                image[s[p]] = t[q]
-                queue.append(s[p])
-            elif image[s[p]] != t[q]:
+            z = s[p]
+            if image[z] < 0:
+                image[z] = t[q]
+                queue.append(z)
+            elif image[z] != t[q]:
                 return False
     return True
 
 
-def _orbit_leaders(level):
-    """The least point of every orbit of the level's images."""
+def _orbit_leaders(level, zero_orbit):
+    """The least point of every orbit of the level's images, given the
+    orbit of 0."""
     seen = [False] * level.quotient.degree
     leaders = []
     for x in range(len(seen)):
         if not seen[x]:
             leaders.append(x)
-            for y in orbit(x, level.images):
+            for y in zero_orbit if x == 0 else orbit(x, level.images):
                 seen[y] = True
     return leaders
 
@@ -279,15 +284,49 @@ def _box_reduce(x, h, n):
     return tuple(y)
 
 
+def _cover_images(h):
+    """Generator images of the translation action on the canonical box of
+    the Hermite form h, numbered in mixed radix as homology_cover_chain
+    describes."""
+    n = len(h)
+    radix = [h[i][i] for i in range(n)]
+    strides = [math.prod(radix[i + 1:]) for i in range(n)]
+    points = tuple(range(math.prod(radix)))
+    images = []
+    for g in range(n):
+        step, block = strides[g], radix[g] * strides[g]
+        head = (0,) * g + (radix[g],)
+        wrap = [sum(y * s for y, s in zip(_box_reduce(head + tail, h, n),
+                                          strides))
+                for tail in itertools.product(*map(range, radix[g + 1:]))]
+        image = []
+        for offset in range(0, len(points), block):
+            image += points[offset + step:offset + block]
+            image += [points[offset + w] for w in wrap]
+        images.append(Perm(tuple(image)))
+    return tuple(images)
+
+
 def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
     """Kernels of the maps onto first homology with coefficients mod m.
 
     The quotient is Z^n modulo relator exponent rows and m, presented as a
-    translation action on the canonical box of its Hermite form.  Moduli
+    translation action on the canonical box of its Hermite form h.  Moduli
     must form a divisibility ladder so the kernels nest.  These covers are
     built directly from integer linear algebra; no coset enumeration runs.
     A level whose index passes max_index, the coset budget, raises
     ResourceExhausted before its points are built.
+
+    A point y of the box, 0 <= y_i < r_i = h[i][i], sits at position
+    sum y_i s_i with stride s_i = r_{i+1} ... r_{n-1}, the order of
+    itertools.product over the box.  Adding e_g moves position k to k + s_g,
+    except at the s_g wrap points of each block of r_g s_g positions, where
+    y_g = r_g - 1.  As h is upper triangular, a wrap point's image keeps the
+    coordinates before g and has y_g = 0: it is the block's offset plus the
+    position of (0, ..., 0, r_g) + tail reduced modulo h.  So only s_g
+    points per generator are reduced, and their offsets serve every block.
+    Each image is cut from one tuple of positions shared by all images of
+    the level, so they share one set of int objects.
     """
     _require_ladder(moduli)
     n = p.num_generators
@@ -298,22 +337,12 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
         for i in range(n):
             rows.append([m if j == i else 0 for j in range(n)])
         h = _hermite_form(rows, n)
-        index = 1
-        for i in range(n):
-            index *= h[i][i]
+        index = math.prod(h[i][i] for i in range(n))
         if index > max_index:
             raise ResourceExhausted(f"homology cover mod {m} has index {index}, "
                                     f"above the coset budget {max_index}",
                                     limit=max_index, reached=index)
-        box = list(itertools.product(*[range(h[i][i]) for i in range(n)]))
-        position = {pt: k for k, pt in enumerate(box)}
-        images = []
-        for g in range(n):
-            images.append(Perm(tuple(
-                position[_box_reduce(tuple(pt[j] + (1 if j == g else 0)
-                                           for j in range(n)), h, n)]
-                for pt in box)))
-        images = tuple(images)
+        images = _cover_images(h)
         quotient = PermGroup(index, images)
         levels.append(ChainLevel(quotient, images, index,
                                  f"first homology cover mod {m}"))

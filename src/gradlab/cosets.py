@@ -68,9 +68,13 @@ class CosetTable:
             column = [row[2 * g] for row in self.table]
             if sorted(column) != list(range(n)):
                 raise InvariantViolation(f"column of generator {g} is not a permutation")
+        relators = [(r, _word_cols(r)) for r in self.presentation.relators]
         for alpha in range(n):
-            for r in self.presentation.relators:
-                if self.trace(alpha, r) != alpha:
+            for r, cols in relators:
+                beta = alpha
+                for c in cols:
+                    beta = self.table[beta][c]
+                if beta != alpha:
                     raise InvariantViolation(f"relator {r!r} does not close from coset {alpha}")
         for w in self.subgroup_words:
             if self.trace(0, w) != 0:

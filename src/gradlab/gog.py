@@ -14,9 +14,11 @@ word's image.  A level is regular when the orbit of point 0 under all the
 images has [G : B] points, the test level_coset_table uses too.  On a
 chain level Chain.validate has certified that the quotient then acts
 regularly on that orbit, and a vertex image's order is the size of the
-orbit of 0 under its generators.  Only a vertex on a level that is not
-regular (a core or product chain, say) still runs Schreier-Sims, once,
-for the order of its image.
+orbit of 0 under its generators.  On a level that is not regular (a core
+or product chain, say), a vertex carrying every one of the images has the
+quotient's own order, which a core level cached when it was built; only a
+vertex carrying some of them runs Schreier-Sims, once, for the order of
+its image.
 """
 
 import math
@@ -355,7 +357,8 @@ def _edge_local_indices(layout, images):
 
 def subgroup_shadows(g, quotient, images, index):
     """How each vertex and edge group meets B = ker(G -> quotient), where
-    index = [G : B] is the order of the quotient.
+    quotient is the group the images generate and index = [G : B] is its
+    order.
 
     Returns two lists of (block, copies, local_index) triples, vertices then
     edges, where local_index = [G_v : B n G_v] is the order of the local
@@ -377,6 +380,8 @@ def subgroup_shadows(g, quotient, images, index):
         v_images = images[off:off + layout.vertex_gen_counts[v]]
         if regular:
             local_index = len(orbit(0, v_images))
+        elif len(v_images) == len(images):
+            local_index = quotient.order()
         else:
             local_index = PermGroup(quotient.degree, v_images).order()
         vertex_rows.append((block, _copies(index, local_index), local_index))

@@ -5,9 +5,11 @@ matrices, exhaustive enumeration, stack-based reduction.  The exceptions
 are routes gradlab used to run, kept as the slow routes their replacements
 are checked against: bareiss_rank, the elimination before the
 column-indexed one, full_covering_complex, the cover before its
-spanning tree was collapsed, and naive_schreier_sims_order, the
-Schreier-Sims that rebuilt a level on every new strong generator.  None of it imports from gradlab, so a bug in
-the library cannot hide in its own oracle.
+spanning tree was collapsed, naive_schreier_sims_order, the
+Schreier-Sims that rebuilt a level on every new strong generator, and
+box_cover_images, the homology cover built by reducing every point of the
+box.  None of it imports from gradlab, so a bug in the library cannot hide
+in its own oracle.
 """
 
 import itertools
@@ -461,6 +463,33 @@ def full_covering_complex(table):
             add(product, (r, f), v * w)
     assert not product, "d1 . d2 is not zero"
     return (k, k * nx, k * nr), [d1, d2]
+
+
+def box_cover_images(h):
+    """Generator images of the translation action of Z^n on the canonical
+    box of the upper triangular Hermite matrix h, as image tuples.
+
+    Every point of the box, in itertools.product order, is moved by e_g and
+    reduced row by row modulo h, then looked up by position.
+    """
+    n = len(h)
+
+    def reduce_point(x):
+        y = list(x)
+        for i in range(n):
+            q = y[i] // h[i][i]
+            if q:
+                for j in range(i, n):
+                    y[j] -= q * h[i][j]
+        return tuple(y)
+
+    box = list(itertools.product(*[range(h[i][i]) for i in range(n)]))
+    position = {pt: k for k, pt in enumerate(box)}
+    return tuple(
+        tuple(position[reduce_point(tuple(pt[j] + (1 if j == g else 0)
+                                          for j in range(n)))]
+              for pt in box)
+        for g in range(n))
 
 
 def dense_rows(matrix):

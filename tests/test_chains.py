@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradlab import chains
 from gradlab.chains import (
     Chain,
     ChainLevel,
@@ -13,14 +14,17 @@ from gradlab.chains import (
     fiber_restrict,
     kernel_generator_words,
     level_coset_table,
+    _cover_images,
+    _hermite_form,
 )
 from gradlab.cosets import regular_action_table
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
-from gradlab.words import presentation_from_texts
-from oracles import brute_order, perm_from_cycles
+from gradlab.words import abelianized_relator_matrix, presentation_from_texts
+from oracles import (box_cover_images, brute_order, naive_schreier_sims_order,
+                     perm_from_cycles)
 
 
 @pytest.fixture
@@ -69,6 +73,89 @@ def test_homology_cover_stalls_are_truncated():
         "dropped level with index 2 after 2: chain stalled",
         "dropped level with index 2 after 2: chain stalled",
     )
+
+
+def _cover_hermite(relator_rows, n, m):
+    """The Hermite form of the relator rows and m times the identity."""
+    rows = [list(r) for r in relator_rows]
+    rows += [[m if j == i else 0 for j in range(n)] for i in range(n)]
+    return _hermite_form(rows, n)
+
+
+def _assert_cover_images_match_the_box_oracle(p, moduli):
+    """Every level's images equal the per-point builder's on the same
+    Hermite form; returns the Hermite forms of the levels."""
+    forms = []
+    for level in homology_cover_chain(p, moduli).levels:
+        m = int(level.provenance.split()[-1])
+        h = _cover_hermite(abelianized_relator_matrix(p),
+                           p.num_generators, m)
+        assert tuple(s.images for s in level.images) == box_cover_images(h)
+        forms.append(h)
+    return forms
+
+
+def test_cover_images_match_the_box_oracle_on_the_catalog():
+    for entry in catalog().values():
+        for moduli in ((2, 4), (3, 6)):
+            _assert_cover_images_match_the_box_oracle(entry.presentation,
+                                                      moduli)
+
+
+def test_cover_images_match_the_box_oracle_off_the_diagonal():
+    def off_diagonal(forms):
+        return any(h[i][j] for h in forms
+                   for i in range(len(h)) for j in range(i + 1, len(h)))
+
+    two = presentation_from_texts(("a", "b"), ("a^2 b^-3",))
+    forms = _assert_cover_images_match_the_box_oracle(two, (6, 12))
+    assert [h[0][0] * h[1][1] for h in forms] == [6, 12]
+    assert off_diagonal(forms)
+    three = presentation_from_texts(("a", "b", "c"),
+                                    ("a^2 b^4 c^-2", "b^6 c^3", "a^4 c^6"))
+    forms = _assert_cover_images_match_the_box_oracle(three, (6, 12))
+    assert [h[0][0] * h[1][1] * h[2][2] for h in forms] == [12, 24]
+    assert off_diagonal(forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                 max_size=3),
+        st.just(n),
+        st.integers(1, {1: 64, 2: 24, 3: 12, 4: 6}[n]))))
+def test_cover_images_match_the_box_oracle_on_random_relators(case):
+    # relator rows of any shape, mod m: every box of at most 1296 points
+    rows, n, m = case
+    h = _cover_hermite(rows, n, m)
+    assert tuple(s.images for s in _cover_images(h)) == box_cover_images(h)
+
+
+def test_cover_images_reduce_only_the_wrap_points(monkeypatch):
+    calls = []
+    box_reduce = chains._box_reduce
+
+    def counted(x, h, n):
+        calls.append(x)
+        return box_reduce(x, h, n)
+    monkeypatch.setattr(chains, "_box_reduce", counted)
+    chain = homology_cover_chain(catalog()["surface_2"].presentation, (6,))
+    assert chain.indices() == (1296,)
+    # strides 216, 36, 6, 1: one reduction per wrap point of each block
+    assert len(calls) == 216 + 36 + 6 + 1
+
+
+def test_validate_walks_the_orbit_of_0_once_per_level(monkeypatch):
+    chain = homology_cover_chain(catalog()["surface_2"].presentation, (2, 4))
+    walks = []
+
+    def counted(point, perms):
+        walks.append(point)
+        return orbit(point, perms)
+    monkeypatch.setattr(chains, "orbit", counted)
+    chain.validate()
+    assert walks == [0, 0]
 
 
 def test_core_chain(free2):
@@ -232,6 +319,18 @@ def test_validate_rejects_bad_relator_images():
         Chain(p, (level,)).validate()
 
 
+def test_validate_reads_the_degree_off_the_level():
+    # no generators: the trivial group on two points, index 1
+    level = ChainLevel(PermGroup(2, []), (), 1, "by hand")
+    Chain(None, (level,)).validate()
+    # images on four points for a quotient on three
+    free1 = catalog()["free_1"].presentation
+    step = Perm((1, 2, 3, 0))
+    level = ChainLevel(PermGroup(3, [Perm((1, 2, 0))]), (step,), 4, "by hand")
+    with pytest.raises(InvariantViolation, match="do not act on its 3"):
+        Chain(free1, (level,)).validate()
+
+
 def _cycle_level(length):
     step = Perm(tuple((x + 1) % length for x in range(length)))
     return ChainLevel(PermGroup(length, [step]), (step,), length, "by hand")
@@ -347,8 +446,8 @@ def _beside(left, right):
 def test_validate_accepts_only_nested_pairs(pair):
     coarse, fine = pair
     levels = (_brute_level(coarse), _brute_level(fine))
-    diagonal = brute_order(len(coarse[0]) + len(fine[0]),
-                           _beside(coarse, fine))
+    diagonal = naive_schreier_sims_order(len(coarse[0]) + len(fine[0]),
+                                         _beside(coarse, fine))
     nested = diagonal == levels[1].index
     regular = len(orbit(0, levels[1].images)) == levels[1].index
     accepted = _accepts(levels)

@@ -15,6 +15,7 @@ from gradlab.experiments import (
     parse_report,
 )
 from gradlab.homology import QQ, GF2
+from gradlab.permgrp import PermGroup
 
 
 def make(kind, group, chain, **kw):
@@ -164,6 +165,28 @@ def test_homology_gradient_product_with_kunneth_check(monkeypatch):
     # the two factor chains and their product, each validated once: the
     # check reuses the factor chains instead of building them again
     assert len(validated) == 3
+
+
+def test_core_volume_builds_one_stabilizer_chain_per_level(monkeypatch):
+    # free_2 is one vertex carrying every image, so its local index is the
+    # order core_chain already computed: no second Schreier-Sims
+    builds = []
+    build = PermGroup._stabilizer_chain
+
+    def counted(group):
+        if group._chain is None:
+            builds.append(group.degree)
+        return build(group)
+    monkeypatch.setattr(PermGroup, "_stabilizer_chain", counted)
+    table = make("volume", {"catalog": "free_2"},
+                 {"type": "core", "bounds": [2, 3, 4]})
+    assert builds == [7, 28, 132]
+    assert [(r["level"], r["index"], r["vol2_ratio"]) for r in table.rows] \
+        == [(1, 4, Fraction(0)), (2, 972, Fraction(0)),
+            (3, 8153726976, Fraction(0))]
+    # Nielsen-Schreier: a subgroup of index i in F_2 is free of rank i + 1
+    assert [e["volume_vector"] for e in table.extras] == [
+        [1, 5], [1, 973], [1, 8153726977]]
 
 
 def test_mv_check_free_product():
