@@ -16,7 +16,7 @@ from .gog import (AbelianBlock, Edge, FreeBlock, GraphOfGroups, SurfaceBlock,
                   subgroup_volume_vector)
 from .towers import SurfaceAttach, TorusAttach, TowerSpec, build_tower, catalog
 from .chains import (Chain, ChainLevel, core_chain, cyclic_cover_chain,
-                     fiber_restrict, homology_cover_chain,
-                     kernel_generator_words, level_coset_table, product_chain)
+                     fiber_restrict, homology_cover_chain, level_coset_table,
+                     product_chain)
 from .experiments import (ExperimentConfig, GradientTable, emit_report,
                           parse_report, run_experiment)

@@ -4,10 +4,12 @@ A chain records a group together with a descending sequence of finite-index
 normal subgroups, each given as the kernel of a map onto a finite permutation
 group.  Levels carry the generator images, so downstream code can rebuild
 coset tables, covering complexes, and volume data without re-running any
-search.  Whether a chain actually exhausts the group (intersection trivial)
-is not decidable here.  Chain.validate certifies every nesting by orbit
-maps, and every level's index by an orbit map, by the factor levels of a
-product chain, or on any other level by Schreier-Sims, at any degree.
+search; every level's table, regular, product or core, is one walk over
+the images of a base, certified by its row count.  Whether a chain
+actually exhausts the group (intersection trivial) is not decidable here.
+Chain.validate certifies every nesting by orbit maps, and every level's
+index by an orbit map, by the factor levels of a product chain, or on any
+other level by Schreier-Sims, at any degree.
 """
 
 import itertools
@@ -15,11 +17,11 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .cosets import (CosetTable, DEFAULT_MAX_COSETS, low_index_subgroups,
-                     perm_rep, regular_action_table, schreier_generators)
+from .cosets import (DEFAULT_MAX_COSETS, low_index_subgroups, perm_rep,
+                     regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
-                      identity_perm, inverse_perm, orbit, word_image)
+                      identity_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
 
 
@@ -428,34 +430,27 @@ def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):
     return _make_chain(None, levels, notes)
 
 
-def kernel_generator_words(p, images, max_order=DEFAULT_MAX_COSETS):
-    """Generator words for the kernel of the map sending generators to the
-    given permutations, read off a Schreier transversal of the image."""
-    return schreier_generators(regular_action_table(p, images, max_order))
-
-
 def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
-    """Coset table of the level kernel, one row per quotient element.
+    """Coset table of the level kernel, one row per quotient element, by
+    regular_action_table's walk over the images of a base.
 
-    When the orbit of point 0 has `index` points, Chain.validate has
-    certified that the level acts regularly on it, and the table is read
-    straight off the images; otherwise the image group is enumerated
-    elementwise.
+    The base is (0,) when the orbit of 0 has `index` points: by orbit and
+    stabilizer, only the identity then fixes 0.  Otherwise it is the
+    quotient's Schreier-Sims base, which core and fiber levels have cached.
+    Chain.validate has certified `index` as the quotient's order, so a
+    table of `index` rows proves that only the identity fixes the base;
+    any other row count raises InvariantViolation.
     """
     if level.index > max_cosets:
         raise ResourceExhausted(f"level index {level.index} exceeds the "
                                 f"coset budget", limit=max_cosets,
                                 reached=level.index)
-    order = orbit(0, level.images)
-    if len(order) != level.index:
-        return regular_action_table(p, level.images, max_order=max_cosets)
-    position = {pt: k for k, pt in enumerate(order)}
-    inverses = [inverse_perm(img) for img in level.images]
-    rows = []
-    for pt in order:
-        row = []
-        for g in range(len(level.images)):
-            row.append(position[level.images[g].images[pt]])
-            row.append(position[inverses[g].images[pt]])
-        rows.append(row)
-    return CosetTable(p, (), rows).validate()
+    base = (0,)
+    if len(orbit(0, level.images)) != level.index:
+        base = level.quotient.base()
+    table = regular_action_table(p, level.images, base, max_cosets)
+    if table.num_cosets != level.index:
+        raise InvariantViolation(f"walking the images of base {base} gave "
+                                 f"{table.num_cosets} cosets, not the level "
+                                 f"index {level.index}")
+    return table

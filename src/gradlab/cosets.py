@@ -9,7 +9,7 @@ limit always produce the identical table.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, compose, inverse_perm
+from .permgrp import Perm, PermGroup, _invert
 from .words import Presentation, Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -327,45 +327,40 @@ def reidemeister_schreier(t):
                         aspherical=t.presentation.aspherical)
 
 
-def regular_action_table(p, images, max_order=DEFAULT_MAX_COSETS):
-    """Coset table of the kernel of the map sending generators to images.
+def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):
+    """Coset table of the image group acting on the images of a base.
 
-    Enumerates the image group by breadth-first products (discovery order
-    numbers the cosets; the identity is coset 0) and lets generators act by
-    right multiplication, i.e. this is the regular action of the image.
-    The table carries no subgroup words; schreier_generators(table) gives
-    generators of the kernel.
+    x.g moves the base to g applied to the points x moves it to, so these
+    tuples are walked breadth first from the base, coset 0, with the
+    generators in order; a one-point base is walked by the point.  When
+    only the identity fixes the base, the table is the regular action of
+    the image, one row per element, describing the kernel of the map
+    sending generators to images; schreier_generators(table) generates
+    that kernel.  Raises ResourceExhausted past max_order rows.
     """
     if len(images) != p.num_generators:
         raise ValueError(f"{len(images)} images for {p.num_generators} generators")
-    if not images:
-        return CosetTable(p, (), [[]]).validate()
-    degree = images[0].degree
-    from .permgrp import identity_perm
-    ident = identity_perm(degree)
-    order = {ident: 0}
-    elements = [ident]
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in images:
-            y = compose(x, g)
-            if y not in order:
+    columns = [c for g in images for c in (g.images, _invert(g.images))]
+    if len(base) == 1:
+        start, moves = base[0], [c.__getitem__ for c in columns]
+    else:
+        start = tuple(base)
+        moves = [lambda x, c=c: tuple(map(c.__getitem__, x)) for c in columns]
+    forward = moves[::2]
+    position = {start: 0}
+    elements = [start]
+    for x in elements:
+        for move in forward:
+            y = move(x)
+            if y not in position:
                 if len(elements) >= max_order:
                     raise ResourceExhausted(
                         f"image group exceeds {max_order} elements",
                         limit=max_order, reached=len(elements))
-                order[y] = len(elements)
+                position[y] = len(elements)
                 elements.append(y)
-    inv_images = [inverse_perm(g) for g in images]
-    table = []
-    for x in elements:
-        row = []
-        for g, ginv in zip(images, inv_images):
-            row.append(order[compose(x, g)])
-            row.append(order[compose(x, ginv)])
-        table.append(row)
+    table = zip(*(map(position.__getitem__, map(move, elements))
+                  for move in moves))
     return CosetTable(p, (), table).validate()
 
 

@@ -34,12 +34,13 @@ def _is(value, kind):
 
 def need(spec, key, where, kind, item=None):
     """spec[key] of a config object, which must be a kind (holding only
-    items, if given); a ValueError naming the key otherwise.  A bool is
-    not an int here."""
+    items, if given: the values of a dict, the entries of a list); a
+    ValueError naming the key otherwise.  A bool is not an int here."""
     if not isinstance(spec, dict) or key not in spec:
         raise ValueError(f"{where} needs {key!r}")
     value = spec[key]
+    items = value.values() if isinstance(value, dict) else value
     if not _is(value, kind) or (
-            item is not None and not all(_is(v, item) for v in value)):
+            item is not None and not all(_is(v, item) for v in items)):
         raise ValueError(f"{where}: bad {key!r} value {value!r}")
     return value

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
-                     homology_cover_chain, kernel_generator_words,
-                     level_coset_table, product_chain)
-from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION
+                     homology_cover_chain, level_coset_table, product_chain)
+from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION, schreier_generators
 from .errors import InvariantViolation, need
 from .gog import (block_from_dict, edge_shadow_indices, euler_characteristic,
                   fundamental_presentation, graph_from_dict, subgroup_shadows,
@@ -85,8 +84,9 @@ def resolve_group(spec):
         return ResolvedGroup(body, e.presentation, e.euler, e.graph, factors)
     if kind == "presentation":
         generators = need(body, "generators", "presentation", list, str)
-        p = presentation_from_texts(tuple(generators),
-                                    tuple(body.get("relators", ())),
+        relators = (need(body, "relators", "presentation", list, str)
+                    if "relators" in body else ())
+        p = presentation_from_texts(tuple(generators), tuple(relators),
                                     bool(body.get("aspherical", False)))
         return ResolvedGroup("presentation", p,
                              presentation_euler_characteristic(p))
@@ -126,7 +126,7 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
         return homology_cover_chain(p, need(spec, "moduli", where, list, int),
                                     max_cosets)
     if kind == "cyclic":
-        return cyclic_cover_chain(p, need(spec, "weights", where, dict),
+        return cyclic_cover_chain(p, need(spec, "weights", where, dict, int),
                                   need(spec, "moduli", where, list, int))
     if kind == "product":
         specs = need(spec, "factors", where, list)
@@ -142,14 +142,15 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
         inner = resolve_chain(need(spec, "inner", where, dict), group,
                               max_cosets)
         if "subgroup_words" in spec:
-            words = tuple(p.word(w) for w in spec["subgroup_words"])
+            words = tuple(p.word(w) for w in
+                          need(spec, "subgroup_words", where, list, str))
         elif "kernel" in spec:
             k = spec["kernel"]
             helper = cyclic_cover_chain(
-                p, need(k, "weights", "fiber kernel", dict),
+                p, need(k, "weights", "fiber kernel", dict, int),
                 [need(k, "modulus", "fiber kernel", int)])
-            words = tuple(kernel_generator_words(p, helper.levels[0].images,
-                                                 max_order=max_cosets))
+            words = tuple(schreier_generators(
+                level_coset_table(p, helper.levels[0], max_cosets)))
         else:
             raise ValueError("fiber chain needs subgroup_words or kernel")
         return fiber_restrict(inner, words, label=spec.get("label", "subgroup"))

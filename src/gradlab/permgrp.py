@@ -276,6 +276,10 @@ class PermGroup:
     def order(self):
         return math.prod(len(level.orbit) for level in self._stabilizer_chain())
 
+    def base(self):
+        """The stabilizer chain's base points, fixed only by the identity."""
+        return tuple(level.base for level in self._stabilizer_chain())
+
     def contains(self, p):
         if p.degree != self.degree:
             return False

@@ -6,10 +6,11 @@ are routes gradlab used to run, kept as the slow routes their replacements
 are checked against: bareiss_rank, the elimination before the
 column-indexed one, full_covering_complex, the cover before its
 spanning tree was collapsed, naive_schreier_sims_order, the
-Schreier-Sims that rebuilt a level on every new strong generator, and
+Schreier-Sims that rebuilt a level on every new strong generator,
 box_cover_images, the homology cover built by reducing every point of the
-box.  None of it imports from gradlab, so a bug in the library cannot hide
-in its own oracle.
+box, and element_action_rows, the coset table of a level's kernel built by
+enumerating its image group as whole permutations.  None of it imports
+from gradlab, so a bug in the library cannot hide in its own oracle.
 """
 
 import itertools
@@ -61,6 +62,28 @@ def brute_closure(degree, gens):
 
 def brute_order(degree, gens):
     return len(brute_closure(degree, gens))
+
+
+def element_action_rows(images):
+    """Rows of the regular action of the group the image tuples generate.
+
+    Elements are enumerated as whole permutations by breadth-first
+    products, the identity first and the images tried in order; row x
+    holds the numbers of x.g and x.g^-1 for every image g.
+    """
+    ident = tuple(range(len(images[0])))
+    number = {ident: 0}
+    elements = [ident]
+    for x in elements:
+        for g in images:
+            y = tuple_compose(x, g)
+            if y not in number:
+                number[y] = len(elements)
+                elements.append(y)
+    inverses = [tuple_inverse(g) for g in images]
+    return [[number[tuple_compose(x, h)] for g, g_inv in zip(images, inverses)
+             for h in (g, g_inv)]
+            for x in elements]
 
 
 def naive_schreier_sims_order(degree, gens):

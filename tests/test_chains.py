@@ -12,19 +12,18 @@ from gradlab.chains import (
     cyclic_cover_chain,
     product_chain,
     fiber_restrict,
-    kernel_generator_words,
     level_coset_table,
     _cover_images,
     _hermite_form,
 )
-from gradlab.cosets import regular_action_table
+from gradlab.cosets import regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
 from gradlab.words import abelianized_relator_matrix, presentation_from_texts
-from oracles import (box_cover_images, brute_order, naive_schreier_sims_order,
-                     perm_from_cycles)
+from oracles import (box_cover_images, brute_order, element_action_rows,
+                     naive_schreier_sims_order, perm_from_cycles)
 
 
 @pytest.fixture
@@ -261,29 +260,96 @@ def test_mixed_products_and_fibers_over_core_validate(free2):
 
 
 def test_kernel_generator_words(free2):
+    # the fiber kernel's generators, read as resolve_chain reads them
     chain = homology_cover_chain(free2, (2,))
-    words = kernel_generator_words(free2, list(chain.levels[0].images), 100)
+    words = schreier_generators(level_coset_table(free2, chain.levels[0], 100))
     assert [free2.render(w) for w in words] == \
         ["a^2", "b a b^-1 a^-1", "b^2", "a b a b^-1", "a b^2 a^-1"]
     # every word really dies in the quotient
     for w in words:
         assert word_image(w, list(chain.levels[0].images)).is_identity()
     with pytest.raises(ResourceExhausted):
-        kernel_generator_words(free2, list(chain.levels[0].images), 2)
+        level_coset_table(free2, chain.levels[0], 2)
 
 
 def test_level_coset_table_matches_regular_action(free2):
     chain = homology_cover_chain(free2, (2, 4))
     for level in chain.levels:
         direct = level_coset_table(free2, level, 1000)
-        regular = regular_action_table(free2, list(level.images))
-        assert direct.table == regular.table
+        assert direct.table == _oracle_rows(level)
         assert direct.num_cosets == level.index
     cx = covering_complex(level_coset_table(free2, chain.levels[0], 100))
     assert betti(cx, QQ) == [1, 5, 0]
     assert betti(cx, GF2) == [1, 5, 0]
     with pytest.raises(ResourceExhausted):
         level_coset_table(free2, chain.levels[1], 3)
+
+
+def _oracle_rows(level):
+    return element_action_rows(tuple(img.images for img in level.images))
+
+
+def test_level_coset_table_matches_the_element_oracle():
+    entries = catalog()
+    checked = []
+    for entry in entries.values():
+        p = entry.presentation
+        for level in homology_cover_chain(p, [2, 4]).levels:
+            if level.index <= 256:
+                checked.append(level_coset_table(p, level).table
+                               == _oracle_rows(level))
+    assert len(checked) >= 20
+    double = entries["double_f2_ab"].presentation
+    free2 = entries["free_2"].presentation
+    f2xf2 = entries["f2xf2"].presentation
+    others = [
+        core_chain(free2, [2, 3]),
+        core_chain(double, [2]),
+        product_chain([homology_cover_chain(free2, [2, 4, 8])] * 2,
+                      presentation=f2xf2),
+        product_chain([core_chain(free2, [2, 3]),
+                       homology_cover_chain(free2, [2, 4])],
+                      presentation=f2xf2),
+        # a0 and a1 add 2 mod m: two orbits of m/2 points, not transitive
+        cyclic_cover_chain(double, {"a0": 2, "a1": 2}, [4, 8]),
+    ]
+    for chain in others:
+        for level in chain.levels:
+            if level.index <= 4096:
+                checked.append(level_coset_table(chain.group, level).table
+                               == _oracle_rows(level))
+    assert len(checked) >= 28
+    assert all(checked)
+
+
+def test_level_coset_table_walks_a_base_off_regular_levels(free2, monkeypatch):
+    product = product_chain([homology_cover_chain(free2, [2, 4])] * 2)
+    regular = homology_cover_chain(free2, [2, 4]).levels[1]
+    calls = []
+    real_base = PermGroup.base
+
+    def spy_base(group):
+        calls.append("base")
+        return real_base(group)
+
+    def spy(p, images, base, max_order):
+        calls.append(base)
+        return regular_action_table(p, images, base, max_order)
+
+    monkeypatch.setattr(PermGroup, "base", spy_base)
+    monkeypatch.setattr(chains, "regular_action_table", spy)
+    assert level_coset_table(product.group, product.levels[1]).num_cosets == 256
+    assert level_coset_table(free2, regular).num_cosets == 16
+    # Schreier-Sims runs off the regular level only
+    assert calls == ["base", (0, 16), (0,)]
+
+
+def test_level_coset_table_rejects_a_base_that_is_not_one(free2, monkeypatch):
+    level = core_chain(free2, [2]).levels[0]
+    assert len(orbit(0, level.images)) < level.index == 4
+    monkeypatch.setattr(PermGroup, "base", lambda self: (0,))
+    with pytest.raises(InvariantViolation, match="not the level index 4"):
+        level_coset_table(free2, level)
 
 
 def test_validate_rejects_non_nested_levels(free2):

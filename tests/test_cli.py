@@ -222,6 +222,33 @@ BAD_INPUTS = {
                                         "iota_word": "a", "tau_word": "a"}]}},
          "chain": HOMOLOGY_2},
         [], "'target'"),
+    "weights-bool": (
+        {"group": FREE_2,
+         "chain": {"type": "cyclic", "weights": {"a": True}, "moduli": [2]}},
+        [], "'weights'"),
+    # each of these ended in a traceback before
+    "weights-string": (
+        {"group": FREE_2,
+         "chain": {"type": "cyclic", "weights": {"a": "x"}, "moduli": [2]}},
+        [], "'weights'"),
+    "weights-float": (
+        {"group": FREE_2,
+         "chain": {"type": "cyclic", "weights": {"a": 1.5}, "moduli": [2]}},
+        [], "'weights'"),
+    "fiber-kernel-weights-string": (
+        {"group": FREE_2,
+         "chain": {"type": "fiber", "inner": HOMOLOGY_2,
+                   "kernel": {"weights": {"a": "x"}, "modulus": 2}}},
+        [], "'weights'"),
+    "subgroup-words-number": (
+        {"group": FREE_2,
+         "chain": {"type": "fiber", "inner": HOMOLOGY_2,
+                   "subgroup_words": [1]}},
+        [], "'subgroup_words'"),
+    "relators-number": (
+        {"group": {"presentation": {"generators": ["a"], "relators": [3]}},
+         "chain": HOMOLOGY_2},
+        [], "'relators'"),
 }
 
 

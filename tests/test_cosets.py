@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradlab.cosets import (
     todd_coxeter,
@@ -12,11 +13,12 @@ from gradlab.cosets import (
 )
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
-from gradlab.permgrp import Perm, word_image
+from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.words import presentation_from_texts, abelianized_relator_matrix
 from oracles import (
     alternating_tetrahedral_images,
     count_transitive_pairs,
+    element_action_rows,
     factorial,
     gaussian_rank_fractions,
 )
@@ -135,7 +137,7 @@ def test_rewritten_first_homology_matches_cover_complex():
 
 def test_regular_action_table(free2):
     images = [Perm((1, 0, 2)), Perm((0, 2, 1))]
-    t = regular_action_table(free2, images)
+    t = regular_action_table(free2, images, PermGroup(3, images).base())
     assert t.num_cosets == 6
     group, action = perm_rep(t)
     assert group.order() == 6
@@ -147,12 +149,48 @@ def test_regular_action_table(free2):
 def test_regular_action_budget(free2):
     images = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
     with pytest.raises(ResourceExhausted):
-        regular_action_table(free2, images, max_order=30)
+        regular_action_table(free2, images, PermGroup(5, images).base(),
+                             max_order=30)
+
+
+@st.composite
+def block_groups(draw):
+    """Generator images on at most 8 points, each a permutation of every
+    block of a random partition into blocks of at most 5 points, so the
+    order stays at most 720."""
+    sizes = []
+    while not sizes or (sum(sizes) < 8 and draw(st.booleans())):
+        sizes.append(draw(st.integers(1, min(5, 8 - sum(sizes)))))
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        image, offset = [], 0
+        for size in sizes:
+            block = draw(st.permutations(range(size)))
+            image += [offset + x for x in block]
+            offset += size
+        images.append(tuple(image))
+    return images
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_groups())
+def test_regular_action_table_on_a_base_matches_the_element_oracle(images):
+    p = presentation_from_texts(tuple(f"x{i}" for i in range(len(images))), ())
+    perms = [Perm(img) for img in images]
+    group = PermGroup(len(images[0]), perms)
+    rows = element_action_rows(images)
+    assert regular_action_table(p, perms, group.base()).table == rows
+    zero = orbit(0, perms)
+    if len(zero) < len(rows):
+        # 0 alone is no base: the walk is the action on its orbit
+        short = regular_action_table(p, perms, (0,))
+        assert short.num_cosets == len(zero) < len(rows)
 
 
 def test_normal_core(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
-    core = regular_action_table(sym3, perm_rep(t)[1])
+    group, images = perm_rep(t)
+    core = regular_action_table(sym3, images, group.base())
     assert core.num_cosets == 6
 
 

@@ -1,0 +1,42 @@
+"""Two constraints on what the code may import.
+
+The runtime uses only the standard library, so every import in
+src/gradlab is relative or names a standard-library module.  The oracles
+import nothing from gradlab, so a bug in the library cannot hide in the
+reference it is checked against.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_modules(path):
+    """(level, module) of every import statement in a file; level is 0
+    for an absolute import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+    return found
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    assert len(sources) >= 10
+    outside = [(path.name, module) for path in sources
+               for level, module in imported_modules(path)
+               if level == 0
+               and module.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_the_oracles_import_nothing_from_gradlab():
+    modules = imported_modules(ROOT / "tests" / "oracles.py")
+    assert modules
+    assert all(level == 0 and module.split(".")[0] != "gradlab"
+               for level, module in modules)
