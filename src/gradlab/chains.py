@@ -15,7 +15,7 @@ other level by Schreier-Sims, at any degree.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .cosets import (DEFAULT_MAX_COSETS, low_index_subgroups, perm_rep,
                      regular_action_table)
@@ -28,12 +28,36 @@ from .words import abelianized_relator_matrix, product_presentation
 @dataclass(frozen=True)
 class ChainLevel:
     """One finite quotient: the image group, generator images, the index of
-    the kernel, and a human-readable construction tag."""
+    the kernel, and a human-readable construction tag.
+
+    The orbits of the images and whether the level is regular are worked
+    out once per level, on first use.  Regular means the orbit of 0 has
+    `index` points; on a validated level the quotient then acts regularly
+    on that orbit, so only the identity fixes 0.
+    """
 
     quotient: PermGroup
     images: tuple
     index: int
     provenance: str
+
+    @cached_property
+    def orbits(self):
+        """The size of every orbit of the images, keyed by its least point,
+        least points in increasing order."""
+        seen = [False] * self.quotient.degree
+        sizes = {}
+        for x in range(len(seen)):
+            if not seen[x]:
+                points = orbit(x, self.images)
+                sizes[x] = len(points)
+                for y in points:
+                    seen[y] = True
+        return sizes
+
+    @property
+    def regular(self):
+        return self.orbits[0] == self.index
 
 
 @dataclass(frozen=True)
@@ -55,10 +79,12 @@ class Chain:
         InvariantViolation.
 
         An orbit map x.w -> y.w is well defined exactly when every word
-        fixing x fixes y.  A level whose orbit of 0 has `index` points
-        must map 0 onto 0.s for every generator s, so its stabilizer of 0
-        is normal, and onto the least point of every other orbit, so that
-        stabilizer is the kernel and the quotient has `index` elements.
+        fixing x fixes y.  A regular level, one whose orbit of 0 has
+        `index` points, must map 0 onto 0.s for every generator s, so its
+        stabilizer of 0 is normal, and onto the least point of every other
+        orbit, so that stabilizer is the kernel and the quotient has
+        `index` elements.  Both facts come from the level's own orbits,
+        worked out once; the images' degrees are checked before any walk.
         A level of a product chain must hold each factor's level n on a
         block of its own: image j is the factor's image, moved to the
         factor's block and fixing every other point, and the index must be
@@ -71,7 +97,8 @@ class Chain:
         maps onto the coarse least point; the fine kernel then fixes every
         coarse point.  Every constructor here yields such a witness.  A
         hand-built pair whose kernels nest without one is rejected: a false
-        alarm, never a false pass.
+        alarm, never a false pass.  The walks from one level share one list
+        over its points, so each costs the orbit it walks.
         """
         if not self.levels:
             raise ValueError("chain has no levels")
@@ -83,7 +110,7 @@ class Chain:
             raise InvariantViolation("a factor chain has fewer levels than "
                                      "its product")
         last = 0
-        leaders = []
+        blanks = []
         for n, level in enumerate(self.levels):
             if len(level.images) != width:
                 raise InvariantViolation(f"level {n} image count changed")
@@ -100,8 +127,7 @@ class Chain:
                     if word_image(r, level.images) != ident:
                         raise InvariantViolation(
                             f"relator {j} survives in level {n} quotient")
-            zero_orbit = orbit(0, level.images)
-            leaders.append(_orbit_leaders(level, zero_orbit))
+            blanks.append([-1] * level.quotient.degree)
             if self.factors:
                 parts = [c.levels[n] for c in self.factors]
                 if level.images != _block_images(parts):
@@ -113,10 +139,11 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n} index {level.index} != {index}, the "
                         "product of its factor indices")
-            elif len(zero_orbit) == level.index:
+            elif level.regular:
                 targets = {s.images[0] for s in level.images}
-                targets.update(leaders[n][1:])
-                if not all(_maps_onto(level, level, 0, y) for y in targets):
+                targets.update(x for x in level.orbits if x)
+                if not all(_maps_onto(level, level, 0, y, blanks[n])
+                           for y in targets):
                     raise InvariantViolation(
                         f"level {n} has an orbit of {level.index} points "
                         "but does not act regularly on it")
@@ -127,8 +154,9 @@ class Chain:
                                              f"!= quotient order {order}")
         for n in range(len(self.levels) - 1):
             a, b = self.levels[n], self.levels[n + 1]
-            for c in leaders[n]:
-                if not any(_maps_onto(b, a, f, c) for f in leaders[n + 1]):
+            for c in a.orbits:
+                if not any(_maps_onto(b, a, f, c, blanks[n + 1])
+                           for f in b.orbits):
                     raise InvariantViolation(
                         f"level {n + 1} kernel is not contained in level {n}")
         return self
@@ -146,37 +174,29 @@ def _block_images(parts):
     return tuple(images)
 
 
-def _maps_onto(src, dst, x, y):
+def _maps_onto(src, dst, x, y, image):
     """Whether x.w -> y.w is well defined on the orbit of x under the src
     level's images, that is, whether every word fixing x under src fixes y
-    under dst.  The orbit is walked breadth first."""
-    image = [-1] * src.quotient.degree
+    under dst.  The orbit is walked breadth first, its images written into
+    image, a list of -1 over src's points, which the walk leaves as it
+    found it; so a walk costs its orbit, not src's degree."""
     image[x] = y
     queue = [x]
     pairs = [(s.images, t.images) for s, t in zip(src.images, dst.images)]
-    for p in queue:
-        q = image[p]
-        for s, t in pairs:
-            z = s[p]
-            if image[z] < 0:
-                image[z] = t[q]
-                queue.append(z)
-            elif image[z] != t[q]:
-                return False
-    return True
-
-
-def _orbit_leaders(level, zero_orbit):
-    """The least point of every orbit of the level's images, given the
-    orbit of 0."""
-    seen = [False] * level.quotient.degree
-    leaders = []
-    for x in range(len(seen)):
-        if not seen[x]:
-            leaders.append(x)
-            for y in zero_orbit if x == 0 else orbit(x, level.images):
-                seen[y] = True
-    return leaders
+    try:
+        for p in queue:
+            q = image[p]
+            for s, t in pairs:
+                z = s[p]
+                if image[z] < 0:
+                    image[z] = t[q]
+                    queue.append(z)
+                elif image[z] != t[q]:
+                    return False
+        return True
+    finally:
+        for p in queue:
+            image[p] = -1
 
 
 def _make_chain(group, levels, notes, factors=()):
@@ -205,7 +225,7 @@ def _require_ladder(moduli):
                              f"{a} does not divide {b}")
 
 
-def core_chain(p, bounds, max_nodes=None):
+def core_chain(p, bounds):
     """Kernels of the action on every coset space of index up to each bound.
 
     The level quotient is the image of the group acting on the disjoint
@@ -217,10 +237,7 @@ def core_chain(p, bounds, max_nodes=None):
         raise ValueError(f"bounds must be strictly increasing, got {bounds!r}")
     levels = []
     for bound in bounds:
-        if max_nodes is None:
-            tables = low_index_subgroups(p, bound)
-        else:
-            tables = low_index_subgroups(p, bound, max_nodes)
+        tables = low_index_subgroups(p, bound)
         reps = [perm_rep(t)[1] for t in tables]
         images = tuple(direct_sum_perm(tuple(r[g] for r in reps))
                        for g in range(p.num_generators))
@@ -434,20 +451,18 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
     """Coset table of the level kernel, one row per quotient element, by
     regular_action_table's walk over the images of a base.
 
-    The base is (0,) when the orbit of 0 has `index` points: by orbit and
-    stabilizer, only the identity then fixes 0.  Otherwise it is the
-    quotient's Schreier-Sims base, which core and fiber levels have cached.
-    Chain.validate has certified `index` as the quotient's order, so a
-    table of `index` rows proves that only the identity fixes the base;
-    any other row count raises InvariantViolation.
+    The base is (0,) on a regular level: by orbit and stabilizer, only the
+    identity then fixes 0.  Otherwise it is the quotient's Schreier-Sims
+    base, which core and fiber levels have cached.  Chain.validate has
+    certified `index` as the quotient's order, so a table of `index` rows
+    proves that only the identity fixes the base; any other row count
+    raises InvariantViolation.
     """
     if level.index > max_cosets:
         raise ResourceExhausted(f"level index {level.index} exceeds the "
                                 f"coset budget", limit=max_cosets,
                                 reached=level.index)
-    base = (0,)
-    if len(orbit(0, level.images)) != level.index:
-        base = level.quotient.base()
+    base = (0,) if level.regular else level.quotient.base()
     table = regular_action_table(p, level.images, base, max_cosets)
     if table.num_cosets != level.index:
         raise InvariantViolation(f"walking the images of base {base} gave "

@@ -10,7 +10,7 @@ limit always produce the identical table.
 
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import Perm, PermGroup, _invert
-from .words import Presentation, Word, free_reduce, render_word
+from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
 
@@ -289,42 +289,6 @@ def schreier_generators(t):
             gens.append(transversal[alpha] * Word(((g, 1),))
                         * transversal[beta].inverse())
     return gens
-
-
-def reidemeister_schreier(t):
-    """Presentation of the subgroup a coset table describes.
-
-    Generators: one symbol per non-tree positive edge of the Schreier tree,
-    k(|X|-1)+1 of them for k cosets over |X| ambient generators, numbered
-    as spanning_tree numbers them.  Relators: each ambient relator
-    rewritten from each coset, k|R| in all (kept even when they reduce to
-    nothing, so the counts stay exact).
-    """
-    symbol = spanning_tree(t)[1]
-    ngens = t.presentation.num_generators
-    names = tuple(f"s{i}" for i in range(sum(s is not None for s in symbol)))
-
-    def rewrite(alpha, r):
-        runs = []
-        cur = alpha
-        for gen, sign in r.letters():
-            if sign < 0:
-                cur = t.table[cur][2 * gen + 1]
-            s = symbol[cur * ngens + gen]
-            if s is not None:
-                runs.append((s, sign))
-            if sign > 0:
-                cur = t.table[cur][2 * gen]
-        if cur != alpha:
-            raise InvariantViolation(f"relator trace did not close from coset {alpha}")
-        return free_reduce(Word(tuple(runs)))
-
-    relators = []
-    for alpha in range(t.num_cosets):
-        for r in t.presentation.relators:
-            relators.append(rewrite(alpha, r))
-    return Presentation(names, tuple(relators),
-                        aspherical=t.presentation.aspherical)
 
 
 def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):

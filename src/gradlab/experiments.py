@@ -46,11 +46,11 @@ class ResolvedGroup:
 def _tower_spec_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError(f"tower spec must be an object, got {d!r}")
-    base = tuple(block_from_dict(b) for b in d.get("base", ()))
+    base = tuple(block_from_dict(b) for b in need(d, "base", "tower", list))
     if not base:
         raise ValueError("tower needs at least one base block")
     stages = []
-    for s in d.get("stages", ()):
+    for s in need(d, "stages", "tower", list) if "stages" in d else ():
         kind = s.get("type") if isinstance(s, dict) else None
         where = f"tower {kind} stage"
         if kind == "torus":
@@ -119,6 +119,9 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
         raise ValueError(f"chain spec must be a dict with a type, got {spec!r}")
     kind = spec["type"]
     p = group.presentation
+    if not p.num_generators:
+        raise ValueError(f"group {group.name!r} has no generators, so no "
+                         "chain of finite-index subgroups descends in it")
     where = f"{kind} chain"
     if kind == "core":
         return core_chain(p, need(spec, "bounds", where, list, int))
@@ -251,8 +254,7 @@ def _plan_rank(cfg, group, chain):
         row["d_lower"] = b[1]
         extra = {"provenance": level.provenance}
         if group.graph is not None:
-            vv = subgroup_volume_vector(group.graph, level.quotient,
-                                        level.images, level.index)
+            vv = subgroup_volume_vector(group.graph, level)
             row["d_upper"] = vv[1] - vv[0] + 1
             extra["volume_vector"] = list(vv.entries)
         else:
@@ -286,8 +288,7 @@ def _plan_deficiency(cfg, group, chain):
         row = _betti_row(n, level, QQ, numbers[QQ])
         extra = {"provenance": level.provenance}
         if group.graph is not None:
-            vv = subgroup_volume_vector(group.graph, level.quotient,
-                                        level.images, level.index)
+            vv = subgroup_volume_vector(group.graph, level)
             row["def_upper"] = vv[2] - vv[1] + vv[0] - 1
             extra["volume_vector"] = list(vv.entries)
         else:
@@ -322,8 +323,7 @@ def _plan_volume(cfg, group, chain):
     check_edges = vertex_cells <= k and k >= 2
 
     def fill(n, level, cx, numbers):
-        vv = subgroup_volume_vector(graph, level.quotient, level.images,
-                                    level.index)
+        vv = subgroup_volume_vector(graph, level)
         ratio = Fraction(vv[k], level.index)
         row = _row(CSV_COLUMNS, level=n, index=level.index, vol2_ratio=ratio)
         extra = {"provenance": level.provenance,
@@ -392,8 +392,7 @@ def _plan_mvcheck(cfg, group, chain):
     graph = group.graph
 
     def fill(n, level, cx, numbers):
-        vertex_rows, edge_rows = subgroup_shadows(graph, level.quotient,
-                                                  level.images, level.index)
+        vertex_rows, edge_rows = subgroup_shadows(graph, level)
         for f in cfg.fields:
             b = numbers[f]
             for j in (1, 2):

@@ -10,15 +10,13 @@ Pushing down needs, for each vertex and edge group, its shadow: the order
 [G_v : B n G_v] of its image in the quotient, and the count
 [G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
 cyclic or trivial, so its order is the lcm of the cycle lengths of the edge
-word's image.  A level is regular when the orbit of point 0 under all the
-images has [G : B] points, the test level_coset_table uses too.  On a
-chain level Chain.validate has certified that the quotient then acts
-regularly on that orbit, and a vertex image's order is the size of the
-orbit of 0 under its generators.  On a level that is not regular (a core
-or product chain, say), a vertex carrying every one of the images has the
-quotient's own order, which a core level cached when it was built; only a
-vertex carrying some of them runs Schreier-Sims, once, for the order of
-its image.
+word's image.  The readers take a chain level, whose index Chain.validate
+has certified as the quotient's order.  A vertex carrying every one of the
+images has that order.  On a regular level (ChainLevel.regular) the
+quotient acts regularly on the orbit of 0, so a vertex image's order is the
+size of the orbit of 0 under its generators; on any other level (a core or
+product chain, say) a vertex carrying some of the images runs
+Schreier-Sims, once, for the order of its image.
 """
 
 import math
@@ -355,10 +353,10 @@ def _edge_local_indices(layout, images):
             for e in layout.graph.edges]
 
 
-def subgroup_shadows(g, quotient, images, index):
-    """How each vertex and edge group meets B = ker(G -> quotient), where
-    quotient is the group the images generate and index = [G : B] is its
-    order.
+def subgroup_shadows(g, level):
+    """How each vertex and edge group meets B, the kernel of the map
+    sending the generators of G to the chain level's images, of index
+    [G : B] = level.index.
 
     Returns two lists of (block, copies, local_index) triples, vertices then
     edges, where local_index = [G_v : B n G_v] is the order of the local
@@ -367,23 +365,23 @@ def subgroup_shadows(g, quotient, images, index):
     """
     layout = _Layout(g)
     p = layout.presentation()
+    images, index = level.images, level.index
     if len(images) != len(p.generator_names):
         raise ValueError(f"{len(images)} images for {len(p.generator_names)} generators")
     for r in p.relators:
         if not word_image(r, images).is_identity():
             raise ValueError(f"images do not satisfy relator {p.render(r)!r}")
 
-    regular = len(orbit(0, images)) == index
     vertex_rows = []
     for v, block in enumerate(g.vertices):
         off = layout.offsets[v]
         v_images = images[off:off + layout.vertex_gen_counts[v]]
-        if regular:
+        if len(v_images) == len(images):
+            local_index = index
+        elif level.regular:
             local_index = len(orbit(0, v_images))
-        elif len(v_images) == len(images):
-            local_index = quotient.order()
         else:
-            local_index = PermGroup(quotient.degree, v_images).order()
+            local_index = PermGroup(level.quotient.degree, v_images).order()
         vertex_rows.append((block, _copies(index, local_index), local_index))
     edge_rows = [(e.block, _copies(index, local_index), local_index)
                  for e, local_index in zip(g.edges,
@@ -391,16 +389,17 @@ def subgroup_shadows(g, quotient, images, index):
     return vertex_rows, edge_rows
 
 
-def subgroup_volume_vector(g, quotient, images, index):
-    """Volume vector of B = ker(G -> quotient), of index [G : B] = index,
-    from the covering formula:
+def subgroup_volume_vector(g, level):
+    """Volume vector of the chain level's kernel B, of index
+    [G : B] = level.index, from the covering formula:
 
         r_k(B) = sum_v [G:BG_v] r_k(B n G_v) + sum_e [G:BG_e] r_{k-1}(B n G_e)
 
-    The counts [G:BG_v] and the local indices [G_v : B n G_v] are read off
-    from the images of vertex generators and edge words in the quotient.
+    The counts [G:BG_v] and the local indices [G_v : B n G_v] are
+    subgroup_shadows', read off the images of vertex generators and edge
+    words in the level's quotient.
     """
-    vertex_rows, edge_rows = subgroup_shadows(g, quotient, images, index)
+    vertex_rows, edge_rows = subgroup_shadows(g, level)
     pieces = [(copies, block.sub_volume_vector(local_index), 0)
               for block, copies, local_index in vertex_rows]
     pieces.extend((copies, block.sub_volume_vector(local_index), 1)
@@ -452,7 +451,7 @@ def block_from_dict(d):
         return TRIVIAL_BLOCK
     if kind == "cyclic":
         return CYCLIC_BLOCK
-    if kind not in _SIZED_BLOCKS:
+    if not isinstance(kind, str) or kind not in _SIZED_BLOCKS:
         raise ValueError(f"unknown block type {kind!r}")
     cls, key = _SIZED_BLOCKS[kind]
     return cls(need(d, key, f"{kind} block", int))

@@ -222,9 +222,6 @@ class ChainComplex:
             if not self.boundaries[i].multiply(self.boundaries[i + 1]).is_zero():
                 raise InvariantViolation(f"boundary composite {i + 2} -> {i} is nonzero")
 
-    def euler_characteristic(self):
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
-
 
 def betti(complex_, field):
     """Betti numbers over the field, one per dimension of the complex."""

@@ -146,15 +146,47 @@ def test_cover_images_reduce_only_the_wrap_points(monkeypatch):
 
 
 def test_validate_walks_the_orbit_of_0_once_per_level(monkeypatch):
-    chain = homology_cover_chain(catalog()["surface_2"].presentation, (2, 4))
     walks = []
 
     def counted(point, perms):
         walks.append(point)
         return orbit(point, perms)
     monkeypatch.setattr(chains, "orbit", counted)
+    chain = homology_cover_chain(catalog()["surface_2"].presentation, (2, 4))
+    assert walks == [0, 0]
+    # the level keeps its orbits: validating again walks nothing
     chain.validate()
     assert walks == [0, 0]
+
+
+def test_validate_walks_cost_their_orbits_not_the_degree(free2, monkeypatch):
+    # index 1 on m fixed points: m orbits, and validate maps 0 onto the
+    # least point of each; each walk must write only the cells of its orbit
+    m = 20000
+    ambient = cyclic_cover_chain(free2, {"a": 1}, [m])
+    real = chains._maps_onto
+    cells = [0]
+    spied = {}
+
+    class Cells(list):
+        def __setitem__(self, i, value):
+            cells[0] += 1
+            super().__setitem__(i, value)
+
+    def spy(src, dst, x, y, image=None):
+        if image is None:
+            # a walk that makes a list of its own writes every cell of it
+            cells[0] += src.quotient.degree
+            return real(src, dst, x, y)
+        if id(image) not in spied:
+            cells[0] += len(image)
+            spied[id(image)] = (image, Cells(image))
+        return real(src, dst, x, y, spied[id(image)][1])
+    monkeypatch.setattr(chains, "_maps_onto", spy)
+    fiber = fiber_restrict(ambient, [free2.word("b")])
+    assert fiber.indices() == (1,)
+    assert cells[0] <= 4 * m
+    assert fiber.levels[0].orbits == dict.fromkeys(range(m), 1)
 
 
 def test_core_chain(free2):

@@ -249,6 +249,28 @@ BAD_INPUTS = {
         {"group": {"presentation": {"generators": ["a"], "relators": [3]}},
          "chain": HOMOLOGY_2},
         [], "'relators'"),
+    "tower-base-number": (
+        {"group": {"tower": {"base": 5}}, "chain": HOMOLOGY_2},
+        [], "'base'"),
+    # a string base was read one character at a time
+    "tower-base-string": (
+        {"group": {"tower": {"base": "x"}}, "chain": HOMOLOGY_2},
+        [], "'base'"),
+    "tower-stages-number": (
+        {"group": {"tower": {"base": [{"type": "free", "rank": 2}],
+                             "stages": 5}},
+         "chain": HOMOLOGY_2},
+        [], "'stages'"),
+    # found by the config fuzzer
+    "block-type-object": (
+        {"group": {"graph": {"vertices": [{"type": {"free": 1}, "rank": 2}],
+                             "edges": []}},
+         "chain": HOMOLOGY_2},
+        [], "block type"),
+    "presentation-without-a-generator": (
+        {"group": {"presentation": {"generators": []}},
+         "chain": {"type": "core", "bounds": [2]}},
+        [], "no generators"),
 }
 
 

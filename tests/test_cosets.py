@@ -6,7 +6,6 @@ from gradlab.cosets import (
     perm_rep,
     schreier_tree,
     schreier_generators,
-    reidemeister_schreier,
     regular_action_table,
     standardized_table,
     low_index_subgroups,
@@ -14,13 +13,14 @@ from gradlab.cosets import (
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
-from gradlab.words import presentation_from_texts, abelianized_relator_matrix
+from gradlab.words import presentation_from_texts
 from oracles import (
     alternating_tetrahedral_images,
     count_transitive_pairs,
     element_action_rows,
     factorial,
-    gaussian_rank_fractions,
+    full_covering_complex,
+    predicted_betti,
 )
 
 
@@ -104,35 +104,39 @@ def test_schreier_generator_count_free_group(free2):
         assert len(schreier_generators(t)) == k + 1
 
 
-def test_rewriting_counts_and_euler_identity():
+def _genus_two_index_two_table():
     surf = presentation_from_texts(
         ("a1", "b1", "a2", "b2"),
         ("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1",))
-    t = todd_coxeter(surf, tuple(surf.word(w) for w in (
+    return todd_coxeter(surf, tuple(surf.word(w) for w in (
         "a1", "b1", "a2", "b2^2", "b2 a1 b2^-1", "b2 b1 b2^-1", "b2 a2 b2^-1")))
+
+
+def test_rewriting_counts_and_euler_identity():
+    t = _genus_two_index_two_table()
     k = t.num_cosets
     assert k == 2
-    sub = reidemeister_schreier(t)
-    assert sub.num_generators == k * (4 - 1) + 1
-    assert len(sub.relators) == k * 1
+    # the collapsed cover: one vertex, k(|X|-1)+1 edges off the tree and
+    # k|R| faces, the cells of the rewritten subgroup presentation
+    cx = covering_complex(t)
+    assert cx.dims == (1, k * (4 - 1) + 1, k * 1) == (1, 7, 2)
+    dims, _ = full_covering_complex(t)
+    assert dims == (k, k * 4, k * 1)
     # Euler characteristic is multiplicative in the index
-    assert 1 - sub.num_generators + len(sub.relators) == k * (1 - 4 + 1)
+    euler = 1 - cx.dims[1] + cx.dims[2]
+    assert euler == dims[0] - dims[1] + dims[2] == k * (1 - 4 + 1)
 
 
 def test_rewritten_first_homology_matches_cover_complex():
-    # b1 of the subgroup two ways: abelianized rewritten presentation
-    # versus the chain complex of the covering 2-complex
-    surf = presentation_from_texts(
-        ("a1", "b1", "a2", "b2"),
-        ("a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1",))
-    t = todd_coxeter(surf, tuple(surf.word(w) for w in (
-        "a1", "b1", "a2", "b2^2", "b2 a1 b2^-1", "b2 b1 b2^-1", "b2 a2 b2^-1")))
-    sub = reidemeister_schreier(t)
-    mat = abelianized_relator_matrix(sub)
-    b1_presentation = sub.num_generators - gaussian_rank_fractions(mat)
-    cx = covering_complex(t)
-    b1_complex = betti(cx, FieldSpec.rationals())[1]
-    assert b1_presentation == b1_complex == 6
+    # b1 of the subgroup two ways: the whole cover of the presentation
+    # complex, ranked by the oracle, versus the collapsed covering complex
+    t = _genus_two_index_two_table()
+    dims, maps = full_covering_complex(t)
+    rows = [[[m.get((r, c), 0) for c in range(dims[i + 1])]
+             for r in range(dims[i])] for i, m in enumerate(maps)]
+    b1_full = predicted_betti(dims, rows)[1]
+    b1_complex = betti(covering_complex(t), FieldSpec.rationals())[1]
+    assert b1_full == b1_complex == 6
 
 
 def test_regular_action_table(free2):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from gradlab.gog import (
     coset_ratio_check,
     graph_from_dict,
 )
-from gradlab.chains import core_chain, cyclic_cover_chain, homology_cover_chain
+from gradlab import chains, gog
+from gradlab.chains import (ChainLevel, core_chain, cyclic_cover_chain,
+                            homology_cover_chain, level_coset_table)
 from gradlab.errors import InvariantViolation
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog, double_of_free
@@ -29,11 +32,14 @@ from gradlab.words import parse_word
 from oracles import closure_shadows
 
 
-def cyclic_quotient(m, exponents):
-    """Quotient Z/m with each generator acting as +e on m points."""
+def cyclic_level(m, exponents, index=None):
+    """A level onto Z/m with each generator acting as +e on m points, of
+    index m unless another is given."""
     group = PermGroup(m, [Perm(tuple((x + 1) % m for x in range(m)))])
-    images = [Perm(tuple((x + e) % m for x in range(m))) for e in exponents]
-    return group, images
+    images = tuple(Perm(tuple((x + e) % m for x in range(m)))
+                   for e in exponents)
+    return ChainLevel(group, images, m if index is None else index,
+                      f"Z/{m} by {exponents}")
 
 
 def test_volume_vector_behaviour():
@@ -133,8 +139,7 @@ def test_fundamental_presentation_loop_edge():
 def test_subgroup_volume_vector_double(double):
     p = fundamental_presentation(double)
     # kill both vertex words mod 2 by sending every generator to the flip
-    group, images = cyclic_quotient(2, (1, 1, 1, 1))
-    vv = subgroup_volume_vector(double, group, images, group.order())
+    vv = subgroup_volume_vector(double, cyclic_level(2, (1, 1, 1, 1)))
     # both vertex groups survive with local index 2, the edge word a b
     # has image of order 1, so the edge splits into two trivial-meeting copies
     assert vv.entries == (2, 8, 2)
@@ -142,23 +147,23 @@ def test_subgroup_volume_vector_double(double):
 
 
 def test_subgroup_shadow_bookkeeping(double):
-    group, images = cyclic_quotient(2, (1, 0, 1, 0))
-    vertex_rows, edge_rows = subgroup_shadows(double, group, images, group.order())
+    level = cyclic_level(2, (1, 0, 1, 0))
+    vertex_rows, edge_rows = subgroup_shadows(double, level)
     assert [(copies, local) for _, copies, local in vertex_rows] == [(1, 2), (1, 2)]
     # edge word a b maps to the flip: one copy, local index 2
     assert [(copies, local) for _, copies, local in edge_rows] == [(1, 2)]
-    assert edge_shadow_indices(double, images) == [2]
-    vv = subgroup_volume_vector(double, group, images, group.order())
+    assert edge_shadow_indices(double, level.images) == [2]
+    vv = subgroup_volume_vector(double, level)
     assert vv.entries == (2, 7, 1)
     assert vv.euler() == -4
 
 
 def test_subgroup_volume_vector_rejects_bad_images(double):
-    group, images = cyclic_quotient(2, (1, 0, 0, 0))
+    level = cyclic_level(2, (1, 0, 0, 0))
     with pytest.raises(ValueError):
-        subgroup_volume_vector(double, group, images, group.order())
+        subgroup_volume_vector(double, level)
     with pytest.raises(ValueError):
-        subgroup_volume_vector(double, group, images[:2], group.order())
+        subgroup_volume_vector(double, replace(level, images=level.images[:2]))
 
 
 def test_coset_ratio_identity():
@@ -195,10 +200,10 @@ def test_graph_from_dict_round_trip():
 
 def test_relator_images_checked_through_lift(double):
     p = fundamental_presentation(double)
-    group, images = cyclic_quotient(3, (1, 0, 1, 0))
+    level = cyclic_level(3, (1, 0, 1, 0))
     for r in p.relators:
-        assert word_image(r, images).is_identity()
-    vv = subgroup_volume_vector(double, group, images, group.order())
+        assert word_image(r, level.images).is_identity()
+    vv = subgroup_volume_vector(double, level)
     # index 3: two free rank-4 pieces joined along three cyclic stripes
     assert vv.entries == (2, 9, 1)
     assert vv.euler() == 3 * euler_characteristic(double)
@@ -207,6 +212,7 @@ def test_relator_images_checked_through_lift(double):
 def _assert_shadows_match_closure(graph, level, regular):
     """subgroup_shadows on a level equals the closure oracle, and the level
     takes the route (orbit counts or Schreier-Sims) the caller expects."""
+    assert level.regular == regular
     assert (len(orbit(0, level.images)) == level.index) == regular
     # generator positions as fundamental_presentation lays them out
     offsets = list(itertools.accumulate(
@@ -219,7 +225,7 @@ def _assert_shadows_match_closure(graph, level, regular):
     want = closure_shadows(level.quotient.degree,
                            [img.images for img in level.images],
                            vertex_gens, edge_words)
-    rows = subgroup_shadows(graph, level.quotient, level.images, level.index)
+    rows = subgroup_shadows(graph, level)
     got = tuple([(copies, local) for _, copies, local in r] for r in rows)
     assert got == want
     assert edge_shadow_indices(graph, level.images) == [
@@ -254,7 +260,25 @@ def test_shadows_match_closure_off_transitive_levels():
     _assert_shadows_match_closure(double.graph, level, False)
 
 
+def test_a_level_walks_its_orbit_of_0_once(monkeypatch):
+    # validate, both coset tables and both volume vectors read the one walk
+    # each level made when the chain was built
+    walks = []
+
+    def counted(point, perms):
+        walks.append(point)
+        return orbit(point, perms)
+    monkeypatch.setattr(chains, "orbit", counted)
+    monkeypatch.setattr(gog, "orbit", counted)
+    entry = catalog()["surface_2"]
+    chain = homology_cover_chain(entry.presentation, [2, 4]).validate()
+    for level in chain.levels:
+        assert level_coset_table(chain.group, level).num_cosets == level.index
+        subgroup_volume_vector(entry.graph, level)
+    assert walks == [0, 0]
+    assert [level.regular for level in chain.levels] == [True, True]
+
+
 def test_shadows_reject_an_index_the_local_orders_do_not_divide(double):
-    group, images = cyclic_quotient(2, (1, 0, 1, 0))
     with pytest.raises(InvariantViolation):
-        subgroup_shadows(double, group, images, 3)
+        subgroup_shadows(double, cyclic_level(2, (1, 0, 1, 0), index=3))

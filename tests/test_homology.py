@@ -130,6 +130,10 @@ def test_rank_matches_the_oracles(m):
         assert rank(m, FieldSpec.gf(p)) == want
 
 
+def euler(cx):
+    return sum((-1) ** i * d for i, d in enumerate(cx.dims))
+
+
 def full_complex(t):
     """The oracle's whole cover as a library ChainComplex."""
     dims, maps = full_covering_complex(t)
@@ -202,7 +206,7 @@ def test_chain_complex_validation():
 def test_circle_and_euler():
     cx = ChainComplex((1, 1), (Matrix(1, 1),))
     assert betti(cx, QQ) == [1, 1]
-    assert cx.euler_characteristic() == 0
+    assert euler(cx) == 0
 
 
 def test_projective_plane_covering_complex():
@@ -212,7 +216,7 @@ def test_projective_plane_covering_complex():
     assert full.dims == (2, 2, 2)
     cx = covering_complex(t)
     assert cx.dims == (1, 1, 2)
-    assert cx.euler_characteristic() == full.euler_characteristic() == 2
+    assert euler(cx) == euler(full) == 2
     assert betti(cx, QQ) == betti(full, QQ) == [1, 0, 1]  # a sphere
     sub = todd_coxeter(p, (p.word("a"),))
     one = covering_complex(sub)
@@ -228,7 +232,7 @@ def _check_against_full_cover(t):
     assert cx.dims == (1, k * (nx - 1) + 1, k * len(t.presentation.relators))
     assert cx.boundaries[0].nnz == 0
     full = full_complex(t)
-    assert cx.euler_characteristic() == full.euler_characteristic()
+    assert euler(cx) == euler(full)
     for field in (QQ, GF2, GF3):
         assert betti(cx, field) == betti(full, field)
 
@@ -330,7 +334,7 @@ def test_torus_complex():
     cx = covering_complex(t)
     assert betti(cx, QQ) == [1, 2, 1]
     assert betti(cx, GF2) == [1, 2, 1]
-    assert cx.euler_characteristic() == 0
+    assert euler(cx) == 0
 
 
 def test_kunneth_dims_match_subset_oracle():
