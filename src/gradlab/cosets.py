@@ -9,7 +9,7 @@ limit always produce the identical table.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, _invert
+from .permgrp import Perm, PermGroup, inverse_perm
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -304,7 +304,7 @@ def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):
     """
     if len(images) != p.num_generators:
         raise ValueError(f"{len(images)} images for {p.num_generators} generators")
-    columns = [c for g in images for c in (g.images, _invert(g.images))]
+    columns = [c for g in images for c in (g.images, inverse_perm(g).images)]
     if len(base) == 1:
         start, moves = base[0], [c.__getitem__ for c in columns]
     else:

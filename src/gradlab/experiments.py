@@ -1,10 +1,11 @@
 """Gradient experiments over chains of finite-index subgroups.
 
 An experiment pairs a group (catalog entry, presentation, graph of groups,
-tower, or product) with a chain recipe, then walks the chain computing
-homology of the covers, volume vectors, and the sandwich bounds for rank and
-deficiency.  Results land in a flat table with a fixed column set so runs
-can be diffed across tools and re-parsed for regression checks.
+tower, or product), resolved into one towers.Group record, with a chain
+recipe, then walks the chain computing homology of the covers, volume
+vectors, and the sandwich bounds for rank and deficiency.  Results land in
+a flat table with a fixed column set so runs can be diffed across tools and
+re-parsed for regression checks.
 """
 
 import csv
@@ -17,13 +18,12 @@ from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
                      homology_cover_chain, level_coset_table, product_chain)
 from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION, schreier_generators
 from .errors import InvariantViolation, need
-from .gog import (block_from_dict, edge_shadow_indices, euler_characteristic,
-                  fundamental_presentation, graph_from_dict, subgroup_shadows,
-                  subgroup_volume_vector)
+from .gog import (block_from_dict, edge_shadow_indices, graph_from_dict,
+                  subgroup_shadows, subgroup_volume_vector)
 from .homology import QQ, FieldSpec, betti, covering_complex, kunneth_product_dims
-from .towers import SurfaceAttach, TorusAttach, TowerSpec, build_tower, catalog
-from .words import (presentation_euler_characteristic, presentation_from_texts,
-                    product_presentation)
+from .towers import (Group, SurfaceAttach, TorusAttach, TowerSpec, build_tower,
+                     catalog, graph_group, product_group)
+from .words import presentation_euler_characteristic, presentation_from_texts
 
 CSV_COLUMNS = ("level", "index", "field", "b0", "b1", "b2",
                "d_lower", "d_upper", "def_lower", "def_upper",
@@ -32,15 +32,6 @@ MV_COLUMNS = ("level", "index", "field", "j", "lhs", "rhs", "slack")
 
 _FRACTION_COLUMNS = frozenset({"vol2_ratio", "target_rg", "target_dg"})
 _TEXT_COLUMNS = frozenset({"field"})
-
-
-@dataclass(frozen=True)
-class ResolvedGroup:
-    name: str
-    presentation: object
-    euler: int
-    graph: object = None
-    factors: tuple = ()
 
 
 def _tower_spec_from_dict(d):
@@ -59,16 +50,15 @@ def _tower_spec_from_dict(d):
         elif kind == "surface":
             stages.append(SurfaceAttach(
                 need(s, "genus", where, int),
-                tuple(need(s, "boundaries", where, list, str)),
-                bool(s.get("asserted_retraction", True))))
+                tuple(need(s, "boundaries", where, list, str))))
         else:
             raise ValueError(f"unknown tower stage type {kind!r}")
     return TowerSpec(base, tuple(stages))
 
 
 def resolve_group(spec):
-    """Turn a group spec dict into a presentation plus whatever structure
-    (graph of groups, product factors) the spec provides."""
+    """The Group record a spec dict describes.  A catalog spec returns the
+    catalog's own record; a product's factors are their specs' records."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"group spec must be a dict with one key, got {spec!r}")
     (kind, body), = spec.items()
@@ -77,38 +67,24 @@ def resolve_group(spec):
         if not isinstance(body, str) or body not in entries:
             raise ValueError(f"unknown catalog group {body!r}; "
                              f"have {sorted(entries)}")
-        e = entries[body]
-        factors = ()
-        if e.factors:
-            factors = tuple(resolve_group({"catalog": f}) for f in e.factors)
-        return ResolvedGroup(body, e.presentation, e.euler, e.graph, factors)
+        return entries[body]
     if kind == "presentation":
         generators = need(body, "generators", "presentation", list, str)
         relators = (need(body, "relators", "presentation", list, str)
                     if "relators" in body else ())
+        aspherical = ("aspherical" in body
+                      and need(body, "aspherical", "presentation", bool))
         p = presentation_from_texts(tuple(generators), tuple(relators),
-                                    bool(body.get("aspherical", False)))
-        return ResolvedGroup("presentation", p,
-                             presentation_euler_characteristic(p))
+                                    aspherical)
+        return Group("presentation", p, presentation_euler_characteristic(p))
     if kind == "graph":
-        g = graph_from_dict(body)
-        return ResolvedGroup("graph", fundamental_presentation(g),
-                             euler_characteristic(g), g)
+        return graph_group("graph", graph_from_dict(body))
     if kind == "tower":
-        result = build_tower(_tower_spec_from_dict(body))
-        return ResolvedGroup("tower", result.presentation, result.euler,
-                             result.graph)
+        return build_tower(_tower_spec_from_dict(body))
     if kind == "product":
-        factors = tuple(resolve_group(s)
-                        for s in need(body, "factors", "product", list))
-        if len(factors) < 2:
-            raise ValueError("product needs at least two factors")
-        p = product_presentation([f.presentation for f in factors])
-        chi = 1
-        for f in factors:
-            chi *= f.euler
-        name = " x ".join(f.name for f in factors)
-        return ResolvedGroup(name, p, chi, None, factors)
+        factors = [resolve_group(s)
+                   for s in need(body, "factors", "product", list)]
+        return product_group(" x ".join(f.name for f in factors), factors)
     raise ValueError(f"unknown group spec kind {kind!r}")
 
 
@@ -156,7 +132,8 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                 level_coset_table(p, helper.levels[0], max_cosets)))
         else:
             raise ValueError("fiber chain needs subgroup_words or kernel")
-        return fiber_restrict(inner, words, label=spec.get("label", "subgroup"))
+        label = need(spec, "label", where, str) if "label" in spec else "subgroup"
+        return fiber_restrict(inner, words, label=label)
     raise ValueError(f"unknown chain type {kind!r}")
 
 

@@ -22,6 +22,7 @@ Schreier-Sims, once, for the order of its image.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolation, need
 from .permgrp import (Perm, PermGroup, compose, orbit, perm_order,
@@ -215,6 +216,14 @@ class Edge:
 
 @dataclass(frozen=True)
 class GraphOfGroups:
+    """A connected graph of vertex blocks joined by trivial or cyclic edges.
+
+    assertions records what the builder assumed and did not check (that an
+    edge word generates a maximal cyclic subgroup, say).  layout names the
+    generators of the fundamental group and holds its presentation; it is
+    worked out once per graph, on first use, and every reader shares it.
+    """
+
     vertices: tuple
     edges: tuple
     assertions: tuple = ()
@@ -239,6 +248,10 @@ class GraphOfGroups:
                     frontier.append(e.source)
         if len(seen) != len(self.vertices):
             raise ValueError("graph of groups is not connected")
+
+    @cached_property
+    def layout(self):
+        return _Layout(self)
 
 
 class _Layout:
@@ -286,6 +299,7 @@ class _Layout:
         off = self.offsets[vertex]
         return Word(tuple((g + off, e) for g, e in w.runs))
 
+    @cached_property
     def presentation(self):
         g = self.graph
         relators = []
@@ -308,7 +322,7 @@ class _Layout:
 def fundamental_presentation(g):
     """Presentation of the fundamental group: vertex generators renamed
     with their vertex index, plus one stable letter per non-tree edge."""
-    return _Layout(g).presentation()
+    return g.layout.presentation
 
 
 def assembled_volume_vector(g):
@@ -363,8 +377,8 @@ def subgroup_shadows(g, level):
     image and copies = [G : B G_v] = index / local_index counts the lifted
     pieces.
     """
-    layout = _Layout(g)
-    p = layout.presentation()
+    layout = g.layout
+    p = layout.presentation
     images, index = level.images, level.index
     if len(images) != len(p.generator_names):
         raise ValueError(f"{len(images)} images for {len(p.generator_names)} generators")
@@ -416,7 +430,7 @@ def subgroup_volume_vector(g, level):
 def edge_shadow_indices(g, images):
     """[G_e : B n G_e] for each edge: the order of the edge word's image
     (1 for trivial edges).  Useful for slowness diagnostics."""
-    return _edge_local_indices(_Layout(g), images)
+    return _edge_local_indices(g.layout, images)
 
 
 def coset_ratio_check(quotient, h_images):

@@ -1,21 +1,62 @@
-"""Tower constructions and the catalog of stock groups.
+"""The group record, the towers that build groups, and the catalog.
+
+Every group a config names becomes one Group record: its name, its
+presentation, its Euler characteristic, and whatever structure it came
+with, a graph of groups or the records of its direct-product factors.
+graph_group and product_group build the record from a graph and from
+factor records; the catalog and every config spec go through them.
 
 A tower starts from a wedge of base blocks and grows by attaching either a
-torus along a maximal cyclic subgroup (asserted, not verified) or a compact
-surface with boundary along loops, with the usual retraction hypothesis
-recorded as a caller assertion.  Every stage keeps the result a graph of
-groups with cyclic or trivial edges, so the volume calculus applies at
-every height.
+torus along a maximal cyclic subgroup or a compact surface with boundary
+along loops; the maximality of the torus word and the retraction a surface
+attachment needs are the caller's assumptions, not checked.  Every stage
+keeps the result a graph of groups with cyclic or trivial edges, so the
+volume calculus applies at every height.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .errors import InvariantViolation
 from .gog import (AbelianBlock, CYCLIC_BLOCK, Edge, FreeBlock,
-                  GraphOfGroups, SurfaceBlock, TRIVIAL_BLOCK, VolumeVector,
-                  assembled_volume_vector, euler_characteristic,
-                  fundamental_presentation, _Layout)
+                  GraphOfGroups, SurfaceBlock, TRIVIAL_BLOCK,
+                  euler_characteristic)
 from .words import Presentation, Word, parse_word, product_presentation
+
+
+@dataclass(frozen=True)
+class Group:
+    """A group as the experiments read it.  graph is its graph of groups,
+    if it has one; factors are the records of its direct-product factors,
+    if it is a product."""
+
+    name: str
+    presentation: Presentation
+    euler: int
+    graph: GraphOfGroups = None
+    factors: tuple = ()
+
+    @property
+    def aspherical(self):
+        return self.presentation.aspherical
+
+
+def graph_group(name, graph):
+    """The fundamental group of a graph of groups."""
+    return Group(name, graph.layout.presentation,
+                 euler_characteristic(graph), graph)
+
+
+def product_group(name, factors):
+    """The direct product of two or more group records; chi is
+    multiplicative."""
+    factors = tuple(factors)
+    if len(factors) < 2:
+        raise ValueError("product needs at least two factors")
+    return Group(name, product_presentation([f.presentation for f in factors]),
+                 math.prod(f.euler for f in factors), None, factors)
 
 
 @dataclass(frozen=True)
@@ -38,13 +79,11 @@ class TorusAttach:
 class SurfaceAttach:
     """Attach a compact surface of the given genus with one boundary circle
     per attaching word.  Only the punctured torus may have chi = -1; every
-    other shape must satisfy 2 - 2g - b <= -2.  asserted_retraction records
-    the caller's claim that the attachment admits the needed retraction.
+    other shape must satisfy 2 - 2g - b <= -2.
     """
 
     genus: int
     boundary_attach_texts: tuple
-    asserted_retraction: bool = True
 
     def __post_init__(self):
         b = len(self.boundary_attach_texts)
@@ -62,13 +101,6 @@ class SurfaceAttach:
 class TowerSpec:
     base: tuple
     stages: tuple = ()
-
-
-@dataclass(frozen=True)
-class TowerResult:
-    graph: GraphOfGroups
-    presentation: Presentation
-    euler: int
 
 
 def _surface_with_boundary_block(genus, boundaries):
@@ -140,9 +172,8 @@ def build_tower(spec):
     chi = sum(b.euler() for b in vertices) - (len(vertices) - 1)
 
     for stage in spec.stages:
-        graph = GraphOfGroups(tuple(vertices), tuple(edges), tuple(assertions))
-        layout = _Layout(graph)
-        p = layout.presentation()
+        layout = GraphOfGroups(tuple(vertices), tuple(edges)).layout
+        p = layout.presentation
 
         if isinstance(stage, TorusAttach):
             w = p.word(stage.word_text)
@@ -175,16 +206,17 @@ def build_tower(spec):
                 edges.append(Edge(v, new_v, CYCLIC_BLOCK, (local,), (tau,)))
             assertions.append(
                 f"surface attachment (genus {stage.genus}, {b} boundaries) "
-                f"retraction asserted: {stage.asserted_retraction}")
+                "assumed to admit its retraction")
             chi += 2 - 2 * stage.genus - b
         else:
             raise ValueError(f"unknown stage {stage!r}")
 
-    graph = GraphOfGroups(tuple(vertices), tuple(edges), tuple(assertions))
-    actual = euler_characteristic(graph)
-    if actual != chi:
-        raise InvariantViolation(f"euler accumulation {chi} != graph value {actual}")
-    return TowerResult(graph, fundamental_presentation(graph), actual)
+    group = graph_group("tower", GraphOfGroups(tuple(vertices), tuple(edges),
+                                               tuple(assertions)))
+    if group.euler != chi:
+        raise InvariantViolation(f"euler accumulation {chi} != graph value "
+                                 f"{group.euler}")
+    return group
 
 
 def double_of_free(rank, word_text):
@@ -200,108 +232,21 @@ def double_of_free(rank, word_text):
     return graph
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    presentation: Presentation
-    euler: int
-    volume_vector: VolumeVector
-    graph: object = None
-    factors: tuple = None
-    note: str = ""
-
-    @property
-    def aspherical(self):
-        return self.presentation.aspherical
-
-
-def _free_entry(rank):
-    block = FreeBlock(rank)
-    return CatalogEntry(
-        name=f"free_{rank}",
-        presentation=block.presentation(),
-        euler=1 - rank,
-        volume_vector=block.volume_vector(),
-        graph=GraphOfGroups((block,), ()),
-        note=f"free group of rank {rank}")
-
-
-def _surface_entry(genus):
-    block = SurfaceBlock(genus)
-    return CatalogEntry(
-        name=f"surface_{genus}",
-        presentation=block.presentation(),
-        euler=2 - 2 * genus,
-        volume_vector=block.volume_vector(),
-        graph=GraphOfGroups((block,), ()),
-        note=f"closed orientable surface of genus {genus}")
-
-
-def _abelian_entry(rank):
-    block = AbelianBlock(rank)
-    return CatalogEntry(
-        name=f"abelian_{rank}",
-        presentation=block.presentation(),
-        euler=0,
-        volume_vector=block.volume_vector(),
-        graph=GraphOfGroups((block,), ()),
-        note=f"free abelian group of rank {rank}; presentation complex is a "
-             "classifying space only for rank <= 2")
-
-
-def _product_of_free_entry(ranks):
-    factors = [FreeBlock(r).presentation() for r in ranks]
-    p = product_presentation(factors)
-    vv = [1]
-    for r in ranks:
-        vv = [c + r * (vv[i - 1] if i else 0) for i, c in enumerate(vv)] + [r * vv[-1]]
-    chi = 1
-    for r in ranks:
-        chi *= 1 - r
-    name = "x".join(f"f{r}" for r in ranks)
-    return CatalogEntry(
-        name=name,
-        presentation=p,
-        euler=chi,
-        volume_vector=VolumeVector(tuple(vv)),
-        factors=tuple(f"free_{r}" for r in ranks),
-        note="direct product of free groups; volume vector from the product "
-             "of wedges")
-
-
+@cache
 def catalog():
-    """Stock groups by stable name."""
-    entries = [
-        _free_entry(1), _free_entry(2), _free_entry(3),
-        _surface_entry(2), _surface_entry(3),
-        _abelian_entry(1), _abelian_entry(2), _abelian_entry(3),
-    ]
-
+    """Stock groups by stable name, built once per process.  The mapping is
+    read-only, since every caller shares it; a one-block group carries the
+    block's own generator names (a, b; a1 .. b2; x1 ..)."""
+    blocks = ([(f"free_{r}", FreeBlock(r)) for r in (1, 2, 3)]
+              + [(f"surface_{g}", SurfaceBlock(g)) for g in (2, 3)]
+              + [(f"abelian_{r}", AbelianBlock(r)) for r in (1, 2, 3)])
+    groups = {name: Group(name, block.presentation(), block.euler(),
+                          GraphOfGroups((block,), ()))
+              for name, block in blocks}
     zz = GraphOfGroups((FreeBlock(1), FreeBlock(1)), (Edge(0, 1, TRIVIAL_BLOCK),))
-    entries.append(CatalogEntry(
-        name="z_star_z",
-        presentation=fundamental_presentation(zz),
-        euler=-1,
-        volume_vector=assembled_volume_vector(zz),
-        graph=zz,
-        note="free product Z * Z presented through its graph of groups"))
-
-    dbl = double_of_free(2, "a b")
-    entries.append(CatalogEntry(
-        name="double_f2_ab",
-        presentation=fundamental_presentation(dbl),
-        euler=-2,
-        volume_vector=assembled_volume_vector(dbl),
-        graph=dbl,
-        note="double of F2 along ab; one cyclic edge"))
-
-    entries.append(_product_of_free_entry((2, 2)))
-    entries.append(_product_of_free_entry((2, 2, 2)))
-
-    out = {}
-    for e in entries:
-        if e.volume_vector.euler() != e.euler:
-            raise InvariantViolation(f"catalog {e.name}: volume vector euler "
-                                     f"{e.volume_vector.euler()} != {e.euler}")
-        out[e.name] = e
-    return out
+    for group in (graph_group("z_star_z", zz),
+                  graph_group("double_f2_ab", double_of_free(2, "a b")),
+                  product_group("f2xf2", (groups["free_2"],) * 2),
+                  product_group("f2xf2xf2", (groups["free_2"],) * 3)):
+        groups[group.name] = group
+    return MappingProxyType(groups)

@@ -189,11 +189,12 @@ def presentation_euler_characteristic(p):
     return 1 - p.num_generators + len(p.relators)
 
 
-def product_presentation(factors, labels=None):
+def product_presentation(factors):
     """Presentation of a direct product: disjoint generators, factor relators,
     and one commutator per cross-factor generator pair.
 
-    Generator names get a factor suffix.  The aspherical flag survives only
+    Generator names get their factor's position as a suffix (a0 b0 a1 b1
+    for two copies of <a, b>).  The aspherical flag survives only
     for a product of exactly two relator-free factors, where the presentation
     complex coincides with the product of wedges.
     """
@@ -205,9 +206,8 @@ def product_presentation(factors, labels=None):
     offsets = []
     for i, p in enumerate(factors):
         offsets.append(len(names))
-        suffix = str(labels[i]) if labels else str(i)
         for name in p.generator_names:
-            candidate = f"{name}{suffix}"
+            candidate = f"{name}{i}"
             while candidate in names:
                 candidate += "_"
             names.append(candidate)

@@ -271,6 +271,19 @@ BAD_INPUTS = {
         {"group": {"presentation": {"generators": []}},
          "chain": {"type": "core", "bounds": [2]}},
         [], "no generators"),
+    # the string "false" turned the flag on, and a dict label was pasted
+    # into every provenance
+    "aspherical-string": (
+        {"group": {"presentation": {"generators": ["a", "b"],
+                                    "relators": ["a^2 b^-3"],
+                                    "aspherical": "false"}},
+         "chain": HOMOLOGY_2},
+        [], "'aspherical'"),
+    "fiber-label-object": (
+        {"group": FREE_2,
+         "chain": {"type": "fiber", "inner": HOMOLOGY_2,
+                   "subgroup_words": ["b"], "label": {"edge": "line"}}},
+        [], "'label'"),
 }
 
 

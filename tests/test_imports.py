@@ -1,9 +1,11 @@
-"""Two constraints on what the code may import.
+"""Three constraints on what the code may import.
 
 The runtime uses only the standard library, so every import in
-src/gradlab is relative or names a standard-library module.  The oracles
-import nothing from gradlab, so a bug in the library cannot hide in the
-reference it is checked against.
+src/gradlab is relative or names a standard-library module.  No gradlab
+module imports a private name (one starting with "_") from another, so a
+module's private helpers can change without reading its neighbours.  The
+oracles import nothing from gradlab, so a bug in the library cannot hide
+in the reference it is checked against.
 """
 
 import ast
@@ -33,6 +35,16 @@ def test_the_runtime_imports_only_the_standard_library():
                if level == 0
                and module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    private = [(path.name, node.module, alias.name) for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_the_oracles_import_nothing_from_gradlab():

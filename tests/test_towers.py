@@ -1,8 +1,11 @@
 import pytest
 
-from gradlab.errors import InvariantViolation
-from gradlab.gog import FreeBlock, AbelianBlock, assembled_volume_vector
+from gradlab.experiments import resolve_group
+from gradlab.gog import (FreeBlock, AbelianBlock, VolumeVector,
+                         assembled_volume_vector)
+from gradlab.homology import kunneth_product_dims
 from gradlab.towers import (
+    Group,
     TorusAttach,
     SurfaceAttach,
     TowerSpec,
@@ -28,26 +31,59 @@ CATALOG_TABLE = {
 }
 
 
+def _volume_vector(entry):
+    """Cells per dimension of the entry's classifying space: assembled
+    along its graph, or the product of its free factors' wedges."""
+    if entry.graph is not None:
+        return assembled_volume_vector(entry.graph).entries
+    ranks = [f.presentation.num_generators for f in entry.factors]
+    return tuple(kunneth_product_dims(ranks, q) for q in range(len(ranks) + 1))
+
+
 def test_catalog_contents():
     cat = catalog()
     assert set(cat) == set(CATALOG_TABLE)
     for name, (euler, vv, aspherical, has_graph) in CATALOG_TABLE.items():
         entry = cat[name]
+        assert entry.name == name
         assert entry.euler == euler, name
-        assert entry.volume_vector.entries == vv, name
+        assert _volume_vector(entry) == vv, name
         assert entry.aspherical == aspherical, name
         assert (entry.graph is not None) == has_graph, name
-        assert entry.volume_vector.euler() == euler, name
+        assert VolumeVector(vv).euler() == euler, name
 
 
 def test_catalog_product_entries_carry_factors():
     cat = catalog()
-    assert cat["f2xf2"].factors == ("free_2", "free_2")
-    assert cat["f2xf2xf2"].factors == ("free_2", "free_2", "free_2")
-    assert cat["free_2"].factors is None
+    assert [f.name for f in cat["f2xf2"].factors] == ["free_2", "free_2"]
+    assert [f.name for f in cat["f2xf2xf2"].factors] == \
+        ["free_2", "free_2", "free_2"]
+    assert cat["free_2"].factors == ()
     # product presentation: one commutator per cross pair
     assert len(cat["f2xf2"].presentation.relators) == 4
     assert len(cat["f2xf2xf2"].presentation.relators) == 12
+
+
+def test_catalog_is_built_once_and_read_only():
+    cat = catalog()
+    assert catalog() is cat
+    with pytest.raises(TypeError):
+        cat["free_2"] = cat["free_1"]
+    with pytest.raises(TypeError):
+        del cat["free_2"]
+
+
+def test_catalog_and_specs_return_the_same_records():
+    cat = catalog()
+    assert resolve_group({"catalog": "surface_2"}) is cat["surface_2"]
+    product = resolve_group({"catalog": "f2xf2"})
+    assert all(f is cat["free_2"] for f in product.factors)
+    spelled = resolve_group({"product": {"factors": [{"catalog": "free_2"},
+                                                     {"catalog": "free_2"}]}})
+    assert spelled.presentation == cat["f2xf2"].presentation
+    assert spelled.euler == cat["f2xf2"].euler
+    assert type(spelled) is type(product) is type(
+        build_tower(TowerSpec((FreeBlock(2),)))) is Group
 
 
 def test_attachment_validation():

@@ -121,13 +121,13 @@ def test_abelianized_relator_matrix():
 
 def test_product_presentation_two_free_factors():
     f2 = presentation_from_texts(("a", "b"), (), aspherical=True)
-    prod = product_presentation((f2, f2), labels=("1", "2"))
-    assert prod.generator_names == ("a1", "b1", "a2", "b2")
+    prod = product_presentation((f2, f2))
+    assert prod.generator_names == ("a0", "b0", "a1", "b1")
     # one commutator per cross-factor generator pair
     assert len(prod.relators) == 4
     assert prod.aspherical
     texts = [prod.render(r) for r in prod.relators]
-    assert "a1 a2 a1^-1 a2^-1" in texts
+    assert "a0 a1 a0^-1 a1^-1" in texts
 
 
 def test_product_presentation_three_factors_not_aspherical():
