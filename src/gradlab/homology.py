@@ -6,22 +6,31 @@ subcomplex keeps the homology over Z, so every field reads the same Betti
 numbers as on the full cover, and b0 = 1 holds by construction.
 
 Matrices are sparse maps (row, col) -> integer.  One sparse eliminator
-computes rank over every field.  Rows are dicts, and each column lists the
-rows that have held it; a listed row that no longer has the column is
-skipped (lazy deletion).  The pivot row is the shortest live row: rows
-wait on one stack per length, the smallest index on top at the start, and
-an entry whose row has changed length since is skipped the same way.  The
-pivot column is the one of that row with the fewest listed rows, ties going
-to the smallest index.  Only the rows listed under the pivot column are
-updated.  Over GF(p) one inverse per pivot scales the pivot row to a
-leading 1.  Over Q the update stays in the integers: with the pivot made
-positive, row <- (piv/g) row - (f/g) pivot_row for g = gcd(piv, f), and
-then the row is divided by the gcd of its entries.  Scaling a row leaves
-the rank unchanged, and every division is exact.
+serves every ring.  Rows are dicts, and each column lists the rows that
+have held it; a listed row that no longer has the column is skipped (lazy
+deletion).  The pivot row is the shortest live row: rows wait on one stack
+per length, the smallest index on top at the start, and an entry whose row
+has changed length since is skipped the same way.  The pivot column is the
+one of that row with the fewest listed rows, ties going to the smallest
+index.  Only the rows listed under the pivot column are updated.  Over
+GF(p) one inverse per pivot scales the pivot row to a leading 1.  Over Q
+the update stays in the integers: with the pivot made positive, row <-
+(piv/g) row - (f/g) pivot_row for g = gcd(piv, f), and then the row is
+divided by the gcd of its entries.  Scaling a row leaves the rank
+unchanged, and every division is exact.
+
+Over Z the same loop takes only pivots of +-1, never divides a row and
+never reduces mod p; a row with no +-1 entry stays where it is until an
+update changes it, or to the end.  A +-1 pivot is a unimodular step over
+Z and a unit in every field, so the rank over any field is the number of
+such pivots plus the field's rank of what is left (the residual).
+`betti` runs this pass once per complex and ranks only the residual per
+field; `rank` is the per-field route on a whole matrix.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cosets import spanning_tree
 from .errors import InvariantViolation
@@ -127,7 +136,22 @@ class Matrix:
 
 def rank(m, field):
     """Exact rank of m over the given field."""
-    p = field.characteristic
+    return _eliminate(m, field.characteristic)[0]
+
+
+def _unit_reduce(m):
+    """(pivots, residual) of m over Z: the number of +-1 pivots taken and
+    the integer matrix of the rows and columns they leave, compacted."""
+    pivots, rows = _eliminate(m, None)
+    live = [row for row in rows if row]
+    cols = {c: i for i, c in enumerate(sorted({c for row in live for c in row}))}
+    return pivots, Matrix(len(live), len(cols), {
+        (i, cols[c]): v for i, row in enumerate(live) for c, v in row.items()})
+
+
+def _eliminate(m, p):
+    """(pivots, rows left) of eliminating m over GF(p) for p prime, over Q
+    for p = 0, or over Z with +-1 pivots only for p = None."""
     rows = [None] * m.rows
     listed = [[] for _ in range(m.cols)]
     for (r, c), v in m.entries.items():
@@ -160,9 +184,14 @@ def rank(m, field):
         piv_row = rows[r]
         if piv_row is None or len(piv_row) != n:
             continue
+        candidates = piv_row
+        if p is None:
+            candidates = [c for c, v in piv_row.items() if v == 1 or v == -1]
+            if not candidates:
+                continue
         rows[r] = None
         rk += 1
-        col = min(piv_row, key=lambda c: (len(listed[c]), c))
+        col = min(candidates, key=lambda c: (len(listed[c]), c))
         piv = piv_row.pop(col)
         if p:
             inv = pow(piv, -1, p)
@@ -176,7 +205,7 @@ def rank(m, field):
             if row is None or col not in row:
                 continue
             f = row.pop(col)
-            if not p:
+            if p == 0:
                 g = math.gcd(piv, f)
                 if g != piv:
                     a = piv // g
@@ -196,13 +225,13 @@ def rank(m, field):
             if not row:
                 rows[t] = None
                 continue
-            if not p:
+            if p == 0:
                 content = math.gcd(*row.values())
                 if content != 1:
                     for c in row:
                         row[c] //= content
             n = min(n, push(t))
-    return rk
+    return rk, rows
 
 
 class ChainComplex:
@@ -222,10 +251,20 @@ class ChainComplex:
             if not self.boundaries[i].multiply(self.boundaries[i + 1]).is_zero():
                 raise InvariantViolation(f"boundary composite {i + 2} -> {i} is nonzero")
 
+    @cached_property
+    def unit_reduced(self):
+        """(pivots, residual) of each boundary after its +-1 pivots over Z;
+        computed on first use and shared by every field."""
+        return tuple(_unit_reduce(b) for b in self.boundaries)
+
 
 def betti(complex_, field):
-    """Betti numbers over the field, one per dimension of the complex."""
-    ranks = [rank(b, field) for b in complex_.boundaries]
+    """Betti numbers over the field, one per dimension of the complex.
+
+    Each boundary's rank is its +-1 pivots over Z, found once per complex
+    and shared by every field, plus the field's rank of the residual."""
+    ranks = [pivots + rank(residual, field)
+             for pivots, residual in complex_.unit_reduced]
     out = []
     for i, d in enumerate(complex_.dims):
         out_rank = ranks[i - 1] if i >= 1 else 0

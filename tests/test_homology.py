@@ -8,6 +8,7 @@ from gradlab.chains import homology_cover_chain, level_coset_table
 from gradlab.cosets import CosetTable, todd_coxeter, regular_action_table
 from gradlab.errors import InvariantViolation
 from gradlab.experiments import ExperimentConfig, run_experiment
+from gradlab import homology
 from gradlab.homology import (
     FieldSpec,
     QQ,
@@ -149,14 +150,65 @@ def test_rank_matches_the_oracle_on_catalog_levels():
             if level.index > 256:
                 continue
             t = level_coset_table(p, level)
+            cx = covering_complex(t)
             # the collapsed cover's d1 is zero; the full cover's is not
-            for b in covering_complex(t).boundaries + full_complex(t).boundaries[:1]:
-                rows = dict_rows(b)
-                for field in (QQ, GF2, GF3):
-                    assert rank(b, field) == bareiss_rank(
-                        rows, b.cols, field.characteristic or None)
-                    checked += 1
+            maps = cx.boundaries + full_complex(t).boundaries[:1]
+            rows = [dict_rows(b) for b in maps]
+            for field in (QQ, GF2, GF3):
+                want = [bareiss_rank(r, b.cols, field.characteristic or None)
+                        for r, b in zip(rows, maps)]
+                assert [rank(b, field) for b in maps] == want
+                checked += len(maps)
+                # betti adds the residual's rank to one shared pass over Z
+                r1, r2 = want[:2]
+                d0, d1, d2 = cx.dims
+                assert betti(cx, field) == [d0 - r1, d1 - r1 - r2, d2 - r2]
     assert checked >= 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_betti_of_one_boundary_matches_the_oracles(m):
+    dense = dense_rows(m)
+    cx = ChainComplex((m.rows, m.cols), (m,))
+    want = gaussian_rank_fractions(dense)
+    assert betti(cx, QQ) == [m.rows - want, m.cols - want]
+    for p in PRIMES:
+        want = gaussian_rank_mod(dense, p)
+        assert betti(cx, FieldSpec.gf(p)) == [m.rows - want, m.cols - want]
+
+
+def test_unit_pass_leaves_rows_without_a_unit_in_the_residual():
+    # content 2: rank 1 over Q and GF(3), 0 over GF(2); no +-1 pivot at all
+    m = Matrix(1, 2, {(0, 0): 2, (0, 1): 2})
+    cx = ChainComplex((1, 2), (m,))
+    assert betti(cx, QQ) == [0, 1]
+    assert betti(cx, GF2) == [1, 2]
+    assert betti(cx, GF3) == [0, 1]
+    ((pivots, residual),) = cx.unit_reduced
+    assert pivots == 0
+    assert dense_rows(residual) == [[2, 2]]
+    # one unit pivot, after which the other row is 2 * (0, 1): left over
+    m = Matrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 3, (1, 1): 5})
+    ((pivots, residual),) = ChainComplex((2, 2), (m,)).unit_reduced
+    assert pivots == 1
+    assert dense_rows(residual) == [[2]]
+
+
+def test_betti_runs_the_unit_pass_once_per_complex(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return unit_reduce(m)
+
+    unit_reduce = homology._unit_reduce
+    monkeypatch.setattr(homology, "_unit_reduce", counted)
+    p = catalog()["surface_2"].presentation
+    level = homology_cover_chain(p, [2]).levels[0]
+    cx = covering_complex(level_coset_table(p, level))
+    assert [betti(cx, f) for f in (QQ, GF2, GF3)] == [[1, 34, 1]] * 3
+    assert calls == list(cx.boundaries)
 
 
 def _homology_rows(group, moduli):
@@ -220,6 +272,9 @@ def test_projective_plane_covering_complex():
     assert betti(cx, QQ) == betti(full, QQ) == [1, 0, 1]  # a sphere
     sub = todd_coxeter(p, (p.word("a"),))
     one = covering_complex(sub)
+    # the selftest's torsion case: the face's boundary 2a has no unit, so
+    # the shared pass over Z leaves it and only GF(2) sees it vanish
+    assert [r.nnz for _, r in one.unit_reduced] == [0, 1]
     assert betti(one, QQ) == [1, 0, 0]
     assert betti(one, GF2) == [1, 1, 1]
     assert betti(one, GF3) == [1, 0, 0]
