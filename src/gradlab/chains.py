@@ -5,14 +5,15 @@ normal subgroups, each given as the kernel of a map onto a finite permutation
 group.  Levels carry the generator images, so downstream code can rebuild
 coset tables, covering complexes, and volume data without re-running any
 search; every level's table, regular, product or core, is one walk over
-the images of a base, certified by its row count.  Whether a chain
+the images of a base, certified by its row count.  A homology cover's
+images are translations on the product of cyclic groups that
+homology.diagonalize reads off its relator rows.  Whether a chain
 actually exhausts the group (intersection trivial) is not decidable here.
 Chain.validate certifies every nesting by orbit maps, and every level's
 index by an orbit map, by the factor levels of a product chain, or on any
 other level by Schreier-Sims, at any degree.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -20,6 +21,7 @@ from functools import cached_property, reduce
 from .cosets import (DEFAULT_MAX_COSETS, low_index_subgroups, perm_rep,
                      regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
+from .homology import diagonalize
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
                       identity_perm, orbit, word_image)
 from .words import abelianized_relator_matrix, product_presentation
@@ -248,120 +250,51 @@ def core_chain(p, bounds):
     return _make_chain(p, levels, ())
 
 
-def _hermite_form(rows, n):
-    """Row-style Hermite normal form of the lattice the rows span in Z^n.
-
-    The input must have full column rank.  Returns an upper triangular n x n
-    matrix with positive diagonal and entries above each pivot reduced into
-    [0, pivot)."""
-    work = [list(r) for r in rows]
-    h = []
-    for col in range(n):
-        live = [r for r in work if any(r[col:])]
-        # euclidean elimination in this column
-        while True:
-            nz = [r for r in live if r[col] != 0]
-            if not nz:
-                raise InvariantViolation(f"column {col} lost its pivot")
-            pivot_row = min(nz, key=lambda r: abs(r[col]))
-            done = True
-            for r in nz:
-                if r is pivot_row:
-                    continue
-                q = r[col] // pivot_row[col]
-                for j in range(col, n):
-                    r[j] -= q * pivot_row[j]
-                if r[col] != 0:
-                    done = False
-            if done:
-                break
-        if pivot_row[col] < 0:
-            for j in range(col, n):
-                pivot_row[j] = -pivot_row[j]
-        h.append(pivot_row)
-        live.remove(pivot_row)
-        work = live
-    # reduce entries above each diagonal into canonical range, sweeping
-    # pivot columns left to right so finished columns stay put
-    for i in range(1, n):
-        for k in range(i):
-            q = h[k][i] // h[i][i]
-            if q:
-                for j in range(i, n):
-                    h[k][j] -= q * h[i][j]
-    return h
-
-
-def _box_reduce(x, h, n):
-    """Canonical representative of x modulo the row lattice of h."""
-    y = list(x)
-    for i in range(n):
-        q = y[i] // h[i][i]
-        if q:
-            for j in range(i, n):
-                y[j] -= q * h[i][j]
-    return tuple(y)
-
-
-def _cover_images(h):
-    """Generator images of the translation action on the canonical box of
-    the Hermite form h, numbered in mixed radix as homology_cover_chain
-    describes."""
-    n = len(h)
-    radix = [h[i][i] for i in range(n)]
-    strides = [math.prod(radix[i + 1:]) for i in range(n)]
-    points = tuple(range(math.prod(radix)))
-    images = []
-    for g in range(n):
-        step, block = strides[g], radix[g] * strides[g]
-        head = (0,) * g + (radix[g],)
-        wrap = [sum(y * s for y, s in zip(_box_reduce(head + tail, h, n),
-                                          strides))
-                for tail in itertools.product(*map(range, radix[g + 1:]))]
-        image = []
-        for offset in range(0, len(points), block):
-            image += points[offset + step:offset + block]
-            image += [points[offset + w] for w in wrap]
-        images.append(Perm(tuple(image)))
-    return tuple(images)
-
-
 def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
     """Kernels of the maps onto first homology with coefficients mod m.
 
-    The quotient is Z^n modulo relator exponent rows and m, presented as a
-    translation action on the canonical box of its Hermite form h.  Moduli
-    must form a divisibility ladder so the kernels nest.  These covers are
-    built directly from integer linear algebra; no coset enumeration runs.
-    A level whose index passes max_index, the coset budget, raises
-    ResourceExhausted before its points are built.
-
-    A point y of the box, 0 <= y_i < r_i = h[i][i], sits at position
-    sum y_i s_i with stride s_i = r_{i+1} ... r_{n-1}, the order of
-    itertools.product over the box.  Adding e_g moves position k to k + s_g,
-    except at the s_g wrap points of each block of r_g s_g positions, where
-    y_g = r_g - 1.  As h is upper triangular, a wrap point's image keeps the
-    coordinates before g and has y_g = 0: it is the block's offset plus the
-    position of (0, ..., 0, r_g) + tail reduced modulo h.  So only s_g
-    points per generator are reduced, and their offsets serve every block.
-    Each image is cut from one tuple of positions shared by all images of
-    the level, so they share one set of int objects.
+    The quotient is Z^n modulo relator exponent rows and m.  A diagonal
+    form d of those rows, with column operations v, carries it onto the
+    product of the Z/d_i: generator g translates by row g of v.  A point y
+    sits at position sum y_i s_i, in mixed radix with stride s_i =
+    d_{i+1} ... d_{n-1}, so a factor Z/1 adds nothing.  Adding t to digit
+    i rotates each block of d_i s_i positions by t s_i.  Each image is cut
+    from one tuple of positions by these rotations, so the images of a
+    level share one set of int objects.  Moduli must form a divisibility
+    ladder so the kernels nest.  These covers are built directly from
+    integer linear algebra; no coset enumeration runs.  A level whose
+    index passes max_index, the coset budget, raises ResourceExhausted
+    before its points are built.
     """
     _require_ladder(moduli)
     n = p.num_generators
     relator_rows = abelianized_relator_matrix(p)
     levels = []
     for m in moduli:
-        rows = [list(r) for r in relator_rows]
-        for i in range(n):
-            rows.append([m if j == i else 0 for j in range(n)])
-        h = _hermite_form(rows, n)
-        index = math.prod(h[i][i] for i in range(n))
+        rows = relator_rows + [[m if j == i else 0 for j in range(n)]
+                               for i in range(n)]
+        diagonal, v = diagonalize(rows, n)
+        index = math.prod(diagonal)
         if index > max_index:
             raise ResourceExhausted(f"homology cover mod {m} has index {index}, "
                                     f"above the coset budget {max_index}",
                                     limit=max_index, reached=index)
-        images = _cover_images(h)
+        points = tuple(range(index))
+        images = []
+        for shift in v:
+            image, block = points, index
+            for t, d in zip(shift, diagonal):
+                stride = block // d
+                t = t % d * stride
+                if t:
+                    rotated = []
+                    for b in range(0, index, block):
+                        rotated += image[b + t:b + block]
+                        rotated += image[b:b + t]
+                    image = rotated
+                block = stride
+            images.append(Perm(image))
+        images = tuple(images)
         quotient = PermGroup(index, images)
         levels.append(ChainLevel(quotient, images, index,
                                  f"first homology cover mod {m}"))

@@ -116,6 +116,9 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                              f"{len(group.factors)} group factors")
         parts = [resolve_chain(s, g, max_cosets)
                  for s, g in zip(specs, group.factors)]
+        if any(c.group is None for c in parts):
+            raise ValueError("product chain 'factors' must each carry a "
+                             "presentation, and a fiber chain has none")
         return product_chain(parts, presentation=p)
     if kind == "fiber":
         inner = resolve_chain(need(spec, "inner", where, dict), group,

@@ -301,6 +301,8 @@ class _Layout:
 
     @cached_property
     def presentation(self):
+        """Presentation of the fundamental group: vertex generators renamed
+        with their vertex index, plus one stable letter per non-tree edge."""
         g = self.graph
         relators = []
         for v, block in enumerate(g.vertices):
@@ -317,12 +319,6 @@ class _Layout:
                     relators.append(t * left * t.inverse() * right.inverse())
         aspherical = all(isinstance(b, FreeBlock) for b in g.vertices)
         return Presentation(self.names, tuple(relators), aspherical=aspherical)
-
-
-def fundamental_presentation(g):
-    """Presentation of the fundamental group: vertex generators renamed
-    with their vertex index, plus one stable letter per non-tree edge."""
-    return g.layout.presentation
 
 
 def assembled_volume_vector(g):

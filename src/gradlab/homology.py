@@ -26,6 +26,11 @@ Z and a unit in every field, so the rank over any field is the number of
 such pivots plus the field's rank of what is left (the residual).
 `betti` runs this pass once per complex and ranks only the residual per
 field; `rank` is the per-field route on a whole matrix.
+
+`diagonalize` is the one dense Euclidean diagonalization over Z, for the
+small matrices whose divisors matter and not only their rank: the
+relator rows of a homology cover, whose diagonal and column operations
+give the cover's translation action, and the selftest's torsion check.
 """
 
 import math
@@ -52,14 +57,6 @@ class FieldSpec:
             raise ValueError(f"{c} is not prime")
 
     @classmethod
-    def rationals(cls):
-        return cls(0)
-
-    @classmethod
-    def gf(cls, p):
-        return cls(p)
-
-    @classmethod
     def parse(cls, label):
         """The field a label names, written exactly as `label` writes it."""
         field = None
@@ -79,9 +76,9 @@ class FieldSpec:
         return "q" if self.characteristic == 0 else f"gf:{self.characteristic}"
 
 
-QQ = FieldSpec.rationals()
-GF2 = FieldSpec.gf(2)
-GF3 = FieldSpec.gf(3)
+QQ = FieldSpec(0)
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 
 
 class Matrix:
@@ -232,6 +229,55 @@ def _eliminate(m, p):
                         row[c] //= content
             n = min(n, push(t))
     return rk, rows
+
+
+def diagonalize(rows, ncols):
+    """(diagonal, v): a diagonal form over Z of the dense integer rows, each
+    ncols long, and the column operations that reach it.
+
+    Each step pivots on an entry of least absolute value and subtracts
+    multiples of its row from the other rows and of its column from the
+    other columns.  A remainder left behind is smaller than the pivot and
+    becomes the next one, so the loop ends.  Row operations are not kept;
+    each column operation is also applied to v, which starts as the
+    identity.  v is unimodular, and rows . v = u . D for a unimodular u,
+    where D holds the diagonal in its leading positions and zeros
+    elsewhere.  The diagonal holds the nonzero pivots, made positive but
+    not normalized into a divisibility ladder: its length is the rank, and
+    for a prime p as many entries are divisible by p as in the Smith form.
+    """
+    work = [list(r) for r in rows if any(r)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    live = list(range(ncols))
+    diagonal, done = [], []
+    while True:
+        entries = [(abs(r[c]), i, c) for i, r in enumerate(work)
+                   for c in live if r[c]]
+        if not entries:
+            break
+        _, i, c = min(entries)
+        pivot_row = work[i]
+        piv = pivot_row[c]
+        clean = True
+        for r in work:
+            if r[c] and r is not pivot_row:
+                q = r[c] // piv
+                for j in live:
+                    r[j] -= q * pivot_row[j]
+                clean = clean and not r[c]
+        for j in live:
+            if pivot_row[j] and j != c:
+                q = pivot_row[j] // piv
+                for r in work + v:
+                    r[j] -= q * r[c]
+                clean = clean and not pivot_row[j]
+        if clean:
+            diagonal.append(abs(piv))
+            done.append(c)
+            live.remove(c)
+            del work[i]
+    order = done + live
+    return diagonal, [[row[j] for j in order] for row in v]
 
 
 class ChainComplex:

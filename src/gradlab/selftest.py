@@ -18,7 +18,8 @@ from .cosets import (low_index_subgroups, perm_rep, standardized_table,
                      todd_coxeter)
 from .experiments import ExperimentConfig, run_experiment
 from .gog import coset_ratio_check
-from .homology import GF2, GF3, QQ, betti, covering_complex, kunneth_product_dims
+from .homology import (GF2, GF3, QQ, betti, covering_complex, diagonalize,
+                       kunneth_product_dims)
 from .permgrp import Perm, PermGroup, inverse_perm, orbit
 from .towers import catalog
 from .words import presentation_from_texts
@@ -203,60 +204,14 @@ def check_enumeration_counts():
                   f"counts; enumeration closes at 12")
 
 
-def _smith_divisors(m):
-    """Elementary divisors of a sparse integer matrix, by euclidean pivoting."""
-    rows = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
-    divisors = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for r in range(top, len(rows)):
-            for c in range(len(rows[r])):
-                v = rows[r][c]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        rows[top], rows[r0] = rows[r0], rows[top]
-        for r in range(len(rows)):
-            rows[r][top], rows[r][c0] = rows[r][c0], rows[r][top]
-        again = False
-        for r in range(top + 1, len(rows)):
-            if rows[r][top]:
-                qq = rows[r][top] // rows[top][top]
-                for c in range(top, len(rows[r])):
-                    rows[r][c] -= qq * rows[top][c]
-                if rows[r][top]:
-                    again = True
-        for c in range(top + 1, len(rows[top])):
-            if rows[top][c]:
-                qq = rows[top][c] // rows[top][top]
-                for r in range(top, len(rows)):
-                    rows[r][c] -= qq * rows[r][top]
-                if rows[top][c]:
-                    again = True
-        if again:
-            continue
-        divisors.append(abs(rows[top][top]))
-        top += 1
-    # normalize the divisibility ladder
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = math.gcd(a, b)
-            divisors[i], divisors[j] = g, a * b // g
-    return divisors
-
-
 def _predicted_mod_p_betti(cx, p):
-    """Betti numbers over GF(p) from integer normal forms of the boundaries."""
+    """Betti numbers over GF(p) from integer diagonal forms of the
+    boundaries."""
     ranks = []
     torsion = []
     for b in cx.boundaries:
-        divs = _smith_divisors(b)
+        divs = diagonalize([[b.get(r, c) for c in range(b.cols)]
+                            for r in range(b.rows)], b.cols)[0]
         ranks.append(len(divs))
         torsion.append(sum(1 for d in divs if d % p == 0))
     ranks.append(0)

@@ -25,11 +25,6 @@ class Word:
             cleaned.append((int(gen), int(exp)))
         self.runs = tuple(cleaned)
 
-    @property
-    def length(self):
-        """Total letter count, i.e. the sum of |exponent| over runs."""
-        return sum(abs(e) for _, e in self.runs)
-
     def is_empty(self):
         return not self.runs
 
@@ -45,15 +40,6 @@ class Word:
 
     def __mul__(self, other):
         return free_reduce(Word(self.runs + other.runs))
-
-    def __pow__(self, n):
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.runs == other.runs

@@ -7,10 +7,12 @@ are checked against: bareiss_rank, the elimination before the
 column-indexed one, full_covering_complex, the cover before its
 spanning tree was collapsed, naive_schreier_sims_order, the
 Schreier-Sims that rebuilt a level on every new strong generator,
-box_cover_images, the homology cover built by reducing every point of the
-box, and element_action_rows, the coset table of a level's kernel built by
-enumerating its image group as whole permutations.  None of it imports
-from gradlab, so a bug in the library cannot hide in its own oracle.
+box_cover_images, the homology cover built by reducing every point of
+the box of a Hermite form (hermite_form, the integer form the cover was
+read from before its diagonal form), and element_action_rows, the coset
+table of a level's kernel built by enumerating its image group as whole
+permutations.  None of it imports from gradlab, so a bug in the library
+cannot hide in its own oracle.
 """
 
 import itertools
@@ -486,6 +488,50 @@ def full_covering_complex(table):
             add(product, (r, f), v * w)
     assert not product, "d1 . d2 is not zero"
     return (k, k * nx, k * nr), [d1, d2]
+
+
+def hermite_form(rows, n):
+    """Row-style Hermite normal form of the lattice the rows span in Z^n.
+
+    The input must have full column rank.  Returns an upper triangular n x n
+    matrix with positive diagonal and entries above each pivot reduced into
+    [0, pivot)."""
+    work = [list(r) for r in rows]
+    h = []
+    for col in range(n):
+        live = [r for r in work if any(r[col:])]
+        # euclidean elimination in this column
+        while True:
+            nz = [r for r in live if r[col] != 0]
+            if not nz:
+                raise ValueError(f"column {col} has no pivot: rank below {n}")
+            pivot_row = min(nz, key=lambda r: abs(r[col]))
+            done = True
+            for r in nz:
+                if r is pivot_row:
+                    continue
+                q = r[col] // pivot_row[col]
+                for j in range(col, n):
+                    r[j] -= q * pivot_row[j]
+                if r[col] != 0:
+                    done = False
+            if done:
+                break
+        if pivot_row[col] < 0:
+            for j in range(col, n):
+                pivot_row[j] = -pivot_row[j]
+        h.append(pivot_row)
+        live.remove(pivot_row)
+        work = live
+    # reduce entries above each diagonal into canonical range, sweeping
+    # pivot columns left to right so finished columns stay put
+    for i in range(1, n):
+        for k in range(i):
+            q = h[k][i] // h[i][i]
+            if q:
+                for j in range(i, n):
+                    h[k][j] -= q * h[i][j]
+    return h
 
 
 def box_cover_images(h):

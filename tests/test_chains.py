@@ -13,17 +13,17 @@ from gradlab.chains import (
     product_chain,
     fiber_restrict,
     level_coset_table,
-    _cover_images,
-    _hermite_form,
 )
 from gradlab.cosets import regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
-from gradlab.words import abelianized_relator_matrix, presentation_from_texts
+from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
+                           presentation_from_texts)
 from oracles import (box_cover_images, brute_order, element_action_rows,
-                     naive_schreier_sims_order, perm_from_cycles)
+                     hermite_form, naive_schreier_sims_order,
+                     perm_from_cycles)
 
 
 @pytest.fixture
@@ -78,18 +78,27 @@ def _cover_hermite(relator_rows, n, m):
     """The Hermite form of the relator rows and m times the identity."""
     rows = [list(r) for r in relator_rows]
     rows += [[m if j == i else 0 for j in range(n)] for i in range(n)]
-    return _hermite_form(rows, n)
+    return hermite_form(rows, n)
+
+
+def _assert_cover_table_matches_the_box_oracle(p, level, h):
+    """The level's images and the per-point builder's on the Hermite form h
+    walk to the same coset table from point 0: the same regular action,
+    whatever the numbering of its points."""
+    box = tuple(Perm(images) for images in box_cover_images(h))
+    assert (regular_action_table(p, level.images, (0,)).table
+            == regular_action_table(p, box, (0,)).table)
 
 
 def _assert_cover_images_match_the_box_oracle(p, moduli):
-    """Every level's images equal the per-point builder's on the same
-    Hermite form; returns the Hermite forms of the levels."""
+    """Every level's table equals the per-point builder's on the Hermite
+    form of the same lattice; returns the Hermite forms of the levels."""
     forms = []
     for level in homology_cover_chain(p, moduli).levels:
         m = int(level.provenance.split()[-1])
         h = _cover_hermite(abelianized_relator_matrix(p),
                            p.num_generators, m)
-        assert tuple(s.images for s in level.images) == box_cover_images(h)
+        _assert_cover_table_matches_the_box_oracle(p, level, h)
         forms.append(h)
     return forms
 
@@ -127,22 +136,12 @@ def test_cover_images_match_the_box_oracle_off_the_diagonal():
 def test_cover_images_match_the_box_oracle_on_random_relators(case):
     # relator rows of any shape, mod m: every box of at most 1296 points
     rows, n, m = case
-    h = _cover_hermite(rows, n, m)
-    assert tuple(s.images for s in _cover_images(h)) == box_cover_images(h)
-
-
-def test_cover_images_reduce_only_the_wrap_points(monkeypatch):
-    calls = []
-    box_reduce = chains._box_reduce
-
-    def counted(x, h, n):
-        calls.append(x)
-        return box_reduce(x, h, n)
-    monkeypatch.setattr(chains, "_box_reduce", counted)
-    chain = homology_cover_chain(catalog()["surface_2"].presentation, (6,))
-    assert chain.indices() == (1296,)
-    # strides 216, 36, 6, 1: one reduction per wrap point of each block
-    assert len(calls) == 216 + 36 + 6 + 1
+    p = Presentation(tuple(f"x{i}" for i in range(n)),
+                     tuple(Word(tuple((g, e) for g, e in enumerate(row) if e))
+                           for row in rows))
+    (level,) = homology_cover_chain(p, (m,)).levels
+    _assert_cover_table_matches_the_box_oracle(p, level,
+                                               _cover_hermite(rows, n, m))
 
 
 def test_validate_walks_the_orbit_of_0_once_per_level(monkeypatch):

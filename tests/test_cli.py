@@ -284,6 +284,14 @@ BAD_INPUTS = {
          "chain": {"type": "fiber", "inner": HOMOLOGY_2,
                    "subgroup_words": ["b"], "label": {"edge": "line"}}},
         [], "'label'"),
+    # a shadow chain as a product factor failed the cross-check and exited 3
+    "product-of-a-fiber-factor": (
+        {"group": {"catalog": "f2xf2"},
+         "chain": {"type": "product",
+                   "factors": [{"type": "fiber", "inner": HOMOLOGY_2,
+                                "subgroup_words": ["b"]},
+                               HOMOLOGY_2]}},
+        [], "'factors'"),
 }
 
 

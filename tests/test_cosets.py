@@ -135,7 +135,7 @@ def test_rewritten_first_homology_matches_cover_complex():
     rows = [[[m.get((r, c), 0) for c in range(dims[i + 1])]
              for r in range(dims[i])] for i, m in enumerate(maps)]
     b1_full = predicted_betti(dims, rows)[1]
-    b1_complex = betti(covering_complex(t), FieldSpec.rationals())[1]
+    b1_complex = betti(covering_complex(t), FieldSpec(0))[1]
     assert b1_full == b1_complex == 6
 
 

@@ -1,8 +1,9 @@
+import math
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradlab.chains import homology_cover_chain, level_coset_table
 from gradlab.cosets import CosetTable, todd_coxeter, regular_action_table
@@ -19,6 +20,7 @@ from gradlab.homology import (
     ChainComplex,
     betti,
     covering_complex,
+    diagonalize,
     kunneth_product_dims,
 )
 from gradlab.permgrp import Perm, inverse_perm, orbit
@@ -31,6 +33,7 @@ from oracles import (
     full_covering_complex,
     gaussian_rank_fractions,
     gaussian_rank_mod,
+    integer_smith_divisors,
     kunneth_by_subsets,
     predicted_betti,
 )
@@ -91,7 +94,7 @@ def test_rank_against_dense_elimination():
         dense = dense_rows(m)
         assert rank(m, QQ) == gaussian_rank_fractions(dense)
         for p in (2, 3, 5):
-            assert rank(m, FieldSpec.gf(p)) == gaussian_rank_mod(dense, p)
+            assert rank(m, FieldSpec(p)) == gaussian_rank_mod(dense, p)
 
 
 PRIMES = (2, 3, 5, 2 ** 31 - 1)
@@ -128,7 +131,7 @@ def test_rank_matches_the_oracles(m):
     for p in PRIMES:
         want = gaussian_rank_mod(dense, p)
         assert bareiss_rank(dense, m.cols, p) == want
-        assert rank(m, FieldSpec.gf(p)) == want
+        assert rank(m, FieldSpec(p)) == want
 
 
 def euler(cx):
@@ -175,7 +178,7 @@ def test_betti_of_one_boundary_matches_the_oracles(m):
     assert betti(cx, QQ) == [m.rows - want, m.cols - want]
     for p in PRIMES:
         want = gaussian_rank_mod(dense, p)
-        assert betti(cx, FieldSpec.gf(p)) == [m.rows - want, m.cols - want]
+        assert betti(cx, FieldSpec(p)) == [m.rows - want, m.cols - want]
 
 
 def test_unit_pass_leaves_rows_without_a_unit_in_the_residual():
@@ -209,6 +212,47 @@ def test_betti_runs_the_unit_pass_once_per_complex(monkeypatch):
     cx = covering_complex(level_coset_table(p, level))
     assert [betti(cx, f) for f in (QQ, GF2, GF3)] == [[1, 34, 1]] * 3
     assert calls == list(cx.boundaries)
+
+
+@st.composite
+def dense_integer_rows(draw):
+    """(rows, ncols): empty, zero, tall and wide dense integer matrices,
+    mostly zeros, with entries up to 12 in size."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-12, 12))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_integer_rows())
+@example(([], 0))
+@example(([], 2))
+@example(([[0, 0, 0]] * 4, 3))
+# the three-relator lattice plus 6 Z^3: index 12, two entries above 1
+@example(([[2, 4, -2], [0, 6, 3], [4, 0, 6], [6, 0, 0], [0, 6, 0],
+           [0, 0, 6]], 3))
+def test_diagonalize_matches_the_smith_oracle(case):
+    rows, ncols = case
+    diagonal, v = diagonalize(rows, ncols)
+    smith = integer_smith_divisors(rows)
+    assert len(diagonal) == len(smith)
+    assert all(d > 0 for d in diagonal)
+    assert math.prod(diagonal) == math.prod(smith)
+    for p in (2, 3, 5):
+        assert (sum(d % p == 0 for d in diagonal)
+                == sum(d % p == 0 for d in smith))
+    # v is unimodular: every invariant factor of it is 1
+    assert integer_smith_divisors(v) == [1] * ncols
+    # rows . v lies in the lattice of D, column k in diagonal[k] Z and the
+    # columns past the rank in 0; with the products equal, it is all of it
+    for row in rows:
+        image = [sum(x * v[i][k] for i, x in enumerate(row))
+                 for k in range(ncols)]
+        assert all(x % d == 0 for x, d in zip(image, diagonal))
+        assert not any(image[len(diagonal):])
 
 
 def _homology_rows(group, moduli):
@@ -379,7 +423,7 @@ def test_covering_complex_against_smith_form_prediction():
         cx = covering_complex(t)
         dense = [dense_rows(b) for b in cx.boundaries]
         for p in (None, 2, 3):
-            field = QQ if p is None else FieldSpec.gf(p)
+            field = QQ if p is None else FieldSpec(p)
             assert betti(cx, field) == predicted_betti(cx.dims, dense, p)
 
 

@@ -1,11 +1,14 @@
-"""Three constraints on what the code may import.
+"""Three constraints on what the code may import, and one on what it
+defines.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  No gradlab
 module imports a private name (one starting with "_") from another, so a
 module's private helpers can change without reading its neighbours.  The
 oracles import nothing from gradlab, so a bug in the library cannot hide
-in the reference it is checked against.
+in the reference it is checked against.  Every private top-level function
+or class is named somewhere in src/gradlab besides its definition, so a
+helper whose last caller is deleted goes with it.
 """
 
 import ast
@@ -52,3 +55,16 @@ def test_the_oracles_import_nothing_from_gradlab():
     assert modules
     assert all(level == 0 and module.split(".")[0] != "gradlab"
                for level, module in modules)
+
+
+def test_every_private_helper_has_a_caller():
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "gradlab").glob("*.py"))]
+    helpers = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert helpers
+    assert [name for name in helpers if name not in named] == []
