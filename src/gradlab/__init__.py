@@ -16,5 +16,4 @@ from .towers import SurfaceAttach, TorusAttach, TowerSpec, build_tower, catalog
 from .chains import (Chain, ChainLevel, core_chain, cyclic_cover_chain,
                      fiber_restrict, homology_cover_chain, level_coset_table,
                      product_chain)
-from .experiments import (ExperimentConfig, GradientTable, emit_report,
-                          parse_report, run_experiment)
+from .experiments import ExperimentConfig, GradientTable, emit_report, run_experiment

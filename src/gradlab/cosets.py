@@ -1,11 +1,13 @@
 """Coset enumeration and subgroup machinery for finite presentations.
 
 The enumerator is HLT: relators are scanned coset by coset and gaps are
-filled with fresh definitions (no lookahead).  Cosets are numbered in
-discovery order, coset 0 is the subgroup itself, and dead cosets are
-compacted away after every coincidence burst so the table stays dense.
-All iteration orders are fixed, so a given presentation, subgroup and
-limit always produce the identical table.
+filled with fresh definitions (no lookahead).  Dead cosets stay in the
+working table and are skipped; once every live coset is closed, the live
+ones are renumbered breadth first from coset 0, the subgroup itself, so
+the result is a standardized table.  All iteration orders are fixed, so a
+given presentation, subgroup and limit always produce the identical table.
+Both enumerators and the relator check share one scan, _scan, and every
+walk over a complete table is one breadth-first walk, _walk.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
@@ -19,23 +21,57 @@ DEFAULT_MAX_NODES = 500000
 
 
 def _word_cols(w):
-    # a word as a list of column indices: generator g is column 2g, its
-    # inverse 2g+1
-    cols = []
-    for gen, sign in w.letters():
-        cols.append(2 * gen if sign > 0 else 2 * gen + 1)
-    return cols
+    # a word as column indices: generator g is column 2g, its inverse 2g+1
+    return [2 * gen + (sign < 0) for gen, sign in w.letters()]
 
 
-def _inv_col(c):
-    return c ^ 1
+def _scan(table, alpha, cols):
+    """Scan a relator, as column indices, from coset alpha.
+
+    Walks forward from the front of cols and then backward from its back,
+    as far as the (possibly partial) table is defined.  Returns
+    (f, i, b, j): alpha.cols[:i] = f and b.cols[j+1:] = alpha.  If i > j
+    the relator closes exactly when f == b; if i == j one entry is
+    missing, and deduction fills it with f.cols[i] = b.
+    """
+    f, i = alpha, 0
+    b, j = alpha, len(cols) - 1
+    while i <= j and table[f][cols[i]] != -1:
+        f = table[f][cols[i]]
+        i += 1
+    while j >= i and table[b][cols[j] ^ 1] != -1:
+        b = table[b][cols[j] ^ 1]
+        j -= 1
+    return f, i, b, j
+
+
+def _walk(rows, start):
+    """Breadth-first discoveries of a table from start.
+
+    Lists a triple (alpha, c, beta) per coset beta reached other than
+    start, in discovery order: beta was first reached as rows[alpha][c],
+    earlier cosets tried first, then columns in order.  An undefined entry,
+    -1, is never followed.
+    """
+    # the extra True stands for the undefined entry -1
+    seen = [False] * len(rows) + [True]
+    seen[start] = True
+    queue = [start]
+    discoveries = []
+    for alpha in queue:
+        for c, beta in enumerate(rows[alpha]):
+            if not seen[beta]:
+                seen[beta] = True
+                discoveries.append((alpha, c, beta))
+                queue.append(beta)
+    return discoveries
 
 
 class CosetTable:
     """Complete coset table for a subgroup of a finitely presented group.
 
     table[alpha][2g] is the coset alpha.g, table[alpha][2g+1] is alpha.g^-1.
-    Rows are cosets in discovery order; coset 0 is the subgroup.
+    Coset 0 is the subgroup.
     """
 
     def __init__(self, presentation, subgroup_words, table):
@@ -62,19 +98,15 @@ class CosetTable:
             for c, beta in enumerate(row):
                 if not 0 <= beta < n:
                     raise InvariantViolation(f"entry ({alpha},{c}) = {beta} out of range")
-                if self.table[beta][_inv_col(c)] != alpha:
+                if self.table[beta][c ^ 1] != alpha:
                     raise InvariantViolation(f"inverse entry mismatch at ({alpha},{c})")
-        for g in range(self.presentation.num_generators):
-            column = [row[2 * g] for row in self.table]
-            if sorted(column) != list(range(n)):
-                raise InvariantViolation(f"column of generator {g} is not a permutation")
+        # in range and inverse consistent, each column is a permutation: two
+        # cosets with the same image beta under c would both be beta.c^-1
         relators = [(r, _word_cols(r)) for r in self.presentation.relators]
         for alpha in range(n):
             for r, cols in relators:
-                beta = alpha
-                for c in cols:
-                    beta = self.table[beta][c]
-                if beta != alpha:
+                f, _, b, _ = _scan(self.table, alpha, cols)
+                if f != b:
                     raise InvariantViolation(f"relator {r!r} does not close from coset {alpha}")
         for w in self.subgroup_words:
             if self.trace(0, w) != 0:
@@ -87,17 +119,17 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
 
     HLT strategy: scan subgroup words from coset 0, then every relator from
     every live coset in order, defining cosets to fill gaps and finishing
-    each row.  Raises ResourceExhausted if more than max_cosets rows would
-    be live at once.
+    each row; a coincidence kills cosets, which are skipped from then on.
+    The live cosets are then renumbered breadth first from coset 0, so the
+    flattened table is its own standardized_table from 0.  Raises
+    ResourceExhausted if more than max_cosets cosets would be live at once.
     """
     subgroup_words = tuple(free_reduce(w) for w in subgroup_words)
-    ngens = p.num_generators
-    ncols = 2 * ngens
-    relator_cols = [_word_cols(r) for r in p.relators]
-
+    ncols = 2 * p.num_generators
     table = [[-1] * ncols]
     reps = [0]
     merge_queue = []
+    dead = 0
 
     def rep(k):
         while reps[k] != k:
@@ -106,24 +138,26 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
         return k
 
     def define(alpha, c):
-        if len(table) >= max_cosets:
+        live = len(table) - dead
+        if live >= max_cosets:
             raise ResourceExhausted(
                 f"coset limit {max_cosets} reached enumerating "
                 f"<{[render_word(w, p.generator_names) for w in subgroup_words]}>",
-                limit=max_cosets, reached=len(table))
+                limit=max_cosets, reached=live)
         beta = len(table)
         table.append([-1] * ncols)
         reps.append(beta)
         table[alpha][c] = beta
-        table[beta][_inv_col(c)] = alpha
-        return beta
+        table[beta][c ^ 1] = alpha
 
     def merge(k, l):
+        nonlocal dead
         k, l = rep(k), rep(l)
         if k != l:
             keep, die = (k, l) if k < l else (l, k)
             reps[die] = keep
             merge_queue.append(die)
+            dead += 1
 
     def process_coincidences():
         while merge_queue:
@@ -133,85 +167,53 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
                 delta = row[c]
                 if delta == -1:
                     continue
-                table[delta][_inv_col(c)] = -1
+                table[delta][c ^ 1] = -1
                 mu, nu = rep(gamma), rep(delta)
                 if table[mu][c] != -1:
                     merge(nu, table[mu][c])
-                elif table[nu][_inv_col(c)] != -1:
-                    merge(mu, table[nu][_inv_col(c)])
+                elif table[nu][c ^ 1] != -1:
+                    merge(mu, table[nu][c ^ 1])
                 else:
                     table[mu][c] = nu
-                    table[nu][_inv_col(c)] = mu
+                    table[nu][c ^ 1] = mu
 
     def scan_and_fill(alpha, cols):
-        # returns True if a coincidence was processed during this scan
-        had = False
-        if not cols:
-            return had
-        f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
         while True:
-            while i <= j and table[f][cols[i]] != -1:
-                f = table[f][cols[i]]
-                i += 1
+            f, i, b, j = _scan(table, alpha, cols)
             if i > j:
                 if f != b:
                     merge(f, b)
                     process_coincidences()
-                    had = True
-                return had
-            while j >= i and table[b][_inv_col(cols[j])] != -1:
-                b = table[b][_inv_col(cols[j])]
-                j -= 1
-            if j < i:
-                merge(f, b)
-                process_coincidences()
-                return True
-            if j == i:
+                return
+            if i == j:
                 # one gap: the scan closes by deduction
                 table[f][cols[i]] = b
-                table[b][_inv_col(cols[i])] = f
-                return had
+                table[b][cols[i] ^ 1] = f
+                return
             define(f, cols[i])
 
-    def compact():
-        live = [k for k in range(len(table)) if reps[k] == k]
-        remap = {old: new for new, old in enumerate(live)}
-        new_table = []
-        for old in live:
-            new_table.append([-1 if e == -1 else remap[rep(e)] for e in table[old]])
-        table[:] = new_table
-        reps[:] = list(range(len(table)))
-        return remap
-
-    sub_cols = [_word_cols(w) for w in subgroup_words]
-    for cols in sub_cols:
-        if scan_and_fill(0, cols):
-            compact()
-
+    for w in subgroup_words:
+        scan_and_fill(0, _word_cols(w))
+    relator_cols = [_word_cols(r) for r in p.relators]
     alpha = 0
     while alpha < len(table):
-        coincided = False
         for cols in relator_cols:
-            coincided = scan_and_fill(alpha, cols) or coincided
-            if rep(alpha) != alpha:
+            if reps[alpha] != alpha:
                 break
-        if rep(alpha) == alpha:
+            scan_and_fill(alpha, cols)
+        if reps[alpha] == alpha:
             for c in range(ncols):
                 if table[alpha][c] == -1:
                     define(alpha, c)
-        if coincided:
-            target = rep(alpha)
-            remap = compact()
-            alpha = remap[target]
         alpha += 1
 
-    # validate() re-traces every relator from every coset and the subgroup
-    # words from 0; quotients of closed diagrams stay closed, so this is a
-    # certificate, not a repair step
-    result = CosetTable(p, subgroup_words, table)
-    result.validate()
-    return result
+    # processed coincidences leave no live row pointing at a dead coset, so
+    # the walk from 0 renumbers the live ones; a -1 left in a live row stays
+    # -1 and fails validate, whose retrace of every relator and subgroup
+    # word is a certificate, not a repair step
+    flat = standardized_table(table, 0)
+    return CosetTable(p, subgroup_words,
+                      (flat[k:k + ncols] for k in range(0, len(flat), ncols))).validate()
 
 
 def perm_rep(t):
@@ -225,29 +227,18 @@ def perm_rep(t):
 def spanning_tree(t):
     """Breadth-first spanning tree of the coset graph, from coset 0.
 
-    Returns (discoveries, symbol).  discoveries lists a triple
-    (alpha, c, beta) per coset beta other than 0, in discovery order: beta
-    was first reached as table[alpha][c], smaller cosets tried first, then
-    columns in order.  symbol[alpha * |X| + g] numbers the positive edge
-    (alpha, g) among the edges off the tree, in (alpha, g) order, and is
-    None on a tree edge; k(|X|-1)+1 edges are off the tree.  Raises
-    InvariantViolation unless every coset is reached, the certificate that
-    the table is transitive.
+    Returns (discoveries, symbol): discoveries is _walk(t.table, 0), a
+    triple (alpha, c, beta) per coset beta other than 0.  symbol[alpha *
+    |X| + g] numbers the positive edge (alpha, g) among the edges off the
+    tree, in (alpha, g) order, and is None on a tree edge; k(|X|-1)+1
+    edges are off the tree.  Raises InvariantViolation unless every coset
+    is reached, the certificate that the table is transitive.
     """
     n = t.num_cosets
     ngens = t.presentation.num_generators
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    discoveries = []
-    for alpha in queue:
-        for c, beta in enumerate(t.table[alpha]):
-            if not seen[beta]:
-                seen[beta] = True
-                discoveries.append((alpha, c, beta))
-                queue.append(beta)
-    if len(queue) != n:
-        raise InvariantViolation(f"coset table is not transitive: {len(queue)} "
+    discoveries = _walk(t.table, 0)
+    if len(discoveries) != n - 1:
+        raise InvariantViolation(f"coset table is not transitive: {len(discoveries) + 1} "
                                  f"of {n} cosets reached from coset 0")
     symbol = [0] * (n * ngens)
     for alpha, c, beta in discoveries:
@@ -334,23 +325,14 @@ def standardized_table(rows, start=0):
     Two (table, basepoint) pairs describe the same subgroup exactly when
     their standardized flattenings agree, so the set of flattenings over all
     basepoints counts the conjugates of the subgroup a table describes.
+    Rows not reached from start are left out; an entry -1 stays -1.
     """
-    ncols = len(rows[0])
-    numbering = {start: 0}
-    order = [start]
-    head = 0
-    while head < len(order):
-        alpha = order[head]
-        head += 1
-        for c in range(ncols):
-            beta = rows[alpha][c]
-            if beta not in numbering:
-                numbering[beta] = len(order)
-                order.append(beta)
-    flat = []
-    for alpha in order:
-        flat.extend(numbering[rows[alpha][c]] for c in range(ncols))
-    return tuple(flat)
+    order = [start] + [beta for _, _, beta in _walk(rows, start)]
+    # the extra slot keeps number[-1] == -1
+    number = [-1] * (len(rows) + 1)
+    for new, old in enumerate(order):
+        number[old] = new
+    return tuple(number[beta] for alpha in order for beta in rows[alpha])
 
 
 def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
@@ -362,11 +344,10 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
     the numbering and collapses conjugate subgroups.  Output is sorted by
     index, then by canonical table; the tables carry no subgroup words.
     """
-    ngens = p.num_generators
-    ncols = 2 * ngens
+    ncols = 2 * p.num_generators
     relator_cols = [_word_cols(r) for r in p.relators]
     nodes = 0
-    found = {}
+    found = set()
 
     def propagate(table):
         # apply forced relator deductions until stable; False on contradiction
@@ -375,56 +356,32 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
             changed = False
             for alpha in range(len(table)):
                 for cols in relator_cols:
-                    f, i = alpha, 0
-                    b, j = alpha, len(cols) - 1
-                    while i <= j and table[f][cols[i]] != -1:
-                        f = table[f][cols[i]]
-                        i += 1
+                    f, i, b, j = _scan(table, alpha, cols)
                     if i > j:
                         if f != b:
                             return False
-                        continue
-                    while j >= i and table[b][_inv_col(cols[j])] != -1:
-                        b = table[b][_inv_col(cols[j])]
-                        j -= 1
-                    if j < i:
-                        return False
-                    if j == i:
-                        c = cols[i]
-                        if table[f][c] == -1 and table[b][_inv_col(c)] == -1:
-                            table[f][c] = b
-                            table[b][_inv_col(c)] = f
-                            changed = True
-                        elif table[f][c] != b:
-                            return False
+                    elif i == j:
+                        table[f][cols[i]] = b
+                        table[b][cols[i] ^ 1] = f
+                        changed = True
         return True
 
-    def search(table):
+    def search(work):
+        # work is the caller's fresh copy, filled in place
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
             raise ResourceExhausted(f"low index search exceeded {max_nodes} nodes",
                                     limit=max_nodes, reached=nodes)
-        work = [row[:] for row in table]
         if not propagate(work):
             return
-        pos = None
-        for alpha in range(len(work)):
-            for c in range(ncols):
-                if work[alpha][c] == -1:
-                    pos = (alpha, c)
-                    break
-            if pos:
-                break
+        pos = next(((alpha, c) for alpha, row in enumerate(work)
+                    for c, beta in enumerate(row) if beta == -1), None)
         if pos is None:
-            canon = min(standardized_table(work, s) for s in range(len(work)))
-            if canon not in found:
-                rows = [list(canon[i * ncols:(i + 1) * ncols])
-                        for i in range(len(work))]
-                found[canon] = rows
+            found.add(min(standardized_table(work, s) for s in range(len(work))))
             return
         alpha, c = pos
-        candidates = [b for b in range(len(work)) if work[b][_inv_col(c)] == -1]
+        candidates = [b for b in range(len(work)) if work[b][c ^ 1] == -1]
         if len(work) < max_index:
             candidates.append(len(work))
         for beta in candidates:
@@ -432,12 +389,11 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
             if beta == len(trial):
                 trial.append([-1] * ncols)
             trial[alpha][c] = beta
-            trial[beta][_inv_col(c)] = alpha
+            trial[beta][c ^ 1] = alpha
             search(trial)
 
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     search([[-1] * ncols])
-
-    return [CosetTable(p, (), found[canon]).validate()
-            for canon in sorted(found, key=lambda f: (len(f) // ncols, f))]
+    return [CosetTable(p, (), (canon[k:k + ncols] for k in range(0, len(canon), ncols)))
+            .validate() for canon in sorted(found, key=lambda f: (len(f), f))]

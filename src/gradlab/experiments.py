@@ -4,8 +4,7 @@ An experiment pairs a group (catalog entry, presentation, graph of groups,
 tower, or product), resolved into one towers.Group record, with a chain
 recipe, then walks the chain computing homology of the covers, volume
 vectors, and the sandwich bounds for rank and deficiency.  Results land in
-a flat table with a fixed column set so runs can be diffed across tools and
-re-parsed for regression checks.
+a flat table with a fixed column set so runs can be diffed across tools.
 """
 
 import csv
@@ -29,9 +28,6 @@ CSV_COLUMNS = ("level", "index", "field", "b0", "b1", "b2",
                "d_lower", "d_upper", "def_lower", "def_upper",
                "vol2_ratio", "target_rg", "target_dg")
 MV_COLUMNS = ("level", "index", "field", "j", "lhs", "rhs", "slack")
-
-_FRACTION_COLUMNS = frozenset({"vol2_ratio", "target_rg", "target_dg"})
-_TEXT_COLUMNS = frozenset({"field"})
 
 
 def _tower_spec_from_dict(d):
@@ -158,6 +154,8 @@ class ExperimentConfig:
         if "group" not in d or "chain" not in d:
             raise ValueError("config needs both a group and a chain")
         labels = need(d, "fields", "config", list, str) if "fields" in d else ["q"]
+        if not labels:
+            raise ValueError("config: 'fields' is empty")
         if len(set(labels)) != len(labels):
             raise ValueError(f"config: repeated field in 'fields' {labels!r}")
         numbers = {key: need(d, key, "config", int)
@@ -486,37 +484,3 @@ def emit_report(table, fmt="csv"):
             doc["extras"] = table.extras
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _typed(column, value):
-    if value is None or value == "":
-        return None
-    if column in _TEXT_COLUMNS:
-        return value
-    if column in _FRACTION_COLUMNS:
-        return Fraction(str(value))
-    return int(value)
-
-
-def parse_report(text):
-    """Read back an emitted report.  JSON keeps everything; CSV recovers the
-    typed rows with blank cells as None."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        columns = tuple(doc["columns"])
-        rows = [{c: _typed(c, row.get(c)) for c in columns}
-                for row in doc["rows"]]
-        chain = doc.get("chain", {})
-        return GradientTable(doc["kind"], doc["group"], columns, rows,
-                             doc.get("config", {}),
-                             tuple(chain.get("indices", ())),
-                             tuple(chain.get("provenances", ())),
-                             tuple(doc.get("notes", ())),
-                             doc.get("extras"))
-    reader = csv.DictReader(io.StringIO(text))
-    columns = tuple(reader.fieldnames or ())
-    if not columns:
-        raise ValueError("empty report")
-    rows = [{c: _typed(c, row[c]) for c in columns} for row in reader]
-    return GradientTable("", "", columns, rows, {})

@@ -149,9 +149,6 @@ class Presentation:
     def num_generators(self):
         return len(self.generator_names)
 
-    def gen(self, name):
-        return self.generator_names.index(name)
-
     def word(self, text):
         return parse_word(text, self.generator_names)
 

@@ -222,6 +222,31 @@ def factorial(n):
     return out
 
 
+def closure_index(degree, images, words):
+    """|<images>| / |<images of words>|, words as (generator, sign)
+    letters, both orders by closure; the index of the subgroup the words
+    generate when the images model the group faithfully."""
+    whole = brute_order(degree, images)
+    part = brute_order(degree, [tuple_word_image(degree, images, w) for w in words])
+    assert whole % part == 0
+    return whole // part
+
+
+def count_subgroups_by_actions(k, relators):
+    """Number of index-k subgroups of <a, b | relators>, relators as
+    (generator, sign) letters: the transitive pairs (s, t) in Sym(k) that
+    satisfy every relator, each subgroup counted (k-1)! times."""
+    ident = tuple(range(k))
+    count = 0
+    for s in itertools.permutations(range(k)):
+        for t in itertools.permutations(range(k)):
+            if (is_transitive(k, (s, t))
+                    and all(tuple_word_image(k, (s, t), r) == ident for r in relators)):
+                count += 1
+    assert count % factorial(k - 1) == 0
+    return count // factorial(k - 1)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra on dense row lists
 

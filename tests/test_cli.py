@@ -193,6 +193,8 @@ BAD_INPUTS = {
     "fields-repeated": (
         {"group": FREE_2, "chain": HOMOLOGY_2, "fields": ["q", "gf:2", "q"]},
         [], "'fields'"),
+    "fields-empty": (
+        {"group": FREE_2, "chain": HOMOLOGY_2, "fields": []}, [], "'fields'"),
     # JSON true is a Python int; each of these ran as 1 before
     "moduli-bool": (
         {"group": FREE_2, "chain": {"type": "homology", "moduli": [True, 2]}},

@@ -13,14 +13,17 @@ from gradlab.cosets import (
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
-from gradlab.words import presentation_from_texts
+from gradlab.words import Presentation, Word, presentation_from_texts
 from oracles import (
     alternating_tetrahedral_images,
+    closure_index,
+    count_subgroups_by_actions,
     count_transitive_pairs,
     element_action_rows,
     factorial,
     full_covering_complex,
     predicted_betti,
+    tuple_word_image,
 )
 
 
@@ -73,6 +76,63 @@ def test_validate_catches_corruption(sym3):
     t.table[2][0] = t.table[3][0]
     with pytest.raises(InvariantViolation):
         t.validate()
+
+
+def dihedral_model(n):
+    """<a, b | a^n, b^2, (ab)^2> and its faithful action on an n-gon."""
+    p = presentation_from_texts(("a", "b"), (f"a^{n}", "b^2", "a b a b"))
+    return p, (tuple((i + 1) % n for i in range(n)), tuple(-i % n for i in range(n)))
+
+
+def s4_coxeter_model():
+    """Sym(4)'s Coxeter presentation and its adjacent transpositions."""
+    p = presentation_from_texts(("s", "t", "u"), (
+        "s^2", "t^2", "u^2", "s t s t s t", "t u t u t u", "s u s u"))
+    return p, ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+
+@st.composite
+def models_with_subgroup_words(draw):
+    p, images = draw(st.one_of(st.integers(3, 12).map(dihedral_model),
+                               st.just(s4_coxeter_model())))
+    letter = st.tuples(st.integers(0, len(images) - 1), st.sampled_from((1, -1)))
+    words = draw(st.lists(st.lists(letter, max_size=6), max_size=3))
+    return p, images, words
+
+
+@settings(max_examples=120, deadline=None)
+@given(models_with_subgroup_words())
+def test_todd_coxeter_matches_the_permutation_model(case):
+    p, images, words = case
+    t = todd_coxeter(p, tuple(Word(tuple(w)) for w in words))
+    assert t.num_cosets == closure_index(len(images[0]), images, words)
+    _, action = perm_rep(t)
+    ident = tuple(range(t.num_cosets))
+    for rel in p.relators:
+        assert tuple_word_image(t.num_cosets, [g.images for g in action],
+                                list(rel.letters())) == ident
+    # rows are numbered breadth first from coset 0
+    assert tuple(e for row in t.table for e in row) == standardized_table(t.table, 0)
+
+
+@st.composite
+def two_generator_relators(draw):
+    letter = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+    return draw(st.lists(st.lists(letter, min_size=1, max_size=6),
+                         min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_generator_relators())
+def test_low_index_counts_match_the_transitive_actions(relators):
+    p = Presentation(("a", "b"), tuple(Word(tuple(r)) for r in relators))
+    counts = {}
+    for t in low_index_subgroups(p, 4):
+        k = t.num_cosets
+        counts[k] = counts.get(k, 0) + len({standardized_table(t.table, s)
+                                            for s in range(k)})
+    assert counts == {k: n for k in range(1, 5)
+                      if (n := count_subgroups_by_actions(k, relators))}
 
 
 def test_resource_limit(free2):

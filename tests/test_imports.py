@@ -1,4 +1,4 @@
-"""Three constraints on what the code may import, and one on what it
+"""Three constraints on what the code may import, and two on what it
 defines.
 
 The runtime uses only the standard library, so every import in
@@ -8,7 +8,10 @@ module's private helpers can change without reading its neighbours.  The
 oracles import nothing from gradlab, so a bug in the library cannot hide
 in the reference it is checked against.  Every private top-level function
 or class is named somewhere in src/gradlab besides its definition, so a
-helper whose last caller is deleted goes with it.
+helper whose last caller is deleted goes with it.  Every public top-level
+function or class is named in some module of src/gradlab outside its own
+definition and __init__.py, so the package exports nothing that only its
+tests call.
 """
 
 import ast
@@ -68,3 +71,23 @@ def test_every_private_helper_has_a_caller():
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert helpers
     assert [name for name in helpers if name not in named] == []
+
+
+def test_every_public_name_has_a_caller():
+    # every name used outside __init__.py, with the top-level definition
+    # each use sits in, so a recursive call is not a caller
+    defined, uses = [], set()
+    for path in sorted((ROOT / "src" / "gradlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not owner.startswith("_")):
+                defined.append(owner)
+            uses |= {(node.id if isinstance(node, ast.Name) else node.attr, owner)
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+    called = {name for name, owner in uses if name != owner}
+    assert defined
+    assert [name for name in defined if name not in called] == []

@@ -88,10 +88,7 @@ def test_free_reduce_idempotent_and_render_parses_back(w):
 def test_presentation_lookup():
     p = presentation_from_texts(("a", "b"), ("a b a^-1 b^-1",))
     assert p.num_generators == 2
-    assert p.gen("b") == 1
     assert p.render(p.word("a^2 b")) == "a^2 b"
-    with pytest.raises(ValueError):
-        p.gen("z")
 
 
 def test_presentation_rejects_duplicate_names():
