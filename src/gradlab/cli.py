@@ -51,7 +51,9 @@ def _load_config(args):
     with open(args.config) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
+            # bad syntax or UTF-8, an integer too long to convert, or
+            # nesting deeper than the parser's recursion limit
             raise ValueError(f"config {args.config} is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ValueError(f"config {args.config} must hold a JSON object, "

@@ -27,6 +27,15 @@ such pivots plus the field's rank of what is left (the residual).
 `betti` runs this pass once per complex and ranks only the residual per
 field; `rank` is the per-field route on a whole matrix.
 
+Before that loop the pass takes the rows with exactly two entries, both
++-1, as edges of a signed graph on the columns.  On a surface cover every
+edge lies on two faces, so d2 is the signed incidence matrix of the dual
+graph, and a union-find over its columns collapses a spanning tree of
+that graph in near-linear time, as `covering_complex` collapses the tree
+of the 1-skeleton (Forman's discrete Morse theory).  Each merge is the
++-1 pivot on its row, applied lazily to the other rows through the
+roots, so the count of +-1 pivots keeps its meaning.
+
 `diagonalize` is the one dense Euclidean diagonalization over Z, for the
 small matrices whose divisors matter and not only their rank: the
 relator rows of a homology cover, whose diagonal and column operations
@@ -133,24 +142,73 @@ class Matrix:
 
 def rank(m, field):
     """Exact rank of m over the given field."""
-    return _eliminate(m, field.characteristic)[0]
+    p = field.characteristic
+    return _eliminate(_row_dicts(m, p), m.cols, p)[0]
 
 
 def _unit_reduce(m):
     """(pivots, residual) of m over Z: the number of +-1 pivots taken and
-    the integer matrix of the rows and columns they leave, compacted."""
-    pivots, rows = _eliminate(m, None)
+    the integer matrix of the rows and columns they leave, compacted.
+
+    Rows with exactly two entries, both +-1, go first, through a signed
+    union-find over the columns: column c stands for sign[c] times
+    root[c].  Read through the roots, such a row is a e_r1 + b e_r2 with
+    a, b = +-1.  When r1 != r2 it is a +-1 pivot at r1, and the operation
+    it makes on every other row replaces e_r1 by -ab e_r2: the merge
+    root[r1] = r2 with sign -ab, applied lazily to each row that reads r1
+    later.  When r1 = r2 it reads (a + b) e_r1, which is 0 (dropped) or
+    +-2 (kept).  The rows left, read through the roots, go to the
+    Markowitz loop of `_eliminate`."""
+    rows = _row_dicts(m)
+    root = list(range(m.cols))
+    sign = [1] * m.cols
+
+    def find(c):
+        s = 1
+        while root[c] != c:
+            up = root[c]
+            sign[c] *= sign[up]
+            s *= sign[c]
+            root[c] = c = root[up]
+        return c, s
+
+    merged = 0
+    for i, row in enumerate(rows):
+        if row is None or len(row) != 2:
+            continue
+        (c1, v1), (c2, v2) = row.items()
+        if v1 * v1 != 1 or v2 * v2 != 1:
+            continue
+        r1, s1 = find(c1)
+        r2, s2 = find(c2)
+        if r1 != r2:
+            root[r1] = r2
+            sign[r1] = -s1 * v1 * s2 * v2
+            merged += 1
+            rows[i] = None
+        elif s1 * v1 == -s2 * v2:
+            rows[i] = None
+    live = []
+    for row in rows:
+        if row and merged:
+            new = {}
+            for c, v in row.items():
+                r, s = find(c)
+                new[r] = new.get(r, 0) + s * v
+            row = {c: v for c, v in new.items() if v}
+        if row:
+            live.append(row)
+    pivots, rows = _eliminate(live, m.cols, None)
     live = [row for row in rows if row]
     cols = {c: i for i, c in enumerate(sorted({c for row in live for c in row}))}
-    return pivots, Matrix(len(live), len(cols), {
+    return merged + pivots, Matrix(len(live), len(cols), {
         (i, cols[c]): v for i, row in enumerate(live) for c, v in row.items()})
 
 
-def _eliminate(m, p):
-    """(pivots, rows left) of eliminating m over GF(p) for p prime, over Q
-    for p = 0, or over Z with +-1 pivots only for p = None."""
+def _row_dicts(m, p=None):
+    """m's rows as {column: value} dicts, reduced mod p for a prime p, with
+    None for an empty row."""
     rows = [None] * m.rows
-    listed = [[] for _ in range(m.cols)]
     for (r, c), v in m.entries.items():
         if p:
             v %= p
@@ -159,7 +217,18 @@ def _eliminate(m, p):
         if rows[r] is None:
             rows[r] = {}
         rows[r][c] = v
-        listed[c].append(r)
+    return rows
+
+
+def _eliminate(rows, ncols, p):
+    """(pivots, rows left) of eliminating the row dicts, in place, over
+    GF(p) for p prime, over Q for p = 0, or over Z with +-1 pivots only
+    for p = None."""
+    listed = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        if row:
+            for c in row:
+                listed[c].append(r)
     stacks = []
 
     def push(r):
@@ -169,7 +238,7 @@ def _eliminate(m, p):
         stacks[k].append(r)
         return k
 
-    for r in reversed(range(m.rows)):
+    for r in reversed(range(len(rows))):
         if rows[r]:
             push(r)
     rk = n = 0

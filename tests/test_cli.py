@@ -92,6 +92,22 @@ def test_missing_config_file_exits_one(tmp_path):
     assert "error:" in out.stderr
 
 
+@pytest.mark.parametrize("text", [
+    b"[" * 200_000,
+    b'{"chain": {"type": "homology", "moduli": [' + b"9" * 5000 + b"]}}",
+    b"\xff\xfe{}",
+], ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit",
+        "not-utf-8"])
+def test_unreadable_config_exits_one_naming_the_file(tmp_path, text):
+    # raw text: BAD_INPUTS holds dicts, which json.dumps always writes readably
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    out = run_cli("homology", "--config", str(path))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert str(path) in out.stderr
+
+
 def test_budget_exits_two(tmp_path):
     path = write_config(tmp_path, {
         "group": {"catalog": "free_2"},

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gradlab.chains import homology_cover_chain, level_coset_table
+from gradlab.chains import (cyclic_cover_chain, homology_cover_chain,
+                            level_coset_table)
 from gradlab.cosets import CosetTable, todd_coxeter, regular_action_table
 from gradlab.errors import InvariantViolation
 from gradlab.experiments import ExperimentConfig, run_experiment
@@ -212,6 +213,75 @@ def test_betti_runs_the_unit_pass_once_per_complex(monkeypatch):
     cx = covering_complex(level_coset_table(p, level))
     assert [betti(cx, f) for f in (QQ, GF2, GF3)] == [[1, 34, 1]] * 3
     assert calls == list(cx.boundaries)
+
+
+@st.composite
+def signed_graph_matrices(draw):
+    """Integer matrices whose rows are mostly edges of a signed graph on the
+    columns: two +-1 entries of equal or opposite sign, at times on one
+    column, where they add to 0 or +-2.  The other rows are general sparse
+    rows with entries up to 3 in size."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(1, 7))
+    col = st.integers(0, cols - 1)
+    m = Matrix(rows, cols)
+    for r in range(rows):
+        if draw(st.integers(0, 3)):
+            for _ in range(2):
+                m.add(r, draw(col), draw(st.sampled_from((1, -1))))
+        else:
+            for c, v in draw(st.dictionaries(col, st.integers(-3, 3))).items():
+                m.add(r, c, v)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_graph_matrices())
+def test_unit_pass_on_signed_graph_rows_matches_the_oracles(m):
+    dense = dense_rows(m)
+    cx = ChainComplex((m.rows, m.cols), (m,))
+    ((pivots, residual),) = cx.unit_reduced
+    for p in (0, 2, 3, 5):
+        want = gaussian_rank_mod(dense, p) if p else gaussian_rank_fractions(dense)
+        assert betti(cx, FieldSpec(p)) == [m.rows - want, m.cols - want]
+        left = bareiss_rank(dict_rows(residual), residual.cols, p or None)
+        assert pivots + left == bareiss_rank(dict_rows(m), m.cols, p or None)
+
+
+def test_unit_pass_collapses_the_dual_tree_of_surface_covers(monkeypatch):
+    # every edge of a surface cover lies on two faces with opposite signs,
+    # so d2 is a signed graph's incidence matrix: the union-find takes all
+    # index - 1 pivots and the Markowitz loop is handed no row
+    handed = []
+
+    def counted(rows, ncols, p):
+        handed.append(sum(1 for row in rows if row))
+        return eliminate(rows, ncols, p)
+
+    eliminate = homology._eliminate
+    monkeypatch.setattr(homology, "_eliminate", counted)
+    p = catalog()["surface_2"].presentation
+    for level in homology_cover_chain(p, [2, 4]).levels:
+        cx = covering_complex(level_coset_table(p, level))
+        pivots, residual = cx.unit_reduced[1]
+        assert pivots == level.index - 1
+        assert residual.nnz == 0
+    assert len(handed) == 4 and not any(handed)
+
+
+def test_odd_dual_cycles_of_a_nonorientable_surface_leave_a_residual():
+    # <a, b, c | a a b b c c> is the nonorientable surface of genus 3, and
+    # its covers of odd index are nonorientable too: an odd dual cycle
+    # closes into a row +-2, which only GF(2) sees vanish
+    p = presentation_from_texts(("a", "b", "c"), ("a a b b c c",))
+    chain = cyclic_cover_chain(p, {"a": 1, "b": 1, "c": -2}, [3, 9])
+    for level in chain.levels:
+        t = level_coset_table(p, level)
+        cx = covering_complex(t)
+        assert cx.unit_reduced[1][1].nnz > 0
+        full = full_complex(t)
+        for field in (QQ, GF2, GF3):
+            assert betti(cx, field) == betti(full, field)
+        assert [betti(cx, f)[2] for f in (QQ, GF2, GF3)] == [0, 1, 0]
 
 
 @st.composite
