@@ -24,7 +24,7 @@ from .errors import InvariantViolation, ResourceExhausted
 from .homology import diagonalize
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
                       identity_perm, orbit, word_image)
-from .words import abelianized_relator_matrix, product_presentation
+from .words import abelianized_relator_matrix
 
 
 @dataclass(frozen=True)
@@ -328,21 +328,16 @@ def cyclic_cover_chain(p, weights, moduli):
     return _make_chain(p, levels, ())
 
 
-def product_chain(factor_chains, presentation=None):
-    """Levelwise product of chains, one block of points per factor.
+def product_chain(factor_chains, presentation):
+    """Levelwise product of chains, one block of points per factor, over
+    the product group's presentation.
 
     The resulting kernel at each level is the product of the factor kernels
     inside the direct product group.  Factors are truncated to the shortest
-    chain.  If no presentation is supplied, the factor presentations are
-    combined with commuting relators in factor order.
+    chain.
     """
     if not factor_chains:
         raise ValueError("need at least one factor chain")
-    if presentation is None:
-        groups = [c.group for c in factor_chains]
-        if any(g is None for g in groups):
-            raise ValueError("every factor needs a presentation to build the product")
-        presentation = product_presentation(groups)
     depth = min(len(c.levels) for c in factor_chains)
     notes = []
     if any(len(c.levels) != depth for c in factor_chains):

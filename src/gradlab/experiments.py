@@ -17,8 +17,8 @@ from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
                      homology_cover_chain, level_coset_table, product_chain)
 from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION, schreier_generators
 from .errors import InvariantViolation, need
-from .gog import (block_from_dict, edge_shadow_indices, graph_from_dict,
-                  subgroup_shadows, subgroup_volume_vector)
+from .gog import (VolumeVector, block_from_dict, edge_shadow_indices,
+                  graph_from_dict, subgroup_shadows, subgroup_volume_vector)
 from .homology import QQ, FieldSpec, betti, covering_complex, kunneth_product_dims
 from .towers import (Group, SurfaceAttach, TorusAttach, TowerSpec, build_tower,
                      catalog, graph_group, product_group)
@@ -187,9 +187,10 @@ class _Plan:
 
     fields are the coefficient fields whose betti numbers the rows read;
     None means the kind reads no homology, and the walk then builds no coset
-    table or covering complex.  fill(n, level, cx, numbers) yields the
+    table or covering complex.  fill(n, level, numbers) yields the
     (row, extra) pairs of level n, numbers mapping each field to its betti
-    numbers.  notes are added after the chain's own notes.
+    numbers; a fill that needs the level's cells reads _level_cells.  notes
+    are added after the chain's own notes.
     """
 
     columns: tuple
@@ -215,28 +216,39 @@ def _betti_row(n, level, f, b):
                 b0=b[0], b1=b[1], b2=b[2] if len(b) > 2 else 0)
 
 
+def _level_cells(group, level, extra):
+    """The cells (c0, c1, c2, ...) of the level that the rank, deficiency and
+    volume plans and the Kunneth check read.  With a graph of groups: the covering formula's
+    volume vector, a K(G_n, 1), recorded in extra["volume_vector"].
+    Without: the cells covering_complex keeps after the tree collapse, a
+    K(G_n, 1) only for an aspherical presentation, so not recorded."""
+    if group.graph is not None:
+        cells = subgroup_volume_vector(group.graph, level)
+        extra["volume_vector"] = list(cells.entries)
+        return cells
+    p = group.presentation
+    return VolumeVector((1, level.index * (p.num_generators - 1) + 1,
+                         level.index * len(p.relators)))
+
+
 def _plan_rank(cfg, group, chain):
     """Sandwich the rank of each level kernel: first betti number below,
-    volume count above.  target_rg is the expected limit of d/index."""
+    c1 - c0 + 1 of its cells above; target_rg is the limit of d/index."""
     if chain.group is None:
-        def shadow(n, level, cx, numbers):
+        def shadow(n, level, numbers):
             yield (_row(CSV_COLUMNS, level=n, index=level.index),
                    {"provenance": level.provenance})
         return _Plan(CSV_COLUMNS, None, shadow,
                      ("shadow chain: only the index column is populated",))
     target = Fraction(-group.euler)
 
-    def fill(n, level, cx, numbers):
+    def fill(n, level, numbers):
         b = numbers[QQ]
         row = _betti_row(n, level, QQ, b)
         row["d_lower"] = b[1]
         extra = {"provenance": level.provenance}
-        if group.graph is not None:
-            vv = subgroup_volume_vector(group.graph, level)
-            row["d_upper"] = vv[1] - vv[0] + 1
-            extra["volume_vector"] = list(vv.entries)
-        else:
-            row["d_upper"] = level.index * (chain.group.num_generators - 1) + 1
+        c = _level_cells(group, level, extra)
+        row["d_upper"] = c[1] - c[0] + 1
         if row["d_lower"] > row["d_upper"]:
             raise InvariantViolation(f"level {n}: rank bounds crossed, "
                                      f"{row['d_lower']} > {row['d_upper']}")
@@ -248,7 +260,7 @@ def _plan_rank(cfg, group, chain):
 def _plan_deficiency(cfg, group, chain):
     """Bound the (negated) deficiency of each kernel.
 
-    def_upper = r2 - r1 + r0 - 1 counts cells of the cover; def_lower =
+    def_upper = c2 - c1 + c0 - 1 counts the level's cells; def_lower =
     b2 - b1 over the rationals, valid when the presentation complex is
     aspherical so the cover's second homology is the group's.  Both bounds
     divided by the index approach the Euler characteristic.
@@ -262,16 +274,11 @@ def _plan_deficiency(cfg, group, chain):
                  "from above",)
     target = Fraction(group.euler)
 
-    def fill(n, level, cx, numbers):
+    def fill(n, level, numbers):
         row = _betti_row(n, level, QQ, numbers[QQ])
         extra = {"provenance": level.provenance}
-        if group.graph is not None:
-            vv = subgroup_volume_vector(group.graph, level)
-            row["def_upper"] = vv[2] - vv[1] + vv[0] - 1
-            extra["volume_vector"] = list(vv.entries)
-        else:
-            r0, r1, r2 = cx.dims
-            row["def_upper"] = r2 - r1 + r0 - 1
+        c = _level_cells(group, level, extra)
+        row["def_upper"] = c[2] - c[1] + c[0] - 1
         if aspherical:
             row["def_lower"] = row["b2"] - row["b1"]
             if row["def_lower"] > row["def_upper"]:
@@ -300,12 +307,11 @@ def _plan_volume(cfg, group, chain):
     vertex_cells = max(len(b.volume_vector().entries) for b in graph.vertices)
     check_edges = vertex_cells <= k and k >= 2
 
-    def fill(n, level, cx, numbers):
-        vv = subgroup_volume_vector(graph, level)
-        ratio = Fraction(vv[k], level.index)
+    def fill(n, level, numbers):
+        extra = {"provenance": level.provenance}
+        ratio = Fraction(_level_cells(group, level, extra)[k], level.index)
+        extra["volume_degree"] = k
         row = _row(CSV_COLUMNS, level=n, index=level.index, vol2_ratio=ratio)
-        extra = {"provenance": level.provenance,
-                 "volume_vector": list(vv.entries), "volume_degree": k}
         if check_edges:
             shadows = edge_shadow_indices(graph, level.images)
             expected = Fraction(0)
@@ -325,25 +331,26 @@ def _plan_volume(cfg, group, chain):
 def _plan_homology(cfg, group, chain):
     """Betti numbers of every level cover over every requested field.
 
-    For products of free groups built with a product chain, the answer is
-    recomputed from the factor kernel ranks and must match in degrees 0..2.
+    On a product chain of free groups, Kunneth over the factor levels'
+    b1 = c1 - c0 + 1 must give b0 and b1, and b2 for two factors; with three
+    or more, the product presentation's 2-complex is only a 2-skeleton.
     """
     _require_presentation(chain, "homology")
-    ranks = None
-    if chain.factors and not any(f.presentation.relators
-                                 for f in group.factors):
-        ranks = [f.presentation.num_generators for f in group.factors]
+    free = chain.factors and not any(f.presentation.relators
+                                     for f in group.factors)
+    degrees = 3 if len(group.factors) == 2 else 2
 
-    def fill(n, level, cx, numbers):
-        if ranks is not None:
-            dims = [c.levels[n - 1].index * (r - 1) + 1
-                    for c, r in zip(chain.factors, ranks)]
+    def fill(n, level, numbers):
+        if free:
+            cells = [_level_cells(g, fc.levels[n - 1], {})
+                     for g, fc in zip(group.factors, chain.factors)]
+            dims = [c[1] - c[0] + 1 for c in cells]
             want = [kunneth_product_dims(dims, q) for q in range(len(dims) + 1)]
         for f in cfg.fields:
             b = numbers[f]
             extra = {"provenance": level.provenance, "betti": list(b)}
-            if ranks is not None:
-                for q in range(min(3, len(want))):
+            if free:
+                for q in range(degrees):
                     got = b[q] if q < len(b) else 0
                     if got != want[q]:
                         raise InvariantViolation(
@@ -369,7 +376,7 @@ def _plan_mvcheck(cfg, group, chain):
         raise ValueError("the gluing check needs a graph of groups")
     graph = group.graph
 
-    def fill(n, level, cx, numbers):
+    def fill(n, level, numbers):
         vertex_rows, edge_rows = subgroup_shadows(graph, level)
         for f in cfg.fields:
             b = numbers[f]
@@ -433,13 +440,13 @@ def run_experiment(kind, cfg):
     plan = KINDS[kind](cfg, group, chain)
     rows, extras = [], []
     for n, level in enumerate(chain.levels, start=1):
-        cx = numbers = None
+        numbers = None
         if plan.fields is not None:
             cx = covering_complex(level_coset_table(chain.group, level,
                                                     cfg.max_cosets))
             numbers = {f: betti(cx, f) for f in plan.fields}
             _certify_betti(n, numbers)
-        for row, extra in plan.fill(n, level, cx, numbers):
+        for row, extra in plan.fill(n, level, numbers):
             rows.append(row)
             extras.append(extra)
     return GradientTable(kind, group.name, plan.columns, rows, cfg.raw,

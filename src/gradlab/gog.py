@@ -355,12 +355,12 @@ def _copies(index, local_index):
     return copies
 
 
-def _edge_local_indices(layout, images):
+def edge_shadow_indices(g, images):
     """[G_e : B n G_e] for each edge: the order of the edge word's image,
     1 for trivial edges (edge groups have at most one generator)."""
-    return [perm_order(word_image(layout.lift(e.iota_words[0], e.source),
+    return [perm_order(word_image(g.layout.lift(e.iota_words[0], e.source),
                                   images)) if e.iota_words else 1
-            for e in layout.graph.edges]
+            for e in g.edges]
 
 
 def subgroup_shadows(g, level):
@@ -395,7 +395,7 @@ def subgroup_shadows(g, level):
         vertex_rows.append((block, _copies(index, local_index), local_index))
     edge_rows = [(e.block, _copies(index, local_index), local_index)
                  for e, local_index in zip(g.edges,
-                                           _edge_local_indices(layout, images))]
+                                           edge_shadow_indices(g, images))]
     return vertex_rows, edge_rows
 
 
@@ -421,12 +421,6 @@ def subgroup_volume_vector(g, level):
         for k in range(length):
             entries[k] += copies * vv[k - shift]
     return VolumeVector(tuple(entries))
-
-
-def edge_shadow_indices(g, images):
-    """[G_e : B n G_e] for each edge: the order of the edge word's image
-    (1 for trivial edges).  Useful for slowness diagnostics."""
-    return _edge_local_indices(g.layout, images)
 
 
 def coset_ratio_check(quotient, h_images):

@@ -198,6 +198,8 @@ def _unit_reduce(m):
             row = {c: v for c, v in new.items() if v}
         if row:
             live.append(row)
+    # without this reference each row _eliminate retires from live is freed
+    del rows
     pivots, rows = _eliminate(live, m.cols, None)
     live = [row for row in rows if row]
     cols = {c: i for i, c in enumerate(sorted({c for row in live for c in row}))}

@@ -20,7 +20,7 @@ from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
 from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
-                           presentation_from_texts)
+                           presentation_from_texts, product_presentation)
 from oracles import (box_cover_images, brute_order, element_action_rows,
                      hermite_form, naive_schreier_sims_order,
                      perm_from_cycles)
@@ -229,12 +229,13 @@ def test_double_cyclic_chain():
 def test_product_chain(free2):
     factors = (homology_cover_chain(free2, (2, 4)),
                homology_cover_chain(free2, (2, 4)))
-    chain = product_chain(factors)
+    chain = product_chain(factors, product_presentation([free2, free2]))
     assert chain.indices() == (16, 256)
     assert chain.group.generator_names == ("a0", "b0", "a1", "b1")
     # ragged factors truncate with a note
     ragged = product_chain((homology_cover_chain(free2, (2, 4)),
-                            homology_cover_chain(free2, (2,))))
+                            homology_cover_chain(free2, (2,))),
+                           product_presentation([free2, free2]))
     assert ragged.indices() == (16,)
     assert any("truncat" in n for n in ragged.notes)
 
@@ -243,7 +244,8 @@ def test_product_levels_are_certified_from_their_factors(free2):
     # one level on 2048 points of index 1024^2: too large for Schreier-Sims,
     # so only the factor levels can certify its index
     factor = homology_cover_chain(free2, (32,))
-    chain = product_chain((factor, factor))
+    chain = product_chain((factor, factor),
+                          product_presentation([free2, free2]))
     level = chain.levels[0]
     assert (level.quotient.degree, level.index) == (2048, 1048576)
     doubled = replace(chain, levels=(replace(level, index=2 * level.index),))
@@ -282,7 +284,8 @@ def test_mixed_products_and_fibers_over_core_validate(free2):
     # non-regular levels on both sides of every nesting: the orbit-point
     # witnesses come from the coset spaces the finer core repeats
     core = core_chain(free2, (2, 3))
-    mixed = product_chain((core, homology_cover_chain(free2, (2, 4))))
+    mixed = product_chain((core, homology_cover_chain(free2, (2, 4))),
+                          product_presentation([free2, free2]))
     assert mixed.indices() == (16, 15552)
     assert fiber_restrict(core, (free2.word("b"),)).indices() == (2, 6)
     words = (free2.word("a^2"), free2.word("b a b^-1"))
@@ -354,7 +357,8 @@ def test_level_coset_table_matches_the_element_oracle():
 
 
 def test_level_coset_table_walks_a_base_off_regular_levels(free2, monkeypatch):
-    product = product_chain([homology_cover_chain(free2, [2, 4])] * 2)
+    product = product_chain([homology_cover_chain(free2, [2, 4])] * 2,
+                            product_presentation([free2, free2]))
     regular = homology_cover_chain(free2, [2, 4]).levels[1]
     calls = []
     real_base = PermGroup.base

@@ -5,19 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from gradlab.chains import Chain
-from gradlab.errors import ResourceExhausted
+from gradlab import experiments
+from gradlab.chains import Chain, level_coset_table
+from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.experiments import (
     CSV_COLUMNS,
     MV_COLUMNS,
     ExperimentConfig,
+    _level_cells,
     resolve_group,
     resolve_chain,
     run_experiment,
     emit_report,
 )
-from gradlab.homology import QQ, GF2
+from gradlab.gog import subgroup_volume_vector
+from gradlab.homology import QQ, GF2, covering_complex
 from gradlab.permgrp import PermGroup
+from gradlab.towers import catalog
 
 
 def make(kind, group, chain, **kw):
@@ -167,6 +171,89 @@ def test_homology_gradient_product_with_kunneth_check(monkeypatch):
     # the two factor chains and their product, each validated once: the
     # check reuses the factor chains instead of building them again
     assert len(validated) == 3
+
+
+THREE_FREE_FACTORS = ({"catalog": "f2xf2xf2"},
+                      {"type": "product",
+                       "factors": [{"type": "homology", "moduli": [2]}] * 3})
+
+
+def test_kunneth_check_reads_b2_only_for_two_factors():
+    # with three factors the product presentation's 2-complex is only the
+    # 2-skeleton of F_5^3: its b2 exceeds the group's Kunneth 75
+    table = make("homology", *THREE_FREE_FACTORS, fields=["q", "gf:2"])
+    assert [(r["field"], r["index"], r["b0"], r["b1"]) for r in table.rows] \
+        == [("q", 64, 1, 15), ("gf:2", 64, 1, 15)]
+    assert all(r["b2"] > 75 for r in table.rows)
+    assert table.extras[0]["predicted_betti"] == [1, 15, 75, 125]
+
+
+def test_kunneth_check_still_reads_b1_of_three_factors(monkeypatch):
+    real = experiments.betti
+
+    def shifted(cx, field):
+        b = real(cx, field)
+        b[1] += 1
+        return b
+    monkeypatch.setattr(experiments, "betti", shifted)
+    with pytest.raises(InvariantViolation, match="b1 = 16 but the factor "
+                       r"ranks \[5, 5, 5\] predict 15"):
+        make("homology", *THREE_FREE_FACTORS, fields=["q", "gf:2"])
+
+
+# groups without a graph of groups, and chains over them
+GRAPHLESS = {
+    "surface2-presentation": (
+        {"presentation": {"generators": ["a1", "b1", "a2", "b2"],
+                          "relators": ["a1 b1 a1^-1 b1^-1 a2 b2 a2^-1 b2^-1"],
+                          "aspherical": True}},
+        {"type": "homology", "moduli": [2, 4]}),
+    "f2xf2-product": (
+        {"catalog": "f2xf2"},
+        {"type": "product",
+         "factors": [{"type": "homology", "moduli": [2, 4]}] * 2}),
+    "three-relators": (
+        {"presentation": {"generators": ["a", "b", "c"],
+                          "relators": ["a^2 b^4 c^-2", "b^6 c^3",
+                                       "a^4 c^6"]}},
+        {"type": "homology", "moduli": [6, 12]}),
+    "trefoil-with-empty-relator": (
+        {"presentation": {"generators": ["a", "b"],
+                          "relators": ["a^2 b^-3", "a a^-1"]}},
+        {"type": "homology", "moduli": [2, 4]}),
+    "f2xz-product": (
+        {"product": {"factors": [{"catalog": "free_2"},
+                                 {"catalog": "free_1"}]}},
+        {"type": "product",
+         "factors": [{"type": "homology", "moduli": [2]},
+                     {"type": "cyclic", "weights": {"a": 1},
+                      "moduli": [3]}]}),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHLESS)
+def test_graphless_level_cells_are_the_collapsed_cover(name):
+    group_spec, chain_spec = GRAPHLESS[name]
+    group = resolve_group(group_spec)
+    assert group.graph is None
+    for level in resolve_chain(chain_spec, group).levels:
+        extra = {}
+        cells = _level_cells(group, level, extra)
+        table = level_coset_table(group.presentation, level)
+        assert cells.entries == covering_complex(table).dims
+        assert extra == {}
+
+
+def test_graph_level_cells_are_the_covering_formula():
+    groups = [g for g in catalog().values() if g.graph is not None]
+    assert len(groups) >= 10
+    for group in groups:
+        chain = resolve_chain({"type": "homology", "moduli": [2]}, group)
+        for level in chain.levels:
+            extra = {}
+            cells = _level_cells(group, level, extra)
+            assert cells == subgroup_volume_vector(group.graph, level)
+            assert extra == {"volume_vector": list(cells.entries)}
 
 
 def test_core_volume_builds_one_stabilizer_chain_per_level(monkeypatch):
