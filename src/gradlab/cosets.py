@@ -6,12 +6,14 @@ working table and are skipped; once every live coset is closed, the live
 ones are renumbered breadth first from coset 0, the subgroup itself, so
 the result is a standardized table.  All iteration orders are fixed, so a
 given presentation, subgroup and limit always produce the identical table.
-Both enumerators and the relator check share one scan, _scan, and every
-walk over a complete table is one breadth-first walk, _walk.
+Both enumerators share one scan, _scan, and every walk over a complete
+table is one breadth-first walk, _walk.  CosetTable.validate checks a
+complete table column by column in lockstep, one permgrp.gather per
+column or relator letter.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, inverse_perm
+from .permgrp import Perm, PermGroup, gather, inverse_perm
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -89,25 +91,49 @@ class CosetTable:
         return coset
 
     def validate(self):
-        """Check completeness, inverse consistency, relator and subgroup closure."""
+        """Check completeness, inverse consistency, relator and subgroup
+        closure.
+
+        After the row lengths, each check runs in lockstep over the
+        columns: a column c is inverse consistent when gathering column
+        c^1 along it gives every coset back, and a relator closes when
+        carrying every coset along its letters, one gather per letter,
+        gives every coset back.  A failure names the first entry (alpha,
+        c) in row-major order, or the least coset and then the first
+        relator, as a per-entry scan would.
+        """
         n = len(self.table)
         ncols = 2 * self.presentation.num_generators
         for alpha, row in enumerate(self.table):
             if len(row) != ncols:
                 raise InvariantViolation(f"row {alpha} has {len(row)} columns, wanted {ncols}")
-            for c, beta in enumerate(row):
-                if not 0 <= beta < n:
-                    raise InvariantViolation(f"entry ({alpha},{c}) = {beta} out of range")
-                if self.table[beta][c ^ 1] != alpha:
-                    raise InvariantViolation(f"inverse entry mismatch at ({alpha},{c})")
+        columns = list(zip(*self.table)) or [()] * ncols
+        cosets = tuple(range(n))
+        bad = []
+        for c, col in enumerate(columns):
+            inverse = columns[c ^ 1]
+            if (col and (min(col) < 0 or max(col) >= n)) or gather(inverse, col) != cosets:
+                bad.append(next((alpha, c) for alpha, beta in enumerate(col)
+                                if not 0 <= beta < n or inverse[beta] != alpha))
+        if bad:
+            alpha, c = min(bad)
+            beta = self.table[alpha][c]
+            if not 0 <= beta < n:
+                raise InvariantViolation(f"entry ({alpha},{c}) = {beta} out of range")
+            raise InvariantViolation(f"inverse entry mismatch at ({alpha},{c})")
         # in range and inverse consistent, each column is a permutation: two
         # cosets with the same image beta under c would both be beta.c^-1
-        relators = [(r, _word_cols(r)) for r in self.presentation.relators]
-        for alpha in range(n):
-            for r, cols in relators:
-                f, _, b, _ = _scan(self.table, alpha, cols)
-                if f != b:
-                    raise InvariantViolation(f"relator {r!r} does not close from coset {alpha}")
+        relators = self.presentation.relators
+        unclosed = []
+        for j, r in enumerate(relators):
+            ends = cosets
+            for c in _word_cols(r):
+                ends = gather(columns[c], ends)
+            if ends != cosets:
+                unclosed.append(next((alpha, j) for alpha in cosets if ends[alpha] != alpha))
+        if unclosed:
+            alpha, j = min(unclosed)
+            raise InvariantViolation(f"relator {relators[j]!r} does not close from coset {alpha}")
         for w in self.subgroup_words:
             if self.trace(0, w) != 0:
                 raise InvariantViolation(f"subgroup word {w!r} leaves coset 0")
@@ -300,7 +326,7 @@ def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):
         start, moves = base[0], [c.__getitem__ for c in columns]
     else:
         start = tuple(base)
-        moves = [lambda x, c=c: tuple(map(c.__getitem__, x)) for c in columns]
+        moves = [lambda x, c=c: gather(c, x) for c in columns]
     forward = moves[::2]
     position = {start: 0}
     elements = [start]
@@ -314,9 +340,11 @@ def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):
                         limit=max_order, reached=len(elements))
                 position[y] = len(elements)
                 elements.append(y)
-    table = zip(*(map(position.__getitem__, map(move, elements))
-                  for move in moves))
-    return CosetTable(p, (), table).validate()
+    table = CosetTable(p, (), zip(*(gather(position, list(map(move, elements)))
+                                    for move in moves)))
+    # the check need not hold the walk: its columns went with the zip
+    del position, elements
+    return table.validate()
 
 
 def standardized_table(rows, start=0):

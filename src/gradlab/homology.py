@@ -48,6 +48,7 @@ from functools import cached_property
 
 from .cosets import spanning_tree
 from .errors import InvariantViolation
+from .permgrp import gather
 
 
 @dataclass(frozen=True)
@@ -404,33 +405,45 @@ def covering_complex(t):
     +1 on it, each negative letter -1.  Each trace must close, and closing
     is exactly d1.d2 = 0 on the full cover, whose column for a face is the
     sum of head - tail over the letters crossed.
+
+    The faces of one relator are traced in lockstep: one gather per letter
+    carries the current coset of every face across it, and one more reads
+    the edges crossed from the symbols of that generator.  A trace that
+    does not close is reported at the least coset, then the first relator.
     """
     p = t.presentation
     nx = p.num_generators
     nr = len(p.relators)
+    n = t.num_cosets
     symbol = spanning_tree(t)[1]
     edges = sum(s is not None for s in symbol)
-    d2 = Matrix(edges, t.num_cosets * nr)
-    traces = [list(r.letters()) for r in p.relators]
-    for alpha in range(t.num_cosets):
-        for j, letters in enumerate(traces):
-            face = alpha * nr + j
-            column = {}
-            cur = alpha
-            for gen, sign in letters:
-                if sign < 0:
-                    cur = t.table[cur][2 * gen + 1]
-                s = symbol[cur * nx + gen]
+    symbols = [symbol[g::nx] for g in range(nx)]
+    del symbol
+    columns = list(zip(*t.table))
+    d2 = Matrix(edges, n * nr)
+    entries = d2.entries
+    cosets = tuple(range(n))
+    unclosed = []
+    for j, r in enumerate(p.relators):
+        # one int object per face, shared by every key of that face
+        faces = tuple(range(j, n * nr, nr))
+        cur = cosets
+        for gen, sign in r.letters():
+            if sign < 0:
+                cur = gather(columns[2 * gen + 1], cur)
+            for face, s in zip(faces, gather(symbols[gen], cur)):
                 if s is not None:
-                    column[s] = column.get(s, 0) + sign
-                if sign > 0:
-                    cur = t.table[cur][2 * gen]
-            if cur != alpha:
-                raise InvariantViolation(f"relator {j} does not close from coset {alpha}")
-            for s, v in column.items():
-                if v:
-                    d2.entries[s, face] = v
-    return ChainComplex((1, edges, t.num_cosets * nr), (Matrix(1, edges), d2))
+                    entries[s, face] = entries.get((s, face), 0) + sign
+            if sign > 0:
+                cur = gather(columns[2 * gen], cur)
+        if cur != cosets:
+            unclosed.append(next((alpha, j) for alpha in cosets if cur[alpha] != alpha))
+    if unclosed:
+        alpha, j = min(unclosed)
+        raise InvariantViolation(f"relator {j} does not close from coset {alpha}")
+    for key in [key for key, v in entries.items() if not v]:
+        del entries[key]
+    return ChainComplex((1, edges, n * nr), (Matrix(1, edges), d2))
 
 
 def kunneth_product_dims(factor_h1_dims, q):

@@ -8,10 +8,16 @@ insertion order and its orbit in discovery order; a new strong generator
 extends the orbit in place, old points under the new generator and new
 points under every generator, so transversal entries never change and
 repeated runs build identical chains.  Each level stores its transversal and
-the inverses, so a sift step is one tuple lookup per point.
+the inverses, so a sift step is one gather.
+
+Every product of image tuples, here and in the coset tables and covers
+built over them, is one call of gather, which reads a whole tuple of
+points through a single operator.itemgetter instead of one Python-level
+lookup per point.
 """
 
 import math
+from operator import itemgetter
 
 
 class Perm:
@@ -63,11 +69,21 @@ def identity_perm(degree):
     return _trusted(tuple(range(degree)))
 
 
+def gather(seq, points):
+    """The tuple (seq[x] for x in points) for a sequence of points, read
+    through one itemgetter; for tuples p and q, gather(q, p) applies p
+    and then q."""
+    if len(points) > 1:
+        return itemgetter(*points)(seq)
+    # itemgetter() refuses no items and returns one item bare
+    return (seq[points[0]],) if points else ()
+
+
 def compose(p, q):
     """Apply p, then q: compose(p, q)(x) == q(p(x))."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch {p.degree} != {q.degree}")
-    return _trusted(tuple(map(q.images.__getitem__, p.images)))
+    return _trusted(gather(q.images, p.images))
 
 
 def _invert(images):
@@ -130,19 +146,30 @@ def embed_perm(p, offset, total_degree):
 
 
 def word_image(w, generator_images):
-    """Evaluate a Word through a list of generator images."""
+    """Evaluate a Word through a list of generator images.
+
+    A run g^k is one power, by binary powering: out is carried through
+    g, g^2, g^4, ... at the set bits of |k|, so it costs O(degree log |k|)
+    however large k is."""
     if not generator_images:
         raise ValueError("no generator images")
-    out = identity_perm(generator_images[0].degree)
+    out = tuple(range(generator_images[0].degree))
     inverses = {}
-    for gen, sign in w.letters():
-        if sign > 0:
-            out = compose(out, generator_images[gen])
+    for gen, exp in w.runs:
+        if exp > 0:
+            g = generator_images[gen].images
         else:
             if gen not in inverses:
-                inverses[gen] = inverse_perm(generator_images[gen])
-            out = compose(out, inverses[gen])
-    return out
+                inverses[gen] = _invert(generator_images[gen].images)
+            g, exp = inverses[gen], -exp
+        while True:
+            if exp & 1:
+                out = gather(g, out)
+            exp >>= 1
+            if not exp:
+                break
+            g = gather(g, g)
+    return _trusted(out)
 
 
 class _Level:
@@ -179,8 +206,8 @@ class _Level:
             for g, g_inv in pairs:
                 y = g[x]
                 if y not in u:
-                    u[y] = tuple(map(g.__getitem__, u[x]))
-                    u_inv[y] = tuple(map(u_inv[x].__getitem__, g_inv))
+                    u[y] = gather(g, u[x])
+                    u_inv[y] = gather(u_inv[x], g_inv)
                     orbit.append(y)
 
 
@@ -194,7 +221,7 @@ def _sift(levels, p, start):
             inv = level.u_inv.get(x)
             if inv is None:
                 return p, k
-            p = tuple(map(inv.__getitem__, p))
+            p = gather(inv, p)
     return p, len(levels)
 
 
@@ -209,11 +236,10 @@ def _unsifted_residue(levels, i):
         while done[k] < len(orbit):
             x = orbit[done[k]]
             done[k] += 1
-            p = tuple(map(s.__getitem__, u[x]))
+            p = gather(s, u[x])
             y = s[x]
             if p != u[y]:
-                residue, j = _sift(levels, tuple(map(u_inv[y].__getitem__, p)),
-                                   i + 1)
+                residue, j = _sift(levels, gather(u_inv[y], p), i + 1)
                 if residue != identity:
                     return residue, j
     return None

@@ -9,10 +9,13 @@ spanning tree was collapsed, naive_schreier_sims_order, the
 Schreier-Sims that rebuilt a level on every new strong generator,
 box_cover_images, the homology cover built by reducing every point of
 the box of a Hermite form (hermite_form, the integer form the cover was
-read from before its diagonal form), and element_action_rows, the coset
+read from before its diagonal form), element_action_rows, the coset
 table of a level's kernel built by enumerating its image group as whole
-permutations.  None of it imports from gradlab, so a bug in the library
-cannot hide in its own oracle.
+permutations, and the per-entry loops that coset tables and covers ran
+before their lockstep passes over columns: entrywise_table_error, the
+table check, and coset_face_columns, the face traces of a collapsed
+cover.  None of it imports from gradlab, so a bug in the library cannot
+hide in its own oracle.
 """
 
 import itertools
@@ -513,6 +516,79 @@ def full_covering_complex(table):
             add(product, (r, f), v * w)
     assert not product, "d1 . d2 is not zero"
     return (k, k * nx, k * nr), [d1, d2]
+
+
+def entrywise_table_error(table):
+    """The message of the first failure of a coset table's checks, scanned
+    entry by entry, or None.
+
+    Rows come first, each with its length and then its entries in column
+    order (range, then the inverse entry), as a per-entry scan meets them;
+    then every relator from every coset, cosets outermost; then every
+    subgroup word from coset 0.  Duck-typed: table has .table, a list of
+    rows, .presentation with .num_generators and .relators, and
+    .subgroup_words; words have .letters().  A short row that an earlier
+    entry leads into raises IndexError, as that scan did.
+    """
+    rows = table.table
+    n = len(rows)
+    ncols = 2 * table.presentation.num_generators
+    for alpha, row in enumerate(rows):
+        if len(row) != ncols:
+            return f"row {alpha} has {len(row)} columns, wanted {ncols}"
+        for c, beta in enumerate(row):
+            if not 0 <= beta < n:
+                return f"entry ({alpha},{c}) = {beta} out of range"
+            if rows[beta][c ^ 1] != alpha:
+                return f"inverse entry mismatch at ({alpha},{c})"
+
+    def trace(alpha, w):
+        for gen, sign in w.letters():
+            alpha = rows[alpha][2 * gen + (sign < 0)]
+        return alpha
+
+    for alpha in range(n):
+        for r in table.presentation.relators:
+            if trace(alpha, r) != alpha:
+                return f"relator {r!r} does not close from coset {alpha}"
+    for w in table.subgroup_words:
+        if trace(0, w) != 0:
+            return f"subgroup word {w!r} leaves coset 0"
+    return None
+
+
+def coset_face_columns(table, symbol):
+    """(entries, unclosed) of a collapsed cover's d2, traced coset by coset.
+
+    symbol[alpha * |X| + g] numbers the edge (alpha, g) off the spanning
+    tree, or is None on the tree.  Each face (alpha, j), numbered alpha *
+    |R| + j, walks relator j from coset alpha; a positive letter g adds +1
+    on the edge it leaves by, a negative one -1 on the edge it arrives
+    along.  entries maps (edge, face) to the nonzero sums; unclosed lists
+    each (alpha, j) whose trace does not end at alpha, cosets outermost.
+    """
+    p = table.presentation
+    nx = p.num_generators
+    nr = len(p.relators)
+    entries, unclosed = {}, []
+    for alpha in range(len(table.table)):
+        for j, r in enumerate(p.relators):
+            column = {}
+            cur = alpha
+            for gen, sign in r.letters():
+                if sign < 0:
+                    cur = table.table[cur][2 * gen + 1]
+                s = symbol[cur * nx + gen]
+                if s is not None:
+                    column[s] = column.get(s, 0) + sign
+                if sign > 0:
+                    cur = table.table[cur][2 * gen]
+            if cur != alpha:
+                unclosed.append((alpha, j))
+            for s, v in column.items():
+                if v:
+                    entries[s, alpha * nr + j] = v
+    return entries, unclosed
 
 
 def hermite_form(rows, n):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradlab.cosets import (
+    CosetTable,
     todd_coxeter,
     perm_rep,
     schreier_tree,
@@ -20,6 +21,7 @@ from oracles import (
     count_subgroups_by_actions,
     count_transitive_pairs,
     element_action_rows,
+    entrywise_table_error,
     factorial,
     full_covering_complex,
     predicted_betti,
@@ -71,11 +73,53 @@ def test_perm_rep_respects_relators(sym3):
     assert t.trace(0, sym3.word("a")) == 0
 
 
+def _fails_as_the_entrywise_scan(table):
+    """The message validate raises, which must be the one the per-entry
+    scan meets first."""
+    with pytest.raises(InvariantViolation) as err:
+        table.validate()
+    assert str(err.value) == entrywise_table_error(table)
+    return str(err.value)
+
+
 def test_validate_catches_corruption(sym3):
-    t = todd_coxeter(sym3, ())
+    good = todd_coxeter(sym3, ())
+    n, rows = good.num_cosets, good.table
+    t = CosetTable(sym3, (), rows)
     t.table[2][0] = t.table[3][0]
-    with pytest.raises(InvariantViolation):
-        t.validate()
+    assert _fails_as_the_entrywise_scan(t) == "inverse entry mismatch at (2,0)"
+    # every short row, out-of-range entry and inverse mismatch on one entry
+    seen = set()
+    for alpha, row in enumerate(rows):
+        short = CosetTable(sym3, (), rows)
+        short.table[alpha].pop()
+        with pytest.raises(InvariantViolation, match=f"^row {alpha} has 3 columns, wanted 4$"):
+            short.validate()
+        try:
+            assert entrywise_table_error(short) == f"row {alpha} has 3 columns, wanted 4"
+            seen.add("short")
+        except IndexError:
+            pass  # the per-entry scan stepped into the short row first
+        for c in range(4):
+            for beta in (-1, n, n + 3, *(b for b in range(n) if b != row[c])):
+                bad = CosetTable(sym3, (), rows)
+                bad.table[alpha][c] = beta
+                seen.add(_fails_as_the_entrywise_scan(bad).split(" ")[0])
+    # an entry out of range can first show as the inverse mismatch of the
+    # entry that leads to it
+    assert seen == {"short", "entry", "inverse"}
+    # relators: the least coset, then the first relator; here relator 2
+    # fails from coset 0 and relator 1 only from a later coset
+    cosets_of_a = todd_coxeter(sym3, (sym3.word("a"),)).table
+    loose = presentation_from_texts(("a", "b"), ("a^2", "a", "b"))
+    assert (_fails_as_the_entrywise_scan(CosetTable(loose, (), cosets_of_a))
+            == "relator Word([(1, 1)]) does not close from coset 0")
+    assert CosetTable(loose, (), cosets_of_a).trace(1, loose.word("a")) != 1
+    relabel = presentation_from_texts(("a", "b"), ("a b", "b a b a"))
+    assert _fails_as_the_entrywise_scan(CosetTable(relabel, (), rows)).startswith("relator")
+    words = tuple(sym3.word(w) for w in ("a^2", "b", "a"))
+    assert (_fails_as_the_entrywise_scan(CosetTable(sym3, words, rows))
+            == "subgroup word Word([(1, 1)]) leaves coset 0")
 
 
 def dihedral_model(n):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gradlab.chains import (cyclic_cover_chain, homology_cover_chain,
                             level_coset_table)
-from gradlab.cosets import CosetTable, todd_coxeter, regular_action_table
+from gradlab.cosets import (CosetTable, regular_action_table, spanning_tree,
+                            todd_coxeter)
 from gradlab.errors import InvariantViolation
 from gradlab.experiments import ExperimentConfig, run_experiment
 from gradlab import homology
@@ -29,6 +30,7 @@ from gradlab.towers import catalog
 from gradlab.words import presentation_from_texts
 from oracles import (
     bareiss_rank,
+    coset_face_columns,
     dense_rows,
     dict_rows,
     full_covering_complex,
@@ -477,6 +479,55 @@ def test_covering_complex_rejects_a_relator_that_does_not_close():
     t = CosetTable(p, (), [[1, 2], [2, 0], [0, 1]])
     with pytest.raises(InvariantViolation, match="does not close"):
         covering_complex(t)
+    # the least coset, then the first relator: on the cosets of <a> in
+    # Sym(3), relator 1 (a) first fails from a later coset than relator
+    # 2 (b), which fails from coset 0
+    sym3 = presentation_from_texts(("a", "b"), ("a^2", "b^2", "a b a b a b"))
+    rows = todd_coxeter(sym3, (sym3.word("a"),)).table
+    for relators, alpha, j in ((("a^2", "a", "b"), 0, 2),
+                               (("a^2", "a"), 1, 1)):
+        t = CosetTable(presentation_from_texts(("a", "b"), relators), (), rows)
+        unclosed = coset_face_columns(t, spanning_tree(t)[1])[1]
+        assert min(unclosed) == (alpha, j)
+        with pytest.raises(InvariantViolation,
+                           match=f"^relator {j} does not close from coset {alpha}$"):
+            covering_complex(t)
+
+
+def _lockstep_tables():
+    """Tables of every catalog group's homology [2, 4] levels, the
+    three-relator presentation, a nonorientable surface's cyclic covers
+    and index-1 levels."""
+    for entry in catalog().values():
+        for level in homology_cover_chain(entry.presentation, [2, 4]).levels:
+            yield level_coset_table(entry.presentation, level)
+    three = presentation_from_texts(("a", "b", "c"),
+                                    ("a^2 b^4 c^-2", "b^6 c^3", "a^4 c^6"))
+    nonorientable = presentation_from_texts(("a", "b", "c"), ("a a b b c c",))
+    chains = ((three, homology_cover_chain(three, [6, 12])),
+              (nonorientable, cyclic_cover_chain(
+                  nonorientable, {"a": 1, "b": 1, "c": -2}, [3, 9])),
+              (three, homology_cover_chain(three, [1, 2])),
+              (catalog()["surface_2"].presentation,
+               homology_cover_chain(catalog()["surface_2"].presentation, [1, 2])))
+    for p, chain in chains:
+        for level in chain.levels:
+            yield level_coset_table(p, level)
+
+
+def test_lockstep_faces_match_the_per_coset_trace():
+    indices = []
+    for t in _lockstep_tables():
+        cx = covering_complex(t)
+        d2 = cx.boundaries[1]
+        entries, unclosed = coset_face_columns(t, spanning_tree(t)[1])
+        assert not unclosed
+        assert d2.entries == entries
+        traced = ChainComplex(cx.dims, (Matrix(1, d2.rows), Matrix(d2.rows, d2.cols, entries)))
+        for field in (QQ, GF2, GF3):
+            assert betti(cx, field) == betti(traced, field)
+        indices.append(t.num_cosets)
+    assert indices.count(1) == 2 and max(indices) == 4096 and len(indices) == 32
 
 
 def test_covering_complex_against_smith_form_prediction():

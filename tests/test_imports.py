@@ -1,5 +1,5 @@
-"""Three constraints on what the code may import, and two on what it
-defines.
+"""Three constraints on what the code may import, two on what it
+defines, and one on how it reads permutations.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  No gradlab
@@ -11,7 +11,8 @@ or class is named somewhere in src/gradlab besides its definition, so a
 helper whose last caller is deleted goes with it.  Every public top-level
 function or class is named in some module of src/gradlab outside its own
 definition and __init__.py, so the package exports nothing that only its
-tests call.
+tests call.  No module maps a bound __getitem__ over points: a tuple of
+lookups is permgrp.gather, the one itemgetter kernel.
 """
 
 import ast
@@ -91,3 +92,14 @@ def test_every_public_name_has_a_caller():
     called = {name for name, owner in uses if name != owner}
     assert defined
     assert [name for name in defined if name not in called] == []
+
+
+def test_every_gather_goes_through_permgrp():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    mapped = [(path.name, node.lineno) for path in sources
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "map" and node.args
+              and isinstance(node.args[0], ast.Attribute)
+              and node.args[0].attr == "__getitem__"]
+    assert mapped == []

@@ -9,6 +9,7 @@ from gradlab.permgrp import (
     PermGroup,
     identity_perm,
     compose,
+    gather,
     inverse_perm,
     perm_order,
     direct_sum_perm,
@@ -16,9 +17,10 @@ from gradlab.permgrp import (
     word_image,
     subgroup_index,
 )
-from gradlab.words import parse_word
+from gradlab.words import Word, parse_word
 from oracles import (brute_closure, brute_order, naive_schreier_sims_order,
-                     perm_from_cycles, tuple_compose, tuple_inverse)
+                     perm_from_cycles, tuple_compose, tuple_inverse,
+                     tuple_word_image)
 
 
 def test_perm_basics():
@@ -58,7 +60,19 @@ def test_inverse_and_cycles():
     assert perm_from_cycles([(0, 1, 2), (3, 4)], 6) == (1, 2, 0, 4, 3, 5)
 
 
-@given(st.integers(1, 12).flatmap(
+def test_gather_returns_a_tuple_on_zero_one_and_two_points():
+    # itemgetter alone refuses no items and returns one item bare
+    seq = (5, 6, 7)
+    assert gather(seq, ()) == () and gather(seq, []) == ()
+    assert gather(seq, (2,)) == (7,) and gather(seq, [0]) == (5,)
+    assert gather(seq, (2, 0)) == (7, 5)
+    assert gather({"x": 1, (0, 1): 2}, [(0, 1), "x"]) == (2, 1)
+    for points in ((), (1,), (1, 1)):
+        assert type(gather(seq, points)) is tuple
+        assert type(gather(list(seq), list(points))) is tuple
+
+
+@given(st.integers(0, 12).flatmap(
     lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
 def test_internal_constructors_match_tuple_oracles(pair):
     p, q = (tuple(x) for x in pair)
@@ -96,6 +110,28 @@ def test_word_image():
     assert word_image(parse_word("", names), [a, b]).is_identity()
     with pytest.raises(ValueError):
         word_image(w, [])
+
+
+def test_word_image_of_a_huge_exponent_is_one_power():
+    a = Perm((1, 2, 3, 4, 0))
+    k = 10 ** 20
+    assert k % 5 == 0 and word_image(Word(((0, k),)), [a]).is_identity()
+    assert word_image(Word(((0, k + 3),)), [a]) == word_image(Word(((0, 3),)), [a])
+    assert word_image(Word(((0, -k - 2),)), [a]).images == (3, 4, 0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-12, 12).filter(bool)),
+             max_size=5))))
+def test_word_image_matches_the_letter_by_letter_oracle(case):
+    degree, images, runs = case
+    runs = [(gen % len(images), k) for gen, k in runs]
+    letters = [(gen, 1 if k > 0 else -1) for gen, k in runs for _ in range(abs(k))]
+    got = word_image(Word(runs), [Perm(g) for g in images])
+    assert got.images == tuple_word_image(degree, images, letters)
 
 
 def test_group_order_symmetric_and_alternating():
