@@ -301,12 +301,14 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
     return _make_chain(p, levels, ())
 
 
-def cyclic_cover_chain(p, weights, moduli):
+def cyclic_cover_chain(p, weights, moduli, max_index=DEFAULT_MAX_COSETS):
     """Kernels of weighted degree maps onto Z/m.
 
     weights maps generator names to integers; unnamed generators weigh 0.
     Every relator must have weighted exponent sum divisible by each modulus,
-    and the moduli must form a divisibility ladder.
+    and the moduli must form a divisibility ladder.  A level acts on m
+    points, so a modulus above max_index, the coset budget, raises
+    ResourceExhausted before its points are built.
     """
     _require_ladder(moduli)
     unknown = set(weights) - set(p.generator_names)
@@ -320,6 +322,10 @@ def cyclic_cover_chain(p, weights, moduli):
             if s % m != 0:
                 raise ValueError(f"relator {j} has weighted sum {s}, "
                                  f"not divisible by {m}")
+        if m > max_index:
+            raise ResourceExhausted(f"cyclic cover mod {m} acts on {m} points, "
+                                    f"above the coset budget {max_index}",
+                                    limit=max_index, reached=m)
         images = tuple(Perm(tuple((x + wi) % m for x in range(m))) for wi in w)
         quotient = PermGroup(m, images)
         g = reduce(math.gcd, w, m)

@@ -86,7 +86,8 @@ def resolve_group(spec):
 
 def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     """Build the chain a spec dict describes over the resolved group.
-    max_cosets also bounds the index of a homology chain's levels."""
+    max_cosets also bounds the index of a homology chain's levels and the
+    modulus of a cyclic chain or fiber kernel."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError(f"chain spec must be a dict with a type, got {spec!r}")
     kind = spec["type"]
@@ -102,7 +103,8 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                                     max_cosets)
     if kind == "cyclic":
         return cyclic_cover_chain(p, need(spec, "weights", where, dict, int),
-                                  need(spec, "moduli", where, list, int))
+                                  need(spec, "moduli", where, list, int),
+                                  max_cosets)
     if kind == "product":
         specs = need(spec, "factors", where, list)
         if not group.factors:
@@ -126,7 +128,7 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
             k = spec["kernel"]
             helper = cyclic_cover_chain(
                 p, need(k, "weights", "fiber kernel", dict, int),
-                [need(k, "modulus", "fiber kernel", int)])
+                [need(k, "modulus", "fiber kernel", int)], max_cosets)
             words = tuple(schreier_generators(
                 level_coset_table(p, helper.levels[0], max_cosets)))
         else:

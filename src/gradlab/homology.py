@@ -5,10 +5,11 @@ vertex, the edges off the tree, and every face.  Collapsing a contractible
 subcomplex keeps the homology over Z, so every field reads the same Betti
 numbers as on the full cover, and b0 = 1 holds by construction.
 
-Matrices are sparse maps (row, col) -> integer.  One sparse eliminator
-serves every ring.  Rows are dicts, and each column lists the rows that
-have held it; a listed row that no longer has the column is skipped (lazy
-deletion).  The pivot row is the shortest live row: rows wait on one stack
+A matrix is a list of rows, each a {column: integer} dict with no zeros:
+the cover writes its crossings into them, and each elimination takes its
+own copies.  One sparse eliminator serves every ring.  Each column lists
+the rows that have held it; a listed row that no longer has the column
+is skipped (lazy deletion).  The pivot row is the shortest live row: rows wait on one stack
 per length, the smallest index on top at the start, and an entry whose row
 has changed length since is skipped the same way.  The pivot column is the
 one of that row with the fewest listed rows, ties going to the smallest
@@ -92,59 +93,60 @@ GF3 = FieldSpec(3)
 
 
 class Matrix:
-    """Sparse integer matrix; zeros are never stored."""
+    """Sparse integer matrix: row_dicts holds one {column: value} dict per
+    row, and zeros are never stored."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "row_dicts")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError(f"bad shape ({rows}, {cols})")
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
-                self.add(r, c, v)
+        self.row_dicts = [{} for _ in range(rows)]
+        for (r, c), v in (entries or {}).items():
+            self.add(r, c, v)
 
     def add(self, r, c, v):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ValueError(f"index ({r},{c}) outside {self.rows}x{self.cols}")
-        key = (r, c)
-        new = self.entries.get(key, 0) + v
+        row = self.row_dicts[r]
+        new = row.get(c, 0) + v
         if new:
-            self.entries[key] = new
+            row[c] = new
         else:
-            self.entries.pop(key, None)
+            row.pop(c, None)
 
     def get(self, r, c):
-        return self.entries.get((r, c), 0)
+        return self.row_dicts[r].get(c, 0)
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return sum(map(len, self.row_dicts))
 
     def multiply(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} vs {other.rows}")
-        if not (self.entries and other.entries):
-            return Matrix(self.rows, other.cols)
-        by_row = [[] for _ in range(other.rows)]
-        for (r, c), v in other.entries.items():
-            by_row[r].append((c, v))
         out = Matrix(self.rows, other.cols)
-        for (r, k), v in self.entries.items():
-            for c, w in by_row[k]:
-                out.add(r, c, v * w)
+        for r, row in enumerate(self.row_dicts):
+            for k, v in row.items():
+                for c, w in other.row_dicts[k].items():
+                    out.add(r, c, v * w)
         return out
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.row_dicts)
 
 
 def rank(m, field):
     """Exact rank of m over the given field."""
     p = field.characteristic
-    return _eliminate(_row_dicts(m, p), m.cols, p)[0]
+    if p:
+        rows = [{c: r for c, v in row.items() if (r := v % p)}
+                for row in m.row_dicts]
+    else:
+        rows = [dict(row) for row in m.row_dicts]
+    return _eliminate(rows, m.cols, p)[0]
 
 
 def _unit_reduce(m):
@@ -159,8 +161,7 @@ def _unit_reduce(m):
     root[r1] = r2 with sign -ab, applied lazily to each row that reads r1
     later.  When r1 = r2 it reads (a + b) e_r1, which is 0 (dropped) or
     +-2 (kept).  The rows left, read through the roots, go to the
-    Markowitz loop of `_eliminate`."""
-    rows = _row_dicts(m)
+    Markowitz loop of `_eliminate` as fresh dicts; m keeps its rows."""
     root = list(range(m.cols))
     sign = [1] * m.cols
 
@@ -174,53 +175,40 @@ def _unit_reduce(m):
         return c, s
 
     merged = 0
-    for i, row in enumerate(rows):
-        if row is None or len(row) != 2:
-            continue
-        (c1, v1), (c2, v2) = row.items()
-        if v1 * v1 != 1 or v2 * v2 != 1:
-            continue
-        r1, s1 = find(c1)
-        r2, s2 = find(c2)
-        if r1 != r2:
-            root[r1] = r2
-            sign[r1] = -s1 * v1 * s2 * v2
-            merged += 1
-            rows[i] = None
-        elif s1 * v1 == -s2 * v2:
-            rows[i] = None
+    rest = []
+    for row in m.row_dicts:
+        if len(row) == 2:
+            (c1, v1), (c2, v2) = row.items()
+            if v1 * v1 == 1 and v2 * v2 == 1:
+                r1, s1 = find(c1)
+                r2, s2 = find(c2)
+                if r1 != r2:
+                    root[r1] = r2
+                    sign[r1] = -s1 * v1 * s2 * v2
+                    merged += 1
+                    continue
+                if s1 * v1 == -s2 * v2:
+                    continue
+        if row:
+            rest.append(row)
     live = []
-    for row in rows:
-        if row and merged:
+    for row in rest:
+        if merged:
             new = {}
             for c, v in row.items():
                 r, s = find(c)
                 new[r] = new.get(r, 0) + s * v
             row = {c: v for c, v in new.items() if v}
+        else:
+            row = dict(row)
         if row:
             live.append(row)
-    # without this reference each row _eliminate retires from live is freed
-    del rows
     pivots, rows = _eliminate(live, m.cols, None)
     live = [row for row in rows if row]
     cols = {c: i for i, c in enumerate(sorted({c for row in live for c in row}))}
-    return merged + pivots, Matrix(len(live), len(cols), {
-        (i, cols[c]): v for i, row in enumerate(live) for c, v in row.items()})
-
-
-def _row_dicts(m, p=None):
-    """m's rows as {column: value} dicts, reduced mod p for a prime p, with
-    None for an empty row."""
-    rows = [None] * m.rows
-    for (r, c), v in m.entries.items():
-        if p:
-            v %= p
-            if not v:
-                continue
-        if rows[r] is None:
-            rows[r] = {}
-        rows[r][c] = v
-    return rows
+    residual = Matrix(len(live), len(cols))
+    residual.row_dicts = [{cols[c]: v for c, v in row.items()} for row in live]
+    return merged + pivots, residual
 
 
 def _eliminate(rows, ncols, p):
@@ -421,11 +409,11 @@ def covering_complex(t):
     del symbol
     columns = list(zip(*t.table))
     d2 = Matrix(edges, n * nr)
-    entries = d2.entries
+    rows = d2.row_dicts
     cosets = tuple(range(n))
     unclosed = []
     for j, r in enumerate(p.relators):
-        # one int object per face, shared by every key of that face
+        # one int object per face, shared by every row that face crosses
         faces = tuple(range(j, n * nr, nr))
         cur = cosets
         for gen, sign in r.letters():
@@ -433,7 +421,8 @@ def covering_complex(t):
                 cur = gather(columns[2 * gen + 1], cur)
             for face, s in zip(faces, gather(symbols[gen], cur)):
                 if s is not None:
-                    entries[s, face] = entries.get((s, face), 0) + sign
+                    row = rows[s]
+                    row[face] = row.get(face, 0) + sign
             if sign > 0:
                 cur = gather(columns[2 * gen], cur)
         if cur != cosets:
@@ -441,8 +430,10 @@ def covering_complex(t):
     if unclosed:
         alpha, j = min(unclosed)
         raise InvariantViolation(f"relator {j} does not close from coset {alpha}")
-    for key in [key for key, v in entries.items() if not v]:
-        del entries[key]
+    for row in rows:
+        if 0 in row.values():
+            for face in [face for face, v in row.items() if not v]:
+                del row[face]
     return ChainComplex((1, edges, n * nr), (Matrix(1, edges), d2))
 
 

@@ -664,15 +664,13 @@ def box_cover_images(h):
 
 def dense_rows(matrix):
     """Dense row-list view of the library's sparse Matrix (glue, not math)."""
-    return [[matrix.get(r, c) for c in range(matrix.cols)] for r in range(matrix.rows)]
+    return [[row.get(c, 0) for c in range(matrix.cols)] for row in matrix.row_dicts]
 
 
 def dict_rows(matrix):
-    """{column: value} row view of the library's sparse Matrix (glue, not math)."""
-    rows = [{} for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-    return rows
+    """Copies of the library's sparse Matrix rows, {column: value} each
+    (glue, not math)."""
+    return [dict(row) for row in matrix.row_dicts]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -131,6 +132,22 @@ def test_budget_bounds_the_index_of_homology_chains(tmp_path):
     out = run_cli("homology", "--config", path, "--max-cosets", "10000")
     assert out.returncode == 2
     assert "above the coset budget 10000" in out.stderr
+
+
+@pytest.mark.parametrize("chain", [
+    {"type": "cyclic", "weights": {"a": 1}, "moduli": [1000000]},
+    {"type": "cyclic", "weights": {"a": 1}, "moduli": [10 ** 12]},
+    {"type": "fiber", "inner": {"type": "homology", "moduli": [2]},
+     "kernel": {"weights": {"a": 1}, "modulus": 10 ** 12}},
+])
+@pytest.mark.parametrize("kind", ["rank", "volume"])
+def test_budget_refuses_cyclic_moduli_before_building_points(tmp_path, chain, kind):
+    path = write_config(tmp_path, {"group": {"catalog": "free_2"}, "chain": chain})
+    start = time.monotonic()
+    out = run_cli(kind, "--config", path, "--max-cosets", "1000")
+    assert time.monotonic() - start < 2
+    assert out.returncode == 2
+    assert "above the coset budget 1000" in out.stderr
 
 
 def test_main_callable_in_process(tmp_path, capsys):

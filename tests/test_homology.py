@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -522,12 +523,52 @@ def test_lockstep_faces_match_the_per_coset_trace():
         d2 = cx.boundaries[1]
         entries, unclosed = coset_face_columns(t, spanning_tree(t)[1])
         assert not unclosed
-        assert d2.entries == entries
+        assert {(s, face): v for s, row in enumerate(dict_rows(d2))
+                for face, v in row.items()} == entries
         traced = ChainComplex(cx.dims, (Matrix(1, d2.rows), Matrix(d2.rows, d2.cols, entries)))
         for field in (QQ, GF2, GF3):
             assert betti(cx, field) == betti(traced, field)
         indices.append(t.num_cosets)
     assert indices.count(1) == 2 and max(indices) == 4096 and len(indices) == 32
+
+
+def test_no_stored_zeros_in_covers_or_residuals():
+    # the index-1 levels are here on purpose: a commutator's letters
+    # cancel there on a single edge; the last complex has a row that
+    # merging column 0 into column 1 cancels down to 2 e_2
+    merge = Matrix(2, 3, {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1, (1, 2): 2})
+    complexes = itertools.chain(map(covering_complex, _lockstep_tables()),
+                                [ChainComplex((1, 2, 3), (Matrix(1, 2), merge))])
+    dense_checked = 0
+    for cx in complexes:
+        for m in (cx.boundaries[1], *(residual for _, residual in cx.unit_reduced)):
+            assert all(all(row.values()) for row in dict_rows(m))
+            # a dense copy of an index-4096 d2 would take gigabytes
+            if m.rows * m.cols <= 10 ** 6:
+                assert m.nnz == sum(v != 0 for row in dense_rows(m) for v in row)
+                dense_checked += 1
+    assert dense_checked >= 60
+
+
+def test_eliminations_leave_the_stored_rows_alone():
+    # rank and the unit pass eliminate in place, so each must work on
+    # copies of the rows a matrix hands out
+    groups = catalog()
+    complexes = [covering_complex(level_coset_table(p, level))
+                 for p in (groups[name].presentation
+                           for name in ("surface_2", "f2xf2", "free_2"))
+                 for level in homology_cover_chain(p, [2, 4]).levels]
+    # a row of three entries, a row of +-2s and a +-1 graph edge
+    m = Matrix(3, 3, {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 2): -2,
+                      (2, 1): 1, (2, 2): -1, (0, 2): 3})
+    complexes.append(ChainComplex((3, 3), (m,)))
+    snapshots = [[dict_rows(b) for b in cx.boundaries] for cx in complexes]
+    for cx in complexes:
+        for field in (QQ, GF2, GF3):
+            betti(cx, field)
+            for b in cx.boundaries:
+                rank(b, field)
+    assert [[dict_rows(b) for b in cx.boundaries] for cx in complexes] == snapshots
 
 
 def test_covering_complex_against_smith_form_prediction():

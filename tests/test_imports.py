@@ -1,5 +1,6 @@
 """Three constraints on what the code may import, two on what it
-defines, and one on how it reads permutations.
+defines, one on how it reads permutations and one on how it reads
+matrices.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  No gradlab
@@ -12,7 +13,9 @@ helper whose last caller is deleted goes with it.  Every public top-level
 function or class is named in some module of src/gradlab outside its own
 definition and __init__.py, so the package exports nothing that only its
 tests call.  No module maps a bound __getitem__ over points: a tuple of
-lookups is permgrp.gather, the one itemgetter kernel.
+lookups is permgrp.gather, the one itemgetter kernel.  No module but
+homology names a Matrix's row_dicts: the others read a matrix through
+get, nnz and rank, so its layout can change in one place.
 """
 
 import ast
@@ -103,3 +106,13 @@ def test_every_gather_goes_through_permgrp():
               and isinstance(node.args[0], ast.Attribute)
               and node.args[0].attr == "__getitem__"]
     assert mapped == []
+
+
+def test_only_homology_reads_the_rows_of_a_matrix():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    named = [(path.name, node.lineno) for path in sources
+             if path.name != "homology.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr == "row_dicts")
+             or (isinstance(node, ast.Name) and node.id == "row_dicts")]
+    assert named == []
