@@ -10,8 +10,10 @@ images are translations on the product of cyclic groups that
 homology.diagonalize reads off its relator rows.  Whether a chain
 actually exhausts the group (intersection trivial) is not decidable here.
 Chain.validate certifies every nesting by orbit maps, and every level's
-index by an orbit map, by the factor levels of a product chain, or on any
-other level by Schreier-Sims, at any degree.
+index by orbit maps, by the factor levels of a product chain, or on any
+other level by Schreier-Sims, at any degree.  On a regular level an image
+that commutes with every image is its own orbit map, a witness that needs
+no walk, and each relator is checked by the point it sends 0 to.
 """
 
 import math
@@ -22,8 +24,8 @@ from .cosets import (DEFAULT_MAX_COSETS, low_index_subgroups, perm_rep,
                      regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
 from .homology import diagonalize
-from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm,
-                      identity_perm, orbit, word_image)
+from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm, gather,
+                      orbit, trace_point, word_image)
 from .words import abelianized_relator_matrix
 
 
@@ -44,6 +46,11 @@ class ChainLevel:
     provenance: str
 
     @cached_property
+    def orbit_of_0(self):
+        """The points of the orbit of 0, in breadth-first order."""
+        return tuple(orbit(0, self.images))
+
+    @cached_property
     def orbits(self):
         """The size of every orbit of the images, keyed by its least point,
         least points in increasing order."""
@@ -51,7 +58,7 @@ class ChainLevel:
         sizes = {}
         for x in range(len(seen)):
             if not seen[x]:
-                points = orbit(x, self.images)
+                points = orbit(x, self.images) if x else self.orbit_of_0
                 sizes[x] = len(points)
                 for y in points:
                     seen[y] = True
@@ -77,7 +84,7 @@ class Chain:
         return tuple(level.index for level in self.levels)
 
     def validate(self):
-        """Certify every level's index and every nesting, or raise
+        """Certify every level's index, relators and every nesting, or raise
         InvariantViolation.
 
         An orbit map x.w -> y.w is well defined exactly when every word
@@ -85,8 +92,14 @@ class Chain:
         `index` points, must map 0 onto 0.s for every generator s, so its
         stabilizer of 0 is normal, and onto the least point of every other
         orbit, so that stabilizer is the kernel and the quotient has
-        `index` elements.  Both facts come from the level's own orbits,
-        worked out once; the images' degrees are checked before any walk.
+        `index` elements.  An image s that commutes with every image on the
+        orbit of 0 is itself the map onto 0.s, a witness that needs no walk
+        (see _witnessed); only the other targets are walked.  Once a level
+        is certified regular, only the identity fixes 0, so a relator holds
+        exactly when it fixes 0, which permgrp.trace_point reads off the
+        relator's runs; every other level checks each relator's whole image.
+        The orbits are worked out once per level, and the images' degrees
+        are checked before any walk.
         A level of a product chain must hold each factor's level n on a
         block of its own: image j is the factor's image, moved to the
         factor's block and fixing every other point, and the index must be
@@ -123,13 +136,8 @@ class Chain:
             if any(s.degree != level.quotient.degree for s in level.images):
                 raise InvariantViolation(f"level {n} images do not act on "
                                          f"its {level.quotient.degree} points")
-            if self.group is not None:
-                ident = identity_perm(level.quotient.degree)
-                for j, r in enumerate(self.group.relators):
-                    if word_image(r, level.images) != ident:
-                        raise InvariantViolation(
-                            f"relator {j} survives in level {n} quotient")
             blanks.append([-1] * level.quotient.degree)
+            regular = not self.factors and level.regular
             if self.factors:
                 parts = [c.levels[n] for c in self.factors]
                 if level.images != _block_images(parts):
@@ -141,9 +149,9 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n} index {level.index} != {index}, the "
                         "product of its factor indices")
-            elif level.regular:
-                targets = {s.images[0] for s in level.images}
-                targets.update(x for x in level.orbits if x)
+            elif regular:
+                targets = ({s.images[0] for s in level.images}
+                           | level.orbits.keys()) - _witnessed(level)
                 if not all(_maps_onto(level, level, 0, y, blanks[n])
                            for y in targets):
                     raise InvariantViolation(
@@ -154,6 +162,12 @@ class Chain:
                 if order != level.index:
                     raise InvariantViolation(f"level {n} index {level.index} "
                                              f"!= quotient order {order}")
+            if self.group is not None:
+                for j, r in enumerate(self.group.relators):
+                    if (trace_point(r, level.images, 0) != 0 if regular
+                            else not word_image(r, level.images).is_identity()):
+                        raise InvariantViolation(
+                            f"relator {j} survives in level {n} quotient")
         for n in range(len(self.levels) - 1):
             a, b = self.levels[n], self.levels[n + 1]
             for c in a.orbits:
@@ -174,6 +188,29 @@ def _block_images(parts):
         images.extend(embed_perm(img, offset, total) for img in part.images)
         offset += part.quotient.degree
     return tuple(images)
+
+
+def _witnessed(level):
+    """0 and the points 0.s of the images s that commute with every image
+    on the orbit of 0, where such an s is itself the orbit map
+    0.w -> 0.s.w, well defined without a walk.  Each pair of images is
+    compared once, by two gathers over the orbit of 0 (over every point
+    when the orbit is all of them), so the check costs the orbit, not the
+    degree; a pair whose images are both known to be no witness is
+    skipped."""
+    images = [s.images for s in level.images]
+    if level.orbits[0] == level.quotient.degree:
+        on_orbit = images
+    else:
+        on_orbit = [gather(s, level.orbit_of_0) for s in images]
+    central = [True] * len(images)
+    for i, s in enumerate(images):
+        for j in range(i + 1, len(images)):
+            if ((central[i] or central[j])
+                    and gather(images[j], on_orbit[i])
+                    != gather(s, on_orbit[j])):
+                central[i] = central[j] = False
+    return {0} | {s[0] for s, c in zip(images, central) if c}
 
 
 def _maps_onto(src, dst, x, y, image):

@@ -201,6 +201,17 @@ class _Plan:
     notes: tuple = ()
 
 
+def _b2_notes(chain):
+    """The note a report that prints b2 carries when the presentation is not
+    known to be aspherical: b2 is then the cover's 2-complex's, which only
+    bounds the level's own b2 from above (Hopf)."""
+    if chain.group.aspherical:
+        return ()
+    return ("b2 is the second betti number of the cover of the presentation "
+            "2-complex, which is not known to be aspherical; it bounds the "
+            "level's own b2 from above",)
+
+
 def _require_presentation(chain, what):
     if chain.group is None:
         raise ValueError(f"{what} needs relators; shadow chains only track "
@@ -256,7 +267,7 @@ def _plan_rank(cfg, group, chain):
                                      f"{row['d_lower']} > {row['d_upper']}")
         row["target_rg"] = target
         yield row, extra
-    return _Plan(CSV_COLUMNS, (QQ,), fill)
+    return _Plan(CSV_COLUMNS, (QQ,), fill, _b2_notes(chain))
 
 
 def _plan_deficiency(cfg, group, chain):
@@ -361,7 +372,7 @@ def _plan_homology(cfg, group, chain):
                 extra["factor_ranks"] = dims
                 extra["predicted_betti"] = want
             yield _betti_row(n, level, f, b), extra
-    return _Plan(CSV_COLUMNS, cfg.fields, fill)
+    return _Plan(CSV_COLUMNS, cfg.fields, fill, _b2_notes(chain))
 
 
 def _plan_mvcheck(cfg, group, chain):
@@ -398,7 +409,7 @@ def _plan_mvcheck(cfg, group, chain):
                             field=f.label, j=j, lhs=lhs, rhs=rhs,
                             slack=rhs - lhs),
                        {"provenance": level.provenance})
-    return _Plan(MV_COLUMNS, cfg.fields, fill)
+    return _Plan(MV_COLUMNS, cfg.fields, fill, _b2_notes(chain))
 
 
 KINDS = {

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .errors import InvariantViolation, need
 from .permgrp import (Perm, PermGroup, compose, orbit, perm_order,
-                      subgroup_index, word_image)
+                      subgroup_index, trace_point, word_image)
 from .words import Presentation, Word, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -372,6 +372,11 @@ def subgroup_shadows(g, level):
     edges, where local_index = [G_v : B n G_v] is the order of the local
     image and copies = [G : B G_v] = index / local_index counts the lifted
     pieces.
+
+    The images must satisfy every relator.  On a regular level only the
+    identity fixes 0, so a relator is checked by the point it sends 0 to
+    (permgrp.trace_point, which walks one cycle per run); on any other
+    level by its whole image.
     """
     layout = g.layout
     p = layout.presentation
@@ -379,7 +384,8 @@ def subgroup_shadows(g, level):
     if len(images) != len(p.generator_names):
         raise ValueError(f"{len(images)} images for {len(p.generator_names)} generators")
     for r in p.relators:
-        if not word_image(r, images).is_identity():
+        if (trace_point(r, images, 0) != 0 if level.regular
+                else not word_image(r, images).is_identity()):
             raise ValueError(f"images do not satisfy relator {p.render(r)!r}")
 
     vertex_rows = []

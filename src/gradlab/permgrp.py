@@ -65,10 +65,6 @@ def _trusted(images):
     return p
 
 
-def identity_perm(degree):
-    return _trusted(tuple(range(degree)))
-
-
 def gather(seq, points):
     """The tuple (seq[x] for x in points) for a sequence of points, read
     through one itemgetter; for tuples p and q, gather(q, p) applies p
@@ -170,6 +166,25 @@ def word_image(w, generator_images):
                 break
             g = gather(g, g)
     return _trusted(out)
+
+
+def trace_point(w, generator_images, x):
+    """The image of the point x under a Word, through a list of generator
+    images, without building the word's permutation.
+
+    A run g^k moves x by k mod L along the cycle of g through x, of
+    length L.  The cycle is walked from x until it closes, or for k steps
+    when k is positive and smaller, so a run costs O(min(|k|, L)) for
+    k > 0 and O(L) for k < 0, however large |k| is."""
+    for gen, exp in w.runs:
+        g = generator_images[gen].images
+        cycle = [x]
+        y = g[x]
+        while y != x and (exp < 0 or len(cycle) <= exp):
+            cycle.append(y)
+            y = g[y]
+        x = cycle[exp % len(cycle)]
+    return x
 
 
 class _Level:

@@ -14,8 +14,10 @@ table of a level's kernel built by enumerating its image group as whole
 permutations, and the per-entry loops that coset tables and covers ran
 before their lockstep passes over columns: entrywise_table_error, the
 table check, and coset_face_columns, the face traces of a collapsed
-cover.  None of it imports from gradlab, so a bug in the library cannot
-hide in its own oracle.
+cover.  So is walked_level_certificate, the check of one chain level by
+an orbit walk per target and every relator's whole image, from before
+commuting images served as their own orbit maps.  None of it imports
+from gradlab, so a bug in the library cannot hide in its own oracle.
 """
 
 import itertools
@@ -171,6 +173,55 @@ def tuple_word_image(degree, images, letters):
         g = images[gen] if sign > 0 else tuple_inverse(images[gen])
         out = tuple_compose(out, g)
     return out
+
+
+def _tuple_orbit(point, images):
+    points, seen = [point], {point}
+    for x in points:
+        for s in images:
+            if s[x] not in seen:
+                seen.add(s[x])
+                points.append(s[x])
+    return points
+
+
+def _orbit_map_is_defined(images, x, y):
+    """Whether x.w -> y.w is well defined on the orbit of x: one walk of
+    that orbit, every step checked."""
+    image = {x: y}
+    queue = [x]
+    for p in queue:
+        for s in images:
+            if s[p] not in image:
+                image[s[p]] = s[image[p]]
+                queue.append(s[p])
+            elif image[s[p]] != s[image[p]]:
+                return False
+    return True
+
+
+def walked_level_certificate(images, index, relators):
+    """Whether a one-level chain on these image tuples, claiming this
+    index, passes its certificates by the all-walk route: when the orbit
+    of 0 has `index` points, one orbit walk per target, 0.s for every
+    image s and the least point of every other orbit, must show the action
+    regular; otherwise the index must be the brute order of the images.
+    Every relator, a list of (generator, sign) letters, must then have the
+    identity as its whole image."""
+    degree = len(images[0])
+    least, seen = [], set()
+    for x in range(degree):
+        if x not in seen:
+            least.append(x)
+            seen.update(_tuple_orbit(x, images))
+    if len(_tuple_orbit(0, images)) == index:
+        targets = {s[0] for s in images} | set(least[1:])
+        certified = all(_orbit_map_is_defined(images, 0, y) for y in targets)
+    else:
+        certified = brute_order(degree, images) == index
+    ident = tuple(range(degree))
+    return certified and all(tuple_word_image(degree, images, r) == ident
+                             for r in relators)
 
 
 def closure_shadows(degree, images, vertex_gens, edge_words):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradlab import chains
+from gradlab import chains, gog
 from gradlab.chains import (
     Chain,
     ChainLevel,
@@ -17,13 +17,15 @@ from gradlab.chains import (
 from gradlab.cosets import regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
+from gradlab.gog import subgroup_shadows
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
 from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
                            presentation_from_texts, product_presentation)
-from oracles import (box_cover_images, brute_order, element_action_rows,
-                     hermite_form, naive_schreier_sims_order,
-                     perm_from_cycles)
+from oracles import (box_cover_images, brute_closure, brute_order,
+                     element_action_rows, hermite_form,
+                     naive_schreier_sims_order, perm_from_cycles,
+                     tuple_compose, walked_level_certificate)
 
 
 @pytest.fixture
@@ -160,12 +162,21 @@ def test_validate_walks_the_orbit_of_0_once_per_level(monkeypatch):
 
 def test_validate_walks_cost_their_orbits_not_the_degree(free2, monkeypatch):
     # index 1 on m fixed points: m orbits, and validate maps 0 onto the
-    # least point of each; each walk must write only the cells of its orbit
+    # least point of each; each walk must write only the cells of its orbit,
+    # and the witness comparison of the two images must gather only the
+    # one point of the orbit of 0
     m = 20000
     ambient = cyclic_cover_chain(free2, {"a": 1}, [m])
     real = chains._maps_onto
     cells = [0]
     spied = {}
+    gathered = [0]
+
+    def gather_spy(seq, points):
+        gathered[0] += len(points)
+        return real_gather(seq, points)
+    real_gather = chains.gather
+    monkeypatch.setattr(chains, "gather", gather_spy)
 
     class Cells(list):
         def __setitem__(self, i, value):
@@ -182,10 +193,124 @@ def test_validate_walks_cost_their_orbits_not_the_degree(free2, monkeypatch):
             spied[id(image)] = (image, Cells(image))
         return real(src, dst, x, y, spied[id(image)][1])
     monkeypatch.setattr(chains, "_maps_onto", spy)
-    fiber = fiber_restrict(ambient, [free2.word("b")])
+    fiber = fiber_restrict(ambient, [free2.word("b"), free2.word("b^2")])
     assert fiber.indices() == (1,)
     assert cells[0] <= 4 * m
+    assert 0 < gathered[0] <= 8
     assert fiber.levels[0].orbits == dict.fromkeys(range(m), 1)
+
+
+def test_regular_levels_walk_only_their_nesting(monkeypatch):
+    # surface_2 mod [3, 6]: the images commute, so each is its own orbit
+    # map, and relators are traced from 0 in validate and in the shadows
+    walks = []
+    real = chains._maps_onto
+
+    def spy(src, dst, x, y, image):
+        walks.append((src.index, dst.index))
+        return real(src, dst, x, y, image)
+
+    def no_word_image(*args):
+        raise AssertionError("a whole relator image on a regular level")
+    monkeypatch.setattr(chains, "_maps_onto", spy)
+    monkeypatch.setattr(chains, "word_image", no_word_image)
+    monkeypatch.setattr(gog, "word_image", no_word_image)
+    group = catalog()["surface_2"]
+    chain = homology_cover_chain(group.presentation, (3, 6))
+    assert walks == [(1296, 81)]
+    for level in chain.levels:
+        vertex_rows, edge_rows = subgroup_shadows(group.graph, level)
+        assert vertex_rows[0][1:] == (1, level.index) and edge_rows == []
+
+
+def _group_elements(degree, gens):
+    """The elements of <gens>, the identity first."""
+    ident = tuple(range(degree))
+    return [ident] + sorted(brute_closure(degree, gens) - {ident})
+
+
+def _regular_image(elements, g):
+    """The image of g in the regular action: point i is elements[i], and g
+    sends x to x g."""
+    where = {e: i for i, e in enumerate(elements)}
+    return tuple(where[tuple_compose(e, g)] for e in elements)
+
+
+S3 = _group_elements(3, [(1, 0, 2), (1, 2, 0)])
+D4 = _group_elements(4, [(1, 2, 3, 0), (0, 3, 2, 1)])
+
+
+def test_a_non_abelian_regular_level_walks_its_targets(free2, monkeypatch):
+    targets = []
+    real = chains._maps_onto
+
+    def spy(src, dst, x, y, image):
+        targets.append(y)
+        return real(src, dst, x, y, image)
+    monkeypatch.setattr(chains, "_maps_onto", spy)
+    images = tuple(Perm(_regular_image(S3, g)) for g in ((1, 0, 2), (1, 2, 0)))
+    level = ChainLevel(PermGroup(6, images), images, 6, "by hand")
+    Chain(free2, (level,)).validate()
+    assert sorted(targets) == sorted(s(0) for s in images)
+
+
+@st.composite
+def hand_built_levels(draw):
+    """(images, index, relators) of a one-level chain on two generators.
+    The images are translations of Z/a x Z/b, or two elements of S_3 or D_4
+    in the regular action or in the natural one, which is not regular,
+    maybe beside an extra block of random permutations, which the
+    stabilizer of 0 may move.  The index is the orbit of 0, a wrong one,
+    or the true order.  The relators, lists of (generator, sign) letters,
+    may hold or survive."""
+    kind = draw(st.sampled_from(("translations", "S3", "D4")))
+    if kind == "translations":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+        def shift():
+            u, v = draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1))
+            return tuple((x // b + u) % a * b + (x % b + v) % b
+                         for x in range(a * b))
+        images = (shift(), shift())
+    else:
+        elements = S3 if kind == "S3" else D4
+        images = tuple(draw(st.sampled_from(elements)) for _ in range(2))
+        if draw(st.booleans()):
+            images = tuple(_regular_image(elements, g) for g in images)
+    if draw(st.booleans()):
+        extra = draw(st.integers(1, 3))
+        images = _beside(images, tuple(tuple(draw(st.permutations(range(extra))))
+                                       for _ in range(2)))
+    degree = len(images[0])
+    orbit_size = len(orbit(0, [Perm(s) for s in images]))
+    index = draw(st.sampled_from((orbit_size, orbit_size + 1, 2 * orbit_size,
+                                  brute_order(degree, images))))
+    a, b = (0, 1), (1, 1)
+    held = [[a, b, (0, -1), (1, -1)],
+            [a] * brute_order(degree, images[:1]),
+            [b] * brute_order(degree, images[1:]),
+            [a, b] * brute_order(degree, [tuple_compose(*images)])]
+    letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.one_of(st.sampled_from(held),
+                                       st.lists(letters, min_size=1,
+                                                max_size=6)),
+                             max_size=2))
+    return images, index, relators
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_levels())
+def test_validate_accepts_a_level_exactly_when_the_walked_oracle_does(case):
+    images, index, relators = case
+    p = Presentation(("a", "b"), tuple(Word(tuple(r)) for r in relators))
+    perms = tuple(Perm(s) for s in images)
+    chain = Chain(p, (ChainLevel(PermGroup(len(images[0]), perms), perms,
+                                 index, "by hand"),))
+    if walked_level_certificate(images, index, relators):
+        assert chain.validate() is chain
+    else:
+        with pytest.raises(InvariantViolation):
+            chain.validate()
 
 
 def test_core_chain(free2):

@@ -6,7 +6,9 @@ import time
 import pytest
 
 from gradlab import experiments
+from gradlab.chains import Chain, ChainLevel
 from gradlab.cli import main
+from gradlab.permgrp import Perm, PermGroup
 
 
 def write_config(tmp_path, config):
@@ -360,5 +362,27 @@ def test_wrong_betti_numbers_exit_three(tmp_path, monkeypatch, capsys,
                         _skewed(experiments.betti, field_label, degree, shift))
     path = write_config(tmp_path, {"group": FREE_2, "chain": HOMOLOGY_2,
                                    "fields": ["q", "gf:2"]})
+    assert main(["homology", "--config", path]) == 3
+    assert named in capsys.readouterr().err
+
+
+_S3_MOVES = (Perm((1, 0, 2)), Perm((0, 2, 1)))
+_STEP = (Perm((1, 2, 0)), Perm((0, 1, 2)))
+
+
+@pytest.mark.parametrize("images, named", [
+    (_S3_MOVES, "does not act regularly"),
+    (_STEP, "relator 0 survives"),
+], ids=["not-regular", "surviving-relator"])
+def test_a_hand_built_level_that_fails_its_certificate_exits_three(
+        tmp_path, monkeypatch, capsys, images, named):
+    # three points, claimed index 3: S_3 is transitive there but not
+    # regular; a 3-cycle acts regularly but does not kill a^2
+    def hand_built(p, moduli, max_index):
+        level = ChainLevel(PermGroup(3, images), images, 3, "by hand")
+        return Chain(p, (level,)).validate()
+    monkeypatch.setattr(experiments, "homology_cover_chain", hand_built)
+    group = {"presentation": {"generators": ["a", "b"], "relators": ["a^2"]}}
+    path = write_config(tmp_path, {"group": group, "chain": HOMOLOGY_2})
     assert main(["homology", "--config", path]) == 3
     assert named in capsys.readouterr().err

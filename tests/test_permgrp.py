@@ -7,13 +7,13 @@ from gradlab import permgrp
 from gradlab.permgrp import (
     Perm,
     PermGroup,
-    identity_perm,
     compose,
     gather,
     inverse_perm,
     perm_order,
     direct_sum_perm,
     embed_perm,
+    trace_point,
     word_image,
     subgroup_index,
 )
@@ -28,7 +28,7 @@ def test_perm_basics():
     assert p.degree == 3
     assert p(0) == 1 and p(2) == 0
     assert not p.is_identity()
-    assert identity_perm(3).is_identity()
+    assert Perm((0, 1, 2)).is_identity()
     assert repr(p) == "Perm([1, 2, 0])"
 
 
@@ -78,8 +78,7 @@ def test_internal_constructors_match_tuple_oracles(pair):
     p, q = (tuple(x) for x in pair)
     a, b = Perm(p), Perm(q)
     results = ((compose(a, b), tuple_compose(p, q)),
-               (inverse_perm(a), tuple_inverse(p)),
-               (identity_perm(len(p)), tuple(range(len(p)))))
+               (inverse_perm(a), tuple_inverse(p)))
     for result, want in results:
         assert type(result.images) is tuple and result.images == want
         # the unchecked constructor only ever builds what Perm(...) accepts
@@ -132,6 +131,43 @@ def test_word_image_matches_the_letter_by_letter_oracle(case):
     letters = [(gen, 1 if k > 0 else -1) for gen, k in runs for _ in range(abs(k))]
     got = word_image(Word(runs), [Perm(g) for g in images])
     assert got.images == tuple_word_image(degree, images, letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.integers(0, n - 1),
+    st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2),
+                       st.one_of(st.integers(-12, 12),
+                                 st.integers(-10 ** 30, 10 ** 30)).filter(bool)),
+             max_size=5))))
+def test_trace_point_matches_the_image_of_the_word(case):
+    # cycles of up to 9 points, against exponents below and far above them
+    x, images, runs = case
+    w = Word([(gen % len(images), k) for gen, k in runs])
+    perms = [Perm(g) for g in images]
+    assert trace_point(w, perms, x) == word_image(w, perms).images[x]
+
+
+def test_trace_point_walks_at_most_one_cycle_per_run():
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return super().__getitem__(i)
+
+    class Image:
+        images = Counted(perm_from_cycles([tuple(range(1000))], 100000))
+    for k in (10 ** 30 + 7, -10 ** 30 - 7):
+        reads[0] = 0
+        assert trace_point(Word([(0, k)]), [Image], 5) == (5 + k) % 1000
+        assert reads[0] <= 1001
+    # a run shorter than its cycle reads one point past its end, not more
+    reads[0] = 0
+    assert trace_point(Word([(0, 3)]), [Image], 998) == 1
+    assert reads[0] == 4
+    assert trace_point(Word([(0, 1)]), [Image], 1000) == 1000
 
 
 def test_group_order_symmetric_and_alternating():
@@ -208,7 +244,7 @@ def test_contains_matches_brute_closure(group, rng):
         p = list(range(degree))
         rng.shuffle(p)
         assert g.contains(Perm(p)) == (tuple(p) in closure)
-    assert not g.contains(identity_perm(degree + 1))
+    assert not g.contains(Perm(range(degree + 1)))
 
 
 def test_each_schreier_pair_is_sifted_once(monkeypatch):
@@ -273,7 +309,7 @@ def test_elements_and_contains():
 def test_trivial_group():
     g = PermGroup(4, [])
     assert g.order() == 1
-    assert g.contains(identity_perm(4))
+    assert g.contains(Perm(range(4)))
     assert not g.contains(Perm((1, 0, 2, 3)))
 
 
