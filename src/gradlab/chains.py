@@ -4,8 +4,10 @@ A chain records a group together with a descending sequence of finite-index
 normal subgroups, each given as the kernel of a map onto a finite permutation
 group.  Levels carry the generator images, so downstream code can rebuild
 coset tables, covering complexes, and volume data without re-running any
-search; every level's table, regular, product or core, is one walk over
-the images of a base, certified by its row count.  A homology cover's
+search.  Every level's table, regular, product or core, is read off one
+walk over the images of a base and certified by its row count; on a
+regular level that walk is the orbit of 0 that validation walked, so the
+level's points are walked breadth first once.  A homology cover's
 images are translations on the product of cyclic groups that
 homology.diagonalize reads off its relator rows.  Whether a chain
 actually exhausts the group (intersection trivial) is not decidable here.
@@ -20,8 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .cosets import (DEFAULT_MAX_COSETS, low_index_subgroups, perm_rep,
-                     regular_action_table)
+from .cosets import (DEFAULT_MAX_COSETS, base_orbit, low_index_subgroups,
+                     perm_rep, regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
 from .homology import diagonalize
 from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm, gather,
@@ -47,7 +49,8 @@ class ChainLevel:
 
     @cached_property
     def orbit_of_0(self):
-        """The points of the orbit of 0, in breadth-first order."""
+        """The points of the orbit of 0, in breadth-first order; on a
+        regular level, level_coset_table numbers its cosets by it."""
         return tuple(orbit(0, self.images))
 
     @cached_property
@@ -419,12 +422,14 @@ def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):
 
 
 def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
-    """Coset table of the level kernel, one row per quotient element, by
-    regular_action_table's walk over the images of a base.
+    """Coset table of the level kernel, one row per quotient element, read
+    by regular_action_table off a walk over the images of a base.
 
-    The base is (0,) on a regular level: by orbit and stabilizer, only the
-    identity then fixes 0.  Otherwise it is the quotient's Schreier-Sims
-    base, which core and fiber levels have cached.  Chain.validate has
+    On a regular level the base is (0,) and the walk is the cached orbit
+    of 0, the one Chain.validate walked: by orbit and stabilizer, only the
+    identity then fixes 0.  Otherwise the base is the quotient's
+    Schreier-Sims base, which core and fiber levels have cached, walked by
+    cosets.base_orbit within the coset budget.  Chain.validate has
     certified `index` as the quotient's order, so a table of `index` rows
     proves that only the identity fixes the base; any other row count
     raises InvariantViolation.
@@ -433,8 +438,13 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
         raise ResourceExhausted(f"level index {level.index} exceeds the "
                                 f"coset budget", limit=max_cosets,
                                 reached=level.index)
-    base = (0,) if level.regular else level.quotient.base()
-    table = regular_action_table(p, level.images, base, max_cosets)
+    if level.regular:
+        base = (0,)
+        table = regular_action_table(p, level.images, level.orbit_of_0)
+    else:
+        base = level.quotient.base()
+        table = regular_action_table(
+            p, level.images, base_orbit(level.images, base, max_cosets))
     if table.num_cosets != level.index:
         raise InvariantViolation(f"walking the images of base {base} gave "
                                  f"{table.num_cosets} cosets, not the level "

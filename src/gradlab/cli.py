@@ -7,6 +7,7 @@ budget is hit, 3 when an internal cross-check fails.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,7 +23,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _parser():
+    # built once per process: argparse is costly to set up, and parsing
+    # leaves the parser as it found it
     parser = _Parser(
         prog="gradlab",
         description="gradient experiments over chains of finite-index subgroups")

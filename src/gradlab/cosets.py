@@ -9,11 +9,13 @@ given presentation, subgroup and limit always produce the identical table.
 Both enumerators share one scan, _scan, and every walk over a complete
 table is one breadth-first walk, _walk.  CosetTable.validate checks a
 complete table column by column in lockstep, one permgrp.gather per
-column or relator letter.
+column, and carries every coset across a relator's runs by powering.
+A table of an image group is read off a walk it is given, the orbit of
+a point or of a base tuple.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, gather, inverse_perm
+from .permgrp import Perm, PermGroup, gather, inverse_perm, invert
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -97,10 +99,13 @@ class CosetTable:
         After the row lengths, each check runs in lockstep over the
         columns: a column c is inverse consistent when gathering column
         c^1 along it gives every coset back, and a relator closes when
-        carrying every coset along its letters, one gather per letter,
-        gives every coset back.  A failure names the first entry (alpha,
-        c) in row-major order, or the least coset and then the first
-        relator, as a per-entry scan would.
+        carrying every coset along it gives every coset back.  A run g^k
+        is carried by binary powering, as permgrp.word_image does: through
+        the column of g, g^2, g^4, ... at the set bits of |k|, so a letter
+        costs one gather and a run O(cosets log |k|) however large k is.
+        A failure names the first entry (alpha, c) in row-major order, or
+        the least coset and then the first relator, as a per-entry scan
+        would.
         """
         n = len(self.table)
         ncols = 2 * self.presentation.num_generators
@@ -127,8 +132,15 @@ class CosetTable:
         unclosed = []
         for j, r in enumerate(relators):
             ends = cosets
-            for c in _word_cols(r):
-                ends = gather(columns[c], ends)
+            for gen, exp in r.runs:
+                col, k = columns[2 * gen + (exp < 0)], abs(exp)
+                while True:
+                    if k & 1:
+                        ends = gather(col, ends)
+                    k >>= 1
+                    if not k:
+                        break
+                    col = gather(col, col)
             if ends != cosets:
                 unclosed.append(next((alpha, j) for alpha in cosets if ends[alpha] != alpha))
         if unclosed:
@@ -308,42 +320,54 @@ def schreier_generators(t):
     return gens
 
 
-def regular_action_table(p, images, base, max_order=DEFAULT_MAX_COSETS):
-    """Coset table of the image group acting on the images of a base.
+def base_orbit(images, base, max_order=DEFAULT_MAX_COSETS):
+    """The images of the tuple base under the group the images generate,
+    breadth first from base with the images tried in order, as
+    permgrp.orbit walks a point.  Raises ResourceExhausted past max_order
+    tuples."""
+    start = tuple(base)
+    seen = {start}
+    walk = [start]
+    for x in walk:
+        for g in images:
+            y = gather(g.images, x)
+            if y not in seen:
+                if len(walk) >= max_order:
+                    raise ResourceExhausted(
+                        f"image group exceeds {max_order} elements",
+                        limit=max_order, reached=len(walk))
+                seen.add(y)
+                walk.append(y)
+    return walk
 
-    x.g moves the base to g applied to the points x moves it to, so these
-    tuples are walked breadth first from the base, coset 0, with the
-    generators in order; a one-point base is walked by the point.  When
-    only the identity fixes the base, the table is the regular action of
-    the image, one row per element, describing the kernel of the map
-    sending generators to images; schreier_generators(table) generates
-    that kernel.  Raises ResourceExhausted past max_order rows.
+
+def regular_action_table(p, images, walk):
+    """Coset table of the image group acting on a walk: the orbit of a
+    point, from permgrp.orbit, or of a base tuple, from base_orbit, listed
+    breadth first from its start with the images tried in order.
+
+    Coset k is the walk's k-th entry, so coset 0 is the start, and column
+    c reads the position of every entry moved by c.  When only the
+    identity fixes the start, the table is the regular action of the
+    image, one row per element, describing the kernel of the map sending
+    generators to images; schreier_generators(table) generates that
+    kernel.  The walk must be closed under the images.
     """
     if len(images) != p.num_generators:
         raise ValueError(f"{len(images)} images for {p.num_generators} generators")
     columns = [c for g in images for c in (g.images, inverse_perm(g).images)]
-    if len(base) == 1:
-        start, moves = base[0], [c.__getitem__ for c in columns]
+    n = len(walk)
+    if walk and isinstance(walk[0], tuple):
+        position = dict(zip(walk, range(n)))
+        rows = zip(*(gather(position, [gather(c, x) for x in walk])
+                     for c in columns))
     else:
-        start = tuple(base)
-        moves = [lambda x, c=c: gather(c, x) for c in columns]
-    forward = moves[::2]
-    position = {start: 0}
-    elements = [start]
-    for x in elements:
-        for move in forward:
-            y = move(x)
-            if y not in position:
-                if len(elements) >= max_order:
-                    raise ResourceExhausted(
-                        f"image group exceeds {max_order} elements",
-                        limit=max_order, reached=len(elements))
-                position[y] = len(elements)
-                elements.append(y)
-    table = CosetTable(p, (), zip(*(gather(position, list(map(move, elements)))
-                                    for move in moves)))
+        whole = images and n == images[0].degree
+        position = invert(walk) if whole else dict(zip(walk, range(n)))
+        rows = zip(*(gather(position, gather(c, walk)) for c in columns))
+    table = CosetTable(p, (), rows)
     # the check need not hold the walk: its columns went with the zip
-    del position, elements
+    del position, walk, rows
     return table.validate()
 
 

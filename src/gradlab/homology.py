@@ -215,6 +215,8 @@ def _eliminate(rows, ncols, p):
     """(pivots, rows left) of eliminating the row dicts, in place, over
     GF(p) for p prime, over Q for p = 0, or over Z with +-1 pivots only
     for p = None."""
+    if not rows:
+        return 0, rows
     listed = [[] for _ in range(ncols)]
     for r, row in enumerate(rows):
         if row:
@@ -404,7 +406,7 @@ def covering_complex(t):
     nr = len(p.relators)
     n = t.num_cosets
     symbol = spanning_tree(t)[1]
-    edges = sum(s is not None for s in symbol)
+    edges = len(symbol) - symbol.count(None)
     symbols = [symbol[g::nx] for g in range(nx)]
     del symbol
     columns = list(zip(*t.table))

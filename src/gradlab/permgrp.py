@@ -82,7 +82,9 @@ def compose(p, q):
     return _trusted(gather(q.images, p.images))
 
 
-def _invert(images):
+def invert(images):
+    """The inverse of a tuple of images of every point: where each point
+    sits in it."""
     inverse = [0] * len(images)
     for i, x in enumerate(images):
         inverse[x] = i
@@ -90,7 +92,7 @@ def _invert(images):
 
 
 def inverse_perm(p):
-    return _trusted(_invert(p.images))
+    return _trusted(invert(p.images))
 
 
 def perm_order(p):
@@ -156,7 +158,7 @@ def word_image(w, generator_images):
             g = generator_images[gen].images
         else:
             if gen not in inverses:
-                inverses[gen] = _invert(generator_images[gen].images)
+                inverses[gen] = invert(generator_images[gen].images)
             g, exp = inverses[gen], -exp
         while True:
             if exp & 1:
@@ -294,7 +296,7 @@ class PermGroup:
             if last == len(levels):
                 base = next(x for x, y in enumerate(p) if x != y)
                 levels.append(_Level(base, identity))
-            p_inv = _invert(p)
+            p_inv = invert(p)
             for level in levels[first:last + 1]:
                 level.add_generator(p, p_inv)
 

@@ -93,6 +93,27 @@ def element_action_rows(images):
             for x in elements]
 
 
+def walked_point_rows(images, start):
+    """Rows of the action of the image tuples on the orbit of start.
+
+    The orbit is walked breadth first from start through a dict of the
+    positions found so far, the images tried in order, so the point first
+    reached k-th is row k; row k holds the numbers of x.g and x.g^-1 of
+    that point x for every image g.
+    """
+    position = {start: 0}
+    points = [start]
+    for x in points:
+        for g in images:
+            if g[x] not in position:
+                position[g[x]] = len(points)
+                points.append(g[x])
+    inverses = [tuple_inverse(g) for g in images]
+    return [[position[h[x]] for g, g_inv in zip(images, inverses)
+             for h in (g, g_inv)]
+            for x in points]
+
+
 def naive_schreier_sims_order(degree, gens):
     """Group order by the restart form of deterministic Schreier-Sims.
 

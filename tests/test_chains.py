@@ -25,7 +25,8 @@ from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
 from oracles import (box_cover_images, brute_closure, brute_order,
                      element_action_rows, hermite_form,
                      naive_schreier_sims_order, perm_from_cycles,
-                     tuple_compose, walked_level_certificate)
+                     tuple_compose, walked_level_certificate,
+                     walked_point_rows)
 
 
 @pytest.fixture
@@ -88,8 +89,8 @@ def _assert_cover_table_matches_the_box_oracle(p, level, h):
     walk to the same coset table from point 0: the same regular action,
     whatever the numbering of its points."""
     box = tuple(Perm(images) for images in box_cover_images(h))
-    assert (regular_action_table(p, level.images, (0,)).table
-            == regular_action_table(p, box, (0,)).table)
+    assert (regular_action_table(p, level.images, orbit(0, level.images)).table
+            == regular_action_table(p, box, orbit(0, box)).table)
 
 
 def _assert_cover_images_match_the_box_oracle(p, moduli):
@@ -254,6 +255,11 @@ def test_a_non_abelian_regular_level_walks_its_targets(free2, monkeypatch):
     assert sorted(targets) == sorted(s(0) for s in images)
 
 
+def _translation(a, b, u, v):
+    """Adding (u, v) on Z/a x Z/b, point x standing for (x // b, x % b)."""
+    return tuple((x // b + u) % a * b + (x % b + v) % b for x in range(a * b))
+
+
 @st.composite
 def hand_built_levels(draw):
     """(images, index, relators) of a one-level chain on two generators.
@@ -269,8 +275,7 @@ def hand_built_levels(draw):
 
         def shift():
             u, v = draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1))
-            return tuple((x // b + u) % a * b + (x % b + v) % b
-                         for x in range(a * b))
+            return _translation(a, b, u, v)
         images = (shift(), shift())
     else:
         elements = S3 if kind == "S3" else D4
@@ -492,16 +497,20 @@ def test_level_coset_table_walks_a_base_off_regular_levels(free2, monkeypatch):
         calls.append("base")
         return real_base(group)
 
-    def spy(p, images, base, max_order):
-        calls.append(base)
-        return regular_action_table(p, images, base, max_order)
+    def spy(p, images, walk):
+        calls.append(walk[0])
+        walks.append(walk)
+        return regular_action_table(p, images, walk)
 
+    walks = []
     monkeypatch.setattr(PermGroup, "base", spy_base)
     monkeypatch.setattr(chains, "regular_action_table", spy)
     assert level_coset_table(product.group, product.levels[1]).num_cosets == 256
     assert level_coset_table(free2, regular).num_cosets == 16
-    # Schreier-Sims runs off the regular level only
-    assert calls == ["base", (0, 16), (0,)]
+    # Schreier-Sims runs off the regular level only, whose table is read
+    # off the orbit of 0 that validation walked
+    assert calls == ["base", (0, 16), 0]
+    assert walks[1] is regular.orbit_of_0
 
 
 def test_level_coset_table_rejects_a_base_that_is_not_one(free2, monkeypatch):
@@ -510,6 +519,81 @@ def test_level_coset_table_rejects_a_base_that_is_not_one(free2, monkeypatch):
     monkeypatch.setattr(PermGroup, "base", lambda self: (0,))
     with pytest.raises(InvariantViolation, match="not the level index 4"):
         level_coset_table(free2, level)
+
+
+@st.composite
+def regular_levels(draw):
+    """(presentation, level) of a validated regular level on two
+    generators: a homology cover of a random presentation; a cyclic cover
+    whose weights may share a factor with the modulus, so that the orbit
+    of 0 is a proper subset of the points; or translations of Z/a x Z/b
+    beside a block on which they act through a quotient, whose points are
+    not in the orbit of 0 either."""
+    kind = draw(st.sampled_from(("homology", "cyclic", "translations")))
+    if kind == "homology":
+        runs = st.tuples(st.integers(0, 1), st.integers(-3, 3).filter(bool))
+        relators = draw(st.lists(st.lists(runs, max_size=4).map(Word),
+                                 max_size=2))
+        p = Presentation(("a", "b"), tuple(relators))
+        m = draw(st.sampled_from((2, 3, 4, 6)))
+        return p, draw(st.sampled_from(homology_cover_chain(p, (m,)).levels))
+    p = presentation_from_texts(("a", "b"), ())
+    if kind == "cyclic":
+        m = draw(st.integers(2, 12))
+        weights = {"a": draw(st.integers(0, 6)), "b": draw(st.integers(0, 6))}
+        chain = cyclic_cover_chain(p, weights, (m, 2 * m))
+        return p, draw(st.sampled_from(chain.levels))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    c = draw(st.sampled_from([k for k in range(1, a + 1) if a % k == 0]))
+    d = draw(st.sampled_from([k for k in range(1, b + 1) if b % k == 0]))
+    shifts = [(draw(st.integers(0, a - 1)), draw(st.integers(0, b - 1)))
+              for _ in range(2)]
+    images = _beside(tuple(_translation(a, b, u, v) for u, v in shifts),
+                     tuple(_translation(c, d, u % c, v % d) for u, v in shifts))
+    level = _brute_level(images)
+    Chain(p, (level,)).validate()
+    return p, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_levels())
+def test_level_coset_table_matches_the_point_walk_on_regular_levels(drawn):
+    p, level = drawn
+    assert level.regular
+    images = tuple(s.images for s in level.images)
+    assert level_coset_table(p, level).table == walked_point_rows(images, 0)
+
+
+def test_a_regular_level_is_walked_once(free2, monkeypatch):
+    # validation walks the orbit of 0 once, and the table reads that walk
+    walks, tables = [], []
+    real_orbit, real_table = chains.orbit, chains.regular_action_table
+
+    def orbit_spy(point, perms):
+        out = real_orbit(point, perms)
+        if point == 0:
+            walks.append(out)
+        return out
+
+    def table_spy(p, images, walk):
+        tables.append(walk)
+        return real_table(p, images, walk)
+
+    monkeypatch.setattr(chains, "orbit", orbit_spy)
+    monkeypatch.setattr(chains, "regular_action_table", table_spy)
+    built = [homology_cover_chain(catalog()["surface_2"].presentation, (3, 6)),
+             cyclic_cover_chain(free2, {"a": 2, "b": 4}, (4, 8))]
+    levels = []
+    for chain in built:
+        for level in chain.levels:
+            assert level_coset_table(chain.group, level).num_cosets == level.index
+            levels.append(level)
+    assert all(level.regular for level in levels)
+    assert len(walks) == len(levels) == 4
+    # the last cyclic level's orbit of 0 misses the odd points
+    assert len(levels[-1].orbit_of_0) < levels[-1].quotient.degree
+    assert all(walk is level.orbit_of_0 for walk, level in zip(tables, levels))
+    assert [list(walk) for walk in tables] == walks
 
 
 def test_validate_rejects_non_nested_levels(free2):

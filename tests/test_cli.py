@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gradlab import experiments
+from gradlab import cli, experiments
 from gradlab.chains import Chain, ChainLevel
 from gradlab.cli import main
 from gradlab.permgrp import Perm, PermGroup
@@ -160,6 +160,39 @@ def test_main_callable_in_process(tmp_path, capsys):
     assert main(["rank", "--config", path]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("level,index,field,")
+
+
+def test_the_cached_parser_keeps_no_value_between_calls(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "group": {"catalog": "double_f2_ab"},
+        "chain": {"type": "cyclic", "weights": {"a0": 1, "a1": 1},
+                  "moduli": [2, 4, 8]},
+        "max_cosets": 5,
+    })
+    flagged = ["homology", "--config", path, "--field", "gf:3",
+               "--field", "gf:5", "--max-cosets", "500"]
+    plain = ["homology", "--config", path]
+
+    def report(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in (flagged, plain):
+        cli._parser.cache_clear()
+        alone.append(report(argv))
+    cli._parser.cache_clear()
+    assert [report(flagged), report(plain)] == alone
+    # the config's budget of 5 holds once the flags are gone
+    assert alone[0][0] == 0 and alone[1][0] == 2
+    assert [line.split(",")[2] for line in alone[0][1].split()[1:]] == \
+        ["gf:3", "gf:5"] * 3
+    with pytest.raises(SystemExit) as err:
+        main(["homology"])
+    assert err.value.code == 1
+    assert "--config" in capsys.readouterr().err
+    assert report(flagged) == alone[0]
 
 
 FREE_2 = {"catalog": "free_2"}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from gradlab.cosets import (
     perm_rep,
     schreier_tree,
     schreier_generators,
+    base_orbit,
     regular_action_table,
     standardized_table,
     low_index_subgroups,
@@ -26,6 +29,7 @@ from oracles import (
     full_covering_complex,
     predicted_betti,
     tuple_word_image,
+    walked_point_rows,
 )
 
 
@@ -245,7 +249,8 @@ def test_rewritten_first_homology_matches_cover_complex():
 
 def test_regular_action_table(free2):
     images = [Perm((1, 0, 2)), Perm((0, 2, 1))]
-    t = regular_action_table(free2, images, PermGroup(3, images).base())
+    t = regular_action_table(free2, images,
+                             base_orbit(images, PermGroup(3, images).base()))
     assert t.num_cosets == 6
     group, action = perm_rep(t)
     assert group.order() == 6
@@ -257,8 +262,9 @@ def test_regular_action_table(free2):
 def test_regular_action_budget(free2):
     images = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
     with pytest.raises(ResourceExhausted):
-        regular_action_table(free2, images, PermGroup(5, images).base(),
-                             max_order=30)
+        regular_action_table(free2, images,
+                             base_orbit(images, PermGroup(5, images).base(),
+                                        max_order=30))
 
 
 @st.composite
@@ -287,18 +293,20 @@ def test_regular_action_table_on_a_base_matches_the_element_oracle(images):
     perms = [Perm(img) for img in images]
     group = PermGroup(len(images[0]), perms)
     rows = element_action_rows(images)
-    assert regular_action_table(p, perms, group.base()).table == rows
+    walk = base_orbit(perms, group.base())
+    assert regular_action_table(p, perms, walk).table == rows
     zero = orbit(0, perms)
     if len(zero) < len(rows):
         # 0 alone is no base: the walk is the action on its orbit
-        short = regular_action_table(p, perms, (0,))
+        short = regular_action_table(p, perms, zero)
         assert short.num_cosets == len(zero) < len(rows)
+        assert short.table == walked_point_rows(images, 0)
 
 
 def test_normal_core(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
     group, images = perm_rep(t)
-    core = regular_action_table(sym3, images, group.base())
+    core = regular_action_table(sym3, images, base_orbit(images, group.base()))
     assert core.num_cosets == 6
 
 
@@ -334,3 +342,51 @@ def test_low_index_respects_relators():
         _, images = perm_rep(t)
         for rel in p.relators:
             assert word_image(rel, images).is_identity()
+
+
+def _cycle_table(p, length):
+    """The table of Z/length acting on itself, a as the step and b as the
+    identity."""
+    return CosetTable(p, (), ([(x + 1) % length, (x - 1) % length, x, x]
+                              for x in range(length)))
+
+
+def test_validate_powers_a_run_across_the_table():
+    # a^(10**20) is one run: carried by squaring, not letter by letter
+    p = presentation_from_texts(("a", "b"), ("a^100000000000000000000",))
+    start = time.monotonic()
+    assert _cycle_table(p, 5).validate() is not None
+    assert time.monotonic() - start < 1
+    # 10**20 is 1 mod 3: the run moves every coset of a 3-cycle
+    with pytest.raises(InvariantViolation) as err:
+        _cycle_table(p, 3).validate()
+    assert str(err.value) == (f"relator {p.relators[0]!r} does not close "
+                              "from coset 0")
+
+
+@st.composite
+def tables_and_relators(draw):
+    """A table of two random permutations of at most 6 points, and one to
+    three relators of one to four runs with exponents of at most 50."""
+    n = draw(st.integers(1, 6))
+    a, b = (tuple(draw(st.permutations(range(n)))) for _ in range(2))
+    ai, bi = (tuple(sorted(range(n), key=g.__getitem__)) for g in (a, b))
+    rows = [[a[x], ai[x], b[x], bi[x]] for x in range(n)]
+    exponents = st.integers(-50, 50).filter(bool)
+    relators = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 1), exponents), min_size=1,
+                 max_size=4).map(lambda runs: Word(runs)),
+        min_size=1, max_size=3))
+    return Presentation(("a", "b"), tuple(relators)), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_relators())
+def test_powered_relator_check_fails_as_the_entrywise_scan(drawn):
+    p, rows = drawn
+    table = CosetTable(p, (), rows)
+    expected = entrywise_table_error(table)
+    if expected is None:
+        assert table.validate() is table
+    else:
+        assert _fails_as_the_entrywise_scan(table) == expected
