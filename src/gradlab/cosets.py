@@ -15,7 +15,7 @@ a point or of a base tuple.
 """
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, gather, inverse_perm, invert
+from .permgrp import Perm, PermGroup, gather, gather_power, inverse_perm
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -100,9 +100,9 @@ class CosetTable:
         columns: a column c is inverse consistent when gathering column
         c^1 along it gives every coset back, and a relator closes when
         carrying every coset along it gives every coset back.  A run g^k
-        is carried by binary powering, as permgrp.word_image does: through
-        the column of g, g^2, g^4, ... at the set bits of |k|, so a letter
-        costs one gather and a run O(cosets log |k|) however large k is.
+        is carried by permgrp.gather_power through the column of g or of
+        its inverse, so a letter costs one gather and a run O(cosets
+        log |k|) however large k is.
         A failure names the first entry (alpha, c) in row-major order, or
         the least coset and then the first relator, as a per-entry scan
         would.
@@ -133,14 +133,7 @@ class CosetTable:
         for j, r in enumerate(relators):
             ends = cosets
             for gen, exp in r.runs:
-                col, k = columns[2 * gen + (exp < 0)], abs(exp)
-                while True:
-                    if k & 1:
-                        ends = gather(col, ends)
-                    k >>= 1
-                    if not k:
-                        break
-                    col = gather(col, col)
+                ends = gather_power(columns[2 * gen + (exp < 0)], abs(exp), ends)
             if ends != cosets:
                 unclosed.append(next((alpha, j) for alpha in cosets if ends[alpha] != alpha))
         if unclosed:
@@ -356,18 +349,15 @@ def regular_action_table(p, images, walk):
     if len(images) != p.num_generators:
         raise ValueError(f"{len(images)} images for {p.num_generators} generators")
     columns = [c for g in images for c in (g.images, inverse_perm(g).images)]
-    n = len(walk)
+    position = dict(zip(walk, range(len(walk))))
     if walk and isinstance(walk[0], tuple):
-        position = dict(zip(walk, range(n)))
         rows = zip(*(gather(position, [gather(c, x) for x in walk])
                      for c in columns))
     else:
-        whole = images and n == images[0].degree
-        position = invert(walk) if whole else dict(zip(walk, range(n)))
         rows = zip(*(gather(position, gather(c, walk)) for c in columns))
     table = CosetTable(p, (), rows)
-    # the check need not hold the walk: its columns went with the zip
-    del position, walk, rows
+    # the table check needs neither the position map nor the inverse columns
+    del position, columns
     return table.validate()
 
 

@@ -82,9 +82,7 @@ def compose(p, q):
     return _trusted(gather(q.images, p.images))
 
 
-def invert(images):
-    """The inverse of a tuple of images of every point: where each point
-    sits in it."""
+def _invert(images):
     inverse = [0] * len(images)
     for i, x in enumerate(images):
         inverse[x] = i
@@ -92,7 +90,7 @@ def invert(images):
 
 
 def inverse_perm(p):
-    return _trusted(invert(p.images))
+    return _trusted(_invert(p.images))
 
 
 def perm_order(p):
@@ -143,12 +141,25 @@ def embed_perm(p, offset, total_degree):
     return Perm(images)
 
 
+def gather_power(g, k, points):
+    """gather(g^k, points) for a tuple g of images of every point and
+    k >= 1, by binary powering: points is carried through g, g^2, g^4,
+    ... at the set bits of k, so it costs O(len(g) log k) however large
+    k is."""
+    while True:
+        if k & 1:
+            points = gather(g, points)
+        k >>= 1
+        if not k:
+            return points
+        g = gather(g, g)
+
+
 def word_image(w, generator_images):
     """Evaluate a Word through a list of generator images.
 
-    A run g^k is one power, by binary powering: out is carried through
-    g, g^2, g^4, ... at the set bits of |k|, so it costs O(degree log |k|)
-    however large k is."""
+    A run g^k is one gather_power, so it costs O(degree log |k|) however
+    large k is."""
     if not generator_images:
         raise ValueError("no generator images")
     out = tuple(range(generator_images[0].degree))
@@ -158,15 +169,9 @@ def word_image(w, generator_images):
             g = generator_images[gen].images
         else:
             if gen not in inverses:
-                inverses[gen] = invert(generator_images[gen].images)
+                inverses[gen] = _invert(generator_images[gen].images)
             g, exp = inverses[gen], -exp
-        while True:
-            if exp & 1:
-                out = gather(g, out)
-            exp >>= 1
-            if not exp:
-                break
-            g = gather(g, g)
+        out = gather_power(g, exp, out)
     return _trusted(out)
 
 
@@ -296,7 +301,7 @@ class PermGroup:
             if last == len(levels):
                 base = next(x for x, y in enumerate(p) if x != y)
                 levels.append(_Level(base, identity))
-            p_inv = invert(p)
+            p_inv = _invert(p)
             for level in levels[first:last + 1]:
                 level.add_generator(p, p_inv)
 
