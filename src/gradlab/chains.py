@@ -19,7 +19,6 @@ no walk, and each relator is checked by the point it sends 0 to.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .cosets import (DEFAULT_MAX_COSETS, base_orbit, low_index_subgroups,
@@ -31,7 +30,6 @@ from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm, gather,
 from .words import abelianized_relator_matrix
 
 
-@dataclass(frozen=True)
 class ChainLevel:
     """One finite quotient: the image group, generator images, the index of
     the kernel, and a human-readable construction tag.
@@ -42,10 +40,11 @@ class ChainLevel:
     on that orbit, so only the identity fixes 0.
     """
 
-    quotient: PermGroup
-    images: tuple
-    index: int
-    provenance: str
+    def __init__(self, quotient, images, index, provenance):
+        self.quotient = quotient
+        self.images = images
+        self.index = index
+        self.provenance = provenance
 
     @cached_property
     def orbit_of_0(self):
@@ -72,16 +71,18 @@ class ChainLevel:
         return self.orbits[0] == self.index
 
 
-@dataclass(frozen=True)
 class Chain:
     """Descending chain of kernels.  group is the ambient presentation, or
     None for shadow chains that only track indices inside a subgroup.
     factors holds the factor chains of a product chain, level by level."""
 
-    group: object
-    levels: tuple
-    notes: tuple = ()
-    factors: tuple = ()
+    __slots__ = ("group", "levels", "notes", "factors")
+
+    def __init__(self, group, levels, notes=(), factors=()):
+        self.group = group
+        self.levels = levels
+        self.notes = notes
+        self.factors = factors
 
     def indices(self):
         return tuple(level.index for level in self.levels)

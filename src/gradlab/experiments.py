@@ -10,7 +10,6 @@ a flat table with a fixed column set so runs can be diffed across tools.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
@@ -138,14 +137,18 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     raise ValueError(f"unknown chain type {kind!r}")
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    group_spec: dict
-    chain_spec: dict
-    fields: tuple = (QQ,)
-    max_cosets: int = DEFAULT_MAX_COSETS
-    volume_degree: int = 2
-    raw: dict = field(default_factory=dict)
+    __slots__ = ("group_spec", "chain_spec", "fields", "max_cosets",
+                 "volume_degree", "raw")
+
+    def __init__(self, group_spec, chain_spec, fields=(QQ,),
+                 max_cosets=DEFAULT_MAX_COSETS, volume_degree=2, raw=None):
+        self.group_spec = group_spec
+        self.chain_spec = chain_spec
+        self.fields = fields
+        self.max_cosets = max_cosets
+        self.volume_degree = volume_degree
+        self.raw = {} if raw is None else raw
 
     @classmethod
     def from_dict(cls, d):
@@ -170,20 +173,23 @@ class ExperimentConfig:
                    raw=dict(d), **numbers)
 
 
-@dataclass
 class GradientTable:
-    kind: str
-    group_name: str
-    columns: tuple
-    rows: list
-    config: dict
-    chain_indices: tuple = ()
-    provenances: tuple = ()
-    notes: tuple = ()
-    extras: list = None
+    __slots__ = ("kind", "group_name", "columns", "rows", "config",
+                 "chain_indices", "provenances", "notes", "extras")
+
+    def __init__(self, kind, group_name, columns, rows, config,
+                 chain_indices=(), provenances=(), notes=(), extras=None):
+        self.kind = kind
+        self.group_name = group_name
+        self.columns = columns
+        self.rows = rows
+        self.config = config
+        self.chain_indices = chain_indices
+        self.provenances = provenances
+        self.notes = notes
+        self.extras = extras
 
 
-@dataclass(frozen=True)
 class _Plan:
     """How one report kind reads the levels of a chain.
 
@@ -195,10 +201,13 @@ class _Plan:
     are added after the chain's own notes.
     """
 
-    columns: tuple
-    fields: object
-    fill: object
-    notes: tuple = ()
+    __slots__ = ("columns", "fields", "fill", "notes")
+
+    def __init__(self, columns, fields, fill, notes=()):
+        self.columns = columns
+        self.fields = fields
+        self.fill = fill
+        self.notes = notes
 
 
 def _b2_notes(chain):

@@ -20,7 +20,6 @@ Schreier-Sims, once, for the order of its image.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,16 +31,20 @@ from .words import Presentation, Word, parse_word
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class VolumeVector:
     """Cell counts r_0, r_1, ... of some K(G,1)."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+    def __init__(self, entries):
+        self.entries = tuple(int(e) for e in entries)
         if any(e < 0 for e in self.entries):
             raise ValueError(f"negative cell count in {self.entries}")
+
+    def __eq__(self, other):
+        if type(other) is not VolumeVector:
+            return NotImplemented
+        return self.entries == other.entries
 
     def __getitem__(self, k):
         if k < 0:
@@ -58,6 +61,7 @@ class VolumeVector:
 class Block:
     """Common interface for vertex and edge group shapes."""
 
+    __slots__ = ()
     aspherical = False
 
     def local_names(self):
@@ -81,14 +85,19 @@ class Block:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FreeBlock(Block):
-    rank: int
+    __slots__ = ("rank",)
     aspherical = True
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"free rank {self.rank} < 0")
+    def __init__(self, rank):
+        if rank < 0:
+            raise ValueError(f"free rank {rank} < 0")
+        self.rank = rank
+
+    def __eq__(self, other):
+        if type(other) is not FreeBlock:
+            return NotImplemented
+        return self.rank == other.rank
 
     def local_names(self):
         if self.rank <= len(_LETTERS):
@@ -117,13 +126,13 @@ TRIVIAL_BLOCK = FreeBlock(0)
 CYCLIC_BLOCK = FreeBlock(1)
 
 
-@dataclass(frozen=True)
 class AbelianBlock(Block):
-    rank: int
+    __slots__ = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"abelian rank {self.rank} < 1")
+    def __init__(self, rank):
+        if rank < 1:
+            raise ValueError(f"abelian rank {rank} < 1")
+        self.rank = rank
 
     @property
     def aspherical(self):
@@ -153,14 +162,14 @@ class AbelianBlock(Block):
         return math.comb(self.rank, j)
 
 
-@dataclass(frozen=True)
 class SurfaceBlock(Block):
-    genus: int
+    __slots__ = ("genus",)
     aspherical = True
 
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError(f"closed hyperbolic surface needs genus >= 2, got {self.genus}")
+    def __init__(self, genus):
+        if genus < 2:
+            raise ValueError(f"closed hyperbolic surface needs genus >= 2, got {genus}")
+        self.genus = genus
 
     def local_names(self):
         names = []
@@ -185,7 +194,6 @@ class SurfaceBlock(Block):
         return self.sub_volume_vector(index)[j] if j <= 2 else 0
 
 
-@dataclass(frozen=True)
 class Edge:
     """An edge of the graph with its two boundary injections.
 
@@ -195,26 +203,26 @@ class Edge:
     subgroups is the caller's assertion, not checked here.
     """
 
-    source: int
-    target: int
-    block: Block
-    iota_words: tuple = ()
-    tau_words: tuple = ()
+    __slots__ = ("source", "target", "block", "iota_words", "tau_words")
 
-    def __post_init__(self):
-        if not isinstance(self.block, FreeBlock) or self.block.rank > 1:
+    def __init__(self, source, target, block, iota_words=(), tau_words=()):
+        if not isinstance(block, FreeBlock) or block.rank > 1:
             raise ValueError("edge groups are limited to trivial and infinite cyclic")
-        expected = self.block.rank
-        if len(self.iota_words) != expected or len(self.tau_words) != expected:
+        expected = block.rank
+        if len(iota_words) != expected or len(tau_words) != expected:
             raise ValueError(
                 f"edge block of rank {expected} needs {expected} words per side, "
-                f"got {len(self.iota_words)}/{len(self.tau_words)}")
-        for w in self.iota_words + self.tau_words:
+                f"got {len(iota_words)}/{len(tau_words)}")
+        for w in iota_words + tau_words:
             if w.is_empty():
                 raise ValueError("edge words must be nontrivial")
+        self.source = source
+        self.target = target
+        self.block = block
+        self.iota_words = iota_words
+        self.tau_words = tau_words
 
 
-@dataclass(frozen=True)
 class GraphOfGroups:
     """A connected graph of vertex blocks joined by trivial or cyclic edges.
 
@@ -224,30 +232,29 @@ class GraphOfGroups:
     worked out once per graph, on first use, and every reader shares it.
     """
 
-    vertices: tuple
-    edges: tuple
-    assertions: tuple = ()
-
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices, edges, assertions=()):
+        if not vertices:
             raise ValueError("graph needs at least one vertex")
-        for e in self.edges:
-            if not (0 <= e.source < len(self.vertices) and 0 <= e.target < len(self.vertices)):
-                raise ValueError(f"edge {e} references a missing vertex")
+        for e in edges:
+            if not (0 <= e.source < len(vertices) and 0 <= e.target < len(vertices)):
+                raise ValueError(f"edge {e.source} -> {e.target} references a missing vertex")
         # connectivity
         seen = {0}
         frontier = [0]
         while frontier:
             v = frontier.pop()
-            for e in self.edges:
+            for e in edges:
                 if e.source == v and e.target not in seen:
                     seen.add(e.target)
                     frontier.append(e.target)
                 if e.target == v and e.source not in seen:
                     seen.add(e.source)
                     frontier.append(e.source)
-        if len(seen) != len(self.vertices):
+        if len(seen) != len(vertices):
             raise ValueError("graph of groups is not connected")
+        self.vertices = vertices
+        self.edges = edges
+        self.assertions = assertions
 
     @cached_property
     def layout(self):

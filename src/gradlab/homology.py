@@ -44,7 +44,6 @@ give the cover's translation action, and the selftest's torsion check.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cosets import spanning_tree
@@ -52,20 +51,27 @@ from .errors import InvariantViolation
 from .permgrp import gather
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Q (characteristic 0) or GF(p) for prime p < 2^31."""
 
-    characteristic: int
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __init__(self, characteristic):
+        self.characteristic = c = characteristic
         if c == 0:
             return
         if not 2 <= c < 2 ** 31:
             raise ValueError(f"characteristic {c} out of range")
         if c > 2 and (c % 2 == 0 or any(c % d == 0 for d in range(3, math.isqrt(c) + 1, 2))):
             raise ValueError(f"{c} is not prime")
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
 
     @classmethod
     def parse(cls, label):

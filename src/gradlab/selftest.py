@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import homology_cover_chain, level_coset_table
@@ -25,13 +24,15 @@ from .towers import catalog
 from .words import presentation_from_texts
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    seconds: float
-    budget: float
-    detail: str
+    __slots__ = ("name", "passed", "seconds", "budget", "detail")
+
+    def __init__(self, name, passed, seconds, budget, detail):
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.budget = budget
+        self.detail = detail
 
 
 def check_free_rank_gradient():

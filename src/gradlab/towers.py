@@ -15,7 +15,6 @@ volume calculus applies at every height.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
@@ -26,17 +25,19 @@ from .gog import (AbelianBlock, CYCLIC_BLOCK, Edge, FreeBlock,
 from .words import Presentation, Word, parse_word, product_presentation
 
 
-@dataclass(frozen=True)
 class Group:
     """A group as the experiments read it.  graph is its graph of groups,
     if it has one; factors are the records of its direct-product factors,
     if it is a product."""
 
-    name: str
-    presentation: Presentation
-    euler: int
-    graph: GraphOfGroups = None
-    factors: tuple = ()
+    __slots__ = ("name", "presentation", "euler", "graph", "factors")
+
+    def __init__(self, name, presentation, euler, graph=None, factors=()):
+        self.name = name
+        self.presentation = presentation
+        self.euler = euler
+        self.graph = graph
+        self.factors = factors
 
     @property
     def aspherical(self):
@@ -59,7 +60,6 @@ def product_group(name, factors):
                  math.prod(f.euler for f in factors), None, factors)
 
 
-@dataclass(frozen=True)
 class TorusAttach:
     """Attach Z^rank along a cyclic subgroup of the current group.
 
@@ -67,40 +67,43 @@ class TorusAttach:
     generator names and must lie in a single vertex group.
     """
 
-    rank: int
-    word_text: str
+    __slots__ = ("rank", "word_text")
 
-    def __post_init__(self):
-        if self.rank < 2:
-            raise ValueError(f"torus attachments need rank >= 2, got {self.rank}")
+    def __init__(self, rank, word_text):
+        if rank < 2:
+            raise ValueError(f"torus attachments need rank >= 2, got {rank}")
+        self.rank = rank
+        self.word_text = word_text
 
 
-@dataclass(frozen=True)
 class SurfaceAttach:
     """Attach a compact surface of the given genus with one boundary circle
     per attaching word.  Only the punctured torus may have chi = -1; every
     other shape must satisfy 2 - 2g - b <= -2.
     """
 
-    genus: int
-    boundary_attach_texts: tuple
+    __slots__ = ("genus", "boundary_attach_texts")
 
-    def __post_init__(self):
-        b = len(self.boundary_attach_texts)
+    def __init__(self, genus, boundary_attach_texts):
+        b = len(boundary_attach_texts)
         if b < 1:
             raise ValueError("surface attachment needs at least one boundary circle")
-        chi = 2 - 2 * self.genus - b
-        if chi == -1 and (self.genus, b) != (1, 1):
+        chi = 2 - 2 * genus - b
+        if chi == -1 and (genus, b) != (1, 1):
             raise ValueError(f"chi = -1 surface attachment must be the punctured torus, "
-                             f"got genus {self.genus} with {b} boundaries")
+                             f"got genus {genus} with {b} boundaries")
         if chi > -1:
             raise ValueError(f"surface attachment with chi = {chi} adds no hyperbolicity")
+        self.genus = genus
+        self.boundary_attach_texts = boundary_attach_texts
 
 
-@dataclass(frozen=True)
 class TowerSpec:
-    base: tuple
-    stages: tuple = ()
+    __slots__ = ("base", "stages")
+
+    def __init__(self, base, stages=()):
+        self.base = base
+        self.stages = stages
 
 
 def _surface_with_boundary_block(genus, boundaries):

@@ -7,8 +7,6 @@ generator and drops cancelling pairs.  The text format used everywhere
 each ``name`` or ``name^k`` with k a nonzero integer, e.g. ``"a b^-2 a^3"``.
 """
 
-from dataclasses import dataclass
-
 
 class Word:
     """Run-length encoded word over integer generator indices."""
@@ -117,7 +115,6 @@ def commutator(u, v):
     return u * v * u.inverse() * v.inverse()
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation <generator_names | relators>.
 
@@ -126,24 +123,29 @@ class Presentation:
     as exact group homology only under this flag.
     """
 
-    generator_names: tuple
-    relators: tuple
-    aspherical: bool = False
+    __slots__ = ("generator_names", "relators", "aspherical")
 
-    def __post_init__(self):
-        names = tuple(self.generator_names)
+    def __init__(self, generator_names, relators, aspherical=False):
+        names = tuple(generator_names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names in {names}")
         for name in names:
             if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
                 raise ValueError(f"generator name {name!r} is not an identifier")
-        rels = tuple(free_reduce(r) for r in self.relators)
+        rels = tuple(free_reduce(r) for r in relators)
         for r in rels:
             for gen, _ in r.runs:
                 if gen >= len(names):
                     raise ValueError(f"relator uses generator index {gen}, only {len(names)} generators")
-        object.__setattr__(self, "generator_names", names)
-        object.__setattr__(self, "relators", rels)
+        self.generator_names = names
+        self.relators = rels
+        self.aspherical = aspherical
+
+    def __eq__(self, other):
+        if type(other) is not Presentation:
+            return NotImplemented
+        return ((self.generator_names, self.relators, self.aspherical)
+                == (other.generator_names, other.relators, other.aspherical))
 
     @property
     def num_generators(self):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -378,16 +376,22 @@ def test_product_levels_are_certified_from_their_factors(free2):
                           product_presentation([free2, free2]))
     level = chain.levels[0]
     assert (level.quotient.degree, level.index) == (2048, 1048576)
-    doubled = replace(chain, levels=(replace(level, index=2 * level.index),))
+
+    def with_levels(levels):
+        return Chain(chain.group, levels, chain.notes, chain.factors)
+
+    doubled = ChainLevel(level.quotient, level.images, 2 * level.index,
+                         level.provenance)
     with pytest.raises(InvariantViolation, match="product of its factor"):
-        doubled.validate()
+        with_levels((doubled,)).validate()
     # the factor images must stay on their own blocks
     a, b, c, d = level.images
-    swapped = replace(level, images=(c, d, a, b))
+    swapped = ChainLevel(level.quotient, (c, d, a, b), level.index,
+                         level.provenance)
     with pytest.raises(InvariantViolation, match="blocks"):
-        replace(chain, levels=(swapped,)).validate()
+        with_levels((swapped,)).validate()
     with pytest.raises(InvariantViolation, match="fewer levels"):
-        replace(chain, levels=chain.levels * 2).validate()
+        with_levels(chain.levels * 2).validate()
 
 
 def test_homology_cover_chain_reads_the_coset_budget(free2):
@@ -721,7 +725,8 @@ def test_validate_certifies_an_index_read_off_the_orbit_of_0(images):
     # claim the orbit size of 0 as the index: right exactly when the
     # images act regularly on that orbit
     true = _brute_level(images)
-    claimed = replace(true, index=len(orbit(0, true.images)))
+    claimed = ChainLevel(true.quotient, true.images,
+                         len(orbit(0, true.images)), true.provenance)
     assert _accepts((claimed,)) == (claimed.index == true.index)
 
 

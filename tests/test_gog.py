@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,6 +48,32 @@ def test_volume_vector_behaviour():
     assert len(vv) == 3
     with pytest.raises(ValueError):
         VolumeVector((1, -2))
+
+
+def test_volume_vector_entries_are_a_tuple_of_ints():
+    vv = VolumeVector([1, 4.0, True])
+    assert type(vv.entries) is tuple and vv.entries == (1, 4, 1)
+    assert all(type(e) is int for e in vv.entries)
+    assert VolumeVector(e for e in (2, 5)).entries == (2, 5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VolumeVector((1, -1)), "negative cell count in (1, -1)"),
+    (lambda: FreeBlock(-1), "free rank -1 < 0"),
+    (lambda: AbelianBlock(0), "abelian rank 0 < 1"),
+    (lambda: SurfaceBlock(1),
+     "closed hyperbolic surface needs genus >= 2, got 1"),
+    (lambda: Edge(0, 1, FreeBlock(2), (parse_word("a", ("a",)),) * 2,
+                  (parse_word("a", ("a",)),) * 2),
+     "edge groups are limited to trivial and infinite cyclic"),
+    (lambda: GraphOfGroups((), ()), "graph needs at least one vertex"),
+    (lambda: GraphOfGroups((FreeBlock(1),), (Edge(0, 3, TRIVIAL_BLOCK),)),
+     "edge 0 -> 3 references a missing vertex"),
+])
+def test_record_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_block_volume_vectors():
@@ -162,7 +187,8 @@ def test_subgroup_volume_vector_rejects_bad_images(double):
     with pytest.raises(ValueError):
         subgroup_volume_vector(double, level)
     with pytest.raises(ValueError):
-        subgroup_volume_vector(double, replace(level, images=level.images[:2]))
+        subgroup_volume_vector(double, ChainLevel(
+            level.quotient, level.images[:2], level.index, level.provenance))
 
 
 def test_coset_ratio_identity():

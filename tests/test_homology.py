@@ -54,6 +54,19 @@ def test_field_spec_parse():
             FieldSpec.parse(bad)
 
 
+def test_field_specs_compare_and_hash_by_characteristic():
+    parsed = FieldSpec.parse("gf:3")
+    assert parsed == GF3 and parsed is not GF3
+    assert hash(parsed) == hash(GF3)
+    assert {GF3: "three"}[parsed] == "three"
+    assert QQ != GF2
+    for c, message in ((4, "4 is not prime"),
+                       (2 ** 31, "characteristic 2147483648 out of range")):
+        with pytest.raises(ValueError) as err:
+            FieldSpec(c)
+        assert str(err.value) == message
+
+
 def test_matrix_entry_bookkeeping():
     m = Matrix(2, 3)
     m.add(0, 1, 5)

@@ -1,24 +1,29 @@
-"""Three constraints on what the code may import, two on what it
+"""Four constraints on what the code may import, two on what it
 defines, one on how it reads permutations and one on how it reads
 matrices.
 
 The runtime uses only the standard library, so every import in
-src/gradlab is relative or names a standard-library module.  No gradlab
-module imports a private name (one starting with "_") from another, so a
-module's private helpers can change without reading its neighbours.  The
-oracles import nothing from gradlab, so a bug in the library cannot hide
-in the reference it is checked against.  Every private top-level function
-or class is named somewhere in src/gradlab besides its definition, so a
-helper whose last caller is deleted goes with it.  Every public top-level
-function or class is named in some module of src/gradlab outside its own
-definition and __init__.py, so the package exports nothing that only its
-tests call.  No module maps a bound __getitem__ over points: a tuple of
-lookups is permgrp.gather, the one itemgetter kernel.  No module but
-homology names a Matrix's row_dicts: the others read a matrix through
-get, nnz and rank, so its layout can change in one place.
+src/gradlab is relative or names a standard-library module.  Importing
+the command line front end loads none of dataclasses, inspect, ast and
+dis, which would cost more start-up time than gradlab's own modules.  No
+gradlab module imports a private name (one starting with "_") from
+another, so a module's private helpers can change without reading its
+neighbours.  The oracles import nothing from gradlab, so a bug in the
+library cannot hide in the reference it is checked against.  Every
+private top-level function or class is named somewhere in src/gradlab
+besides its definition, so a helper whose last caller is deleted goes
+with it.  Every public top-level function or class is named in some
+module of src/gradlab outside its own definition and __init__.py, so the
+package exports nothing that only its tests call.  No module maps a
+bound __getitem__ over points: a tuple of lookups is permgrp.gather, the
+one itemgetter kernel.  No module but homology names a Matrix's
+row_dicts: the others read a matrix through get, nnz and rank, so its
+layout can change in one place.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +50,15 @@ def test_the_runtime_imports_only_the_standard_library():
                if level == 0
                and module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_cli_starts_without_code_generating_modules():
+    probe = ("import sys, gradlab.cli; print(sorted({'dataclasses', "
+             "'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_no_module_imports_a_private_name_from_another():

@@ -87,9 +87,11 @@ def test_catalog_and_specs_return_the_same_records():
 
 
 def test_attachment_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^torus attachments need rank >= 2, got 1$"):
         TorusAttach(1, "a0")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^surface attachment needs at "
+                                         "least one boundary circle$"):
         SurfaceAttach(1, ())
     with pytest.raises(ValueError):
         SurfaceAttach(0, ("a0",))  # disc, chi = 1
