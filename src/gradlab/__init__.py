@@ -12,7 +12,7 @@ from .homology import (GF2, GF3, QQ, ChainComplex, FieldSpec, Matrix, betti,
 from .gog import (AbelianBlock, Edge, FreeBlock, GraphOfGroups, SurfaceBlock,
                   VolumeVector, assembled_volume_vector, euler_characteristic,
                   graph_from_dict, subgroup_volume_vector)
-from .towers import SurfaceAttach, TorusAttach, TowerSpec, build_tower, catalog
+from .towers import build_tower, catalog
 from .chains import (Chain, ChainLevel, core_chain, cyclic_cover_chain,
                      fiber_restrict, homology_cover_chain, level_coset_table,
                      product_chain)

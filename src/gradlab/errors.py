@@ -44,3 +44,11 @@ def need(spec, key, where, kind, item=None):
             item is not None and not all(_is(v, item) for v in items)):
         raise ValueError(f"{where}: bad {key!r} value {value!r}")
     return value
+
+
+def reject_unknown(spec, where, known):
+    """A ValueError naming every key of a config object that its reader
+    does not read; a spec that is not an object is left to need."""
+    unknown = set(spec) - set(known) if isinstance(spec, dict) else ()
+    if unknown:
+        raise ValueError(f"unknown {where} keys {sorted(unknown)}")

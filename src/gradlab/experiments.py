@@ -15,40 +15,19 @@ from fractions import Fraction
 from .chains import (core_chain, cyclic_cover_chain, fiber_restrict,
                      homology_cover_chain, level_coset_table, product_chain)
 from .cosets import DEFAULT_MAX_COSETS, STRATEGY_VERSION, schreier_generators
-from .errors import InvariantViolation, need
-from .gog import (VolumeVector, block_from_dict, edge_shadow_indices,
-                  graph_from_dict, subgroup_shadows, subgroup_volume_vector)
-from .homology import QQ, FieldSpec, betti, covering_complex, kunneth_product_dims
-from .towers import (Group, SurfaceAttach, TorusAttach, TowerSpec, build_tower,
-                     catalog, graph_group, product_group)
-from .words import presentation_euler_characteristic, presentation_from_texts
+from .errors import InvariantViolation, need, reject_unknown
+from .gog import (VolumeVector, edge_shadow_indices, graph_from_dict,
+                  subgroup_shadows, subgroup_volume_vector)
+from .homology import (QQ, FieldSpec, betti, covering_complex, diagonalize,
+                       kunneth_product_dims)
+from .towers import Group, build_tower, catalog, graph_group, product_group
+from .words import (abelianized_relator_matrix,
+                    presentation_euler_characteristic, presentation_from_texts)
 
 CSV_COLUMNS = ("level", "index", "field", "b0", "b1", "b2",
                "d_lower", "d_upper", "def_lower", "def_upper",
                "vol2_ratio", "target_rg", "target_dg")
 MV_COLUMNS = ("level", "index", "field", "j", "lhs", "rhs", "slack")
-
-
-def _tower_spec_from_dict(d):
-    if not isinstance(d, dict):
-        raise ValueError(f"tower spec must be an object, got {d!r}")
-    base = tuple(block_from_dict(b) for b in need(d, "base", "tower", list))
-    if not base:
-        raise ValueError("tower needs at least one base block")
-    stages = []
-    for s in need(d, "stages", "tower", list) if "stages" in d else ():
-        kind = s.get("type") if isinstance(s, dict) else None
-        where = f"tower {kind} stage"
-        if kind == "torus":
-            stages.append(TorusAttach(need(s, "rank", where, int),
-                                      need(s, "word", where, str)))
-        elif kind == "surface":
-            stages.append(SurfaceAttach(
-                need(s, "genus", where, int),
-                tuple(need(s, "boundaries", where, list, str))))
-        else:
-            raise ValueError(f"unknown tower stage type {kind!r}")
-    return TowerSpec(base, tuple(stages))
 
 
 def resolve_group(spec):
@@ -64,6 +43,8 @@ def resolve_group(spec):
                              f"have {sorted(entries)}")
         return entries[body]
     if kind == "presentation":
+        reject_unknown(body, "presentation",
+                       ("generators", "relators", "aspherical"))
         generators = need(body, "generators", "presentation", list, str)
         relators = (need(body, "relators", "presentation", list, str)
                     if "relators" in body else ())
@@ -75,8 +56,9 @@ def resolve_group(spec):
     if kind == "graph":
         return graph_group("graph", graph_from_dict(body))
     if kind == "tower":
-        return build_tower(_tower_spec_from_dict(body))
+        return build_tower(body)
     if kind == "product":
+        reject_unknown(body, "product", ("factors",))
         factors = [resolve_group(s)
                    for s in need(body, "factors", "product", list)]
         return product_group(" x ".join(f.name for f in factors), factors)
@@ -96,15 +78,19 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                          "chain of finite-index subgroups descends in it")
     where = f"{kind} chain"
     if kind == "core":
+        reject_unknown(spec, where, ("type", "bounds"))
         return core_chain(p, need(spec, "bounds", where, list, int))
     if kind == "homology":
+        reject_unknown(spec, where, ("type", "moduli"))
         return homology_cover_chain(p, need(spec, "moduli", where, list, int),
                                     max_cosets)
     if kind == "cyclic":
+        reject_unknown(spec, where, ("type", "weights", "moduli"))
         return cyclic_cover_chain(p, need(spec, "weights", where, dict, int),
                                   need(spec, "moduli", where, list, int),
                                   max_cosets)
     if kind == "product":
+        reject_unknown(spec, where, ("type", "factors"))
         specs = need(spec, "factors", where, list)
         if not group.factors:
             raise ValueError("product chain needs a product group")
@@ -118,6 +104,11 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                              "presentation, and a fiber chain has none")
         return product_chain(parts, presentation=p)
     if kind == "fiber":
+        reject_unknown(spec, where,
+                       ("type", "inner", "subgroup_words", "kernel", "label"))
+        if "subgroup_words" in spec and "kernel" in spec:
+            raise ValueError("fiber chain takes subgroup_words or kernel, "
+                             "not both")
         inner = resolve_chain(need(spec, "inner", where, dict), group,
                               max_cosets)
         if "subgroup_words" in spec:
@@ -125,6 +116,7 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
                           need(spec, "subgroup_words", where, list, str))
         elif "kernel" in spec:
             k = spec["kernel"]
+            reject_unknown(k, "fiber kernel", ("weights", "modulus"))
             helper = cyclic_cover_chain(
                 p, need(k, "weights", "fiber kernel", dict, int),
                 [need(k, "modulus", "fiber kernel", int)], max_cosets)
@@ -152,10 +144,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"group", "chain", "fields", "max_cosets", "volume_degree"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        reject_unknown(d, "config", ("group", "chain", "fields", "max_cosets",
+                                     "volume_degree"))
         if "group" not in d or "chain" not in d:
             raise ValueError("config needs both a group and a chain")
         labels = need(d, "fields", "config", list, str) if "fields" in d else ["q"]
@@ -253,16 +243,40 @@ def _level_cells(group, level, extra):
                          level.index * len(p.relators)))
 
 
+def _infinite_abelianization(p):
+    """Whether the abelianization of p is infinite: the relator rows have
+    rank below the number of generators."""
+    rows = abelianized_relator_matrix(p)
+    return len(diagonalize(rows, p.num_generators)[0]) < p.num_generators
+
+
 def _plan_rank(cfg, group, chain):
     """Sandwich the rank of each level kernel: first betti number below,
-    c1 - c0 + 1 of its cells above; target_rg is the limit of d/index."""
+    c1 - c0 + 1 of its cells above; target_rg is the limit of d/index.
+
+    That limit is -chi, except on a product: a direct product of two
+    infinite finitely generated groups has rank gradient 0 (Abert,
+    Jaikin-Zapirain and Nikolov), and a factor counts as infinite when its
+    abelianization is.  With fewer than two such factors target_rg is left
+    blank.
+    """
     if chain.group is None:
         def shadow(n, level, numbers):
             yield (_row(CSV_COLUMNS, level=n, index=level.index),
                    {"provenance": level.provenance})
         return _Plan(CSV_COLUMNS, None, shadow,
                      ("shadow chain: only the index column is populated",))
-    target = Fraction(-group.euler)
+    target, notes = Fraction(-group.euler), _b2_notes(chain)
+    if group.factors:
+        infinite = sum(map(_infinite_abelianization,
+                           (f.presentation for f in group.factors)))
+        if infinite >= 2:
+            target = Fraction(0)
+        else:
+            target = None
+            notes += ("target_rg omitted: fewer than two factors of the "
+                      "product have an infinite abelianization, so the "
+                      "product is not known to have rank gradient 0",)
 
     def fill(n, level, numbers):
         b = numbers[QQ]
@@ -276,7 +290,7 @@ def _plan_rank(cfg, group, chain):
                                      f"{row['d_lower']} > {row['d_upper']}")
         row["target_rg"] = target
         yield row, extra
-    return _Plan(CSV_COLUMNS, (QQ,), fill, _b2_notes(chain))
+    return _Plan(CSV_COLUMNS, (QQ,), fill, notes)
 
 
 def _plan_deficiency(cfg, group, chain):

@@ -6,6 +6,13 @@ vectors count cells of a chosen classifying space per dimension; the
 calculus below assembles them along the graph and pushes them down to
 finite index subgroups through a permutation quotient.
 
+A GraphOfGroups walks its graph once, breadth first from vertex 0, when it
+is built: the walk certifies that the graph is connected and picks the
+spanning tree, which fixes the generators' positions; the fundamental
+presentation, which names them, is assembled on first use.  The relators
+of blocks and graphs are built from runs (words.commutator, surface_word),
+never parsed from text.
+
 Pushing down needs, for each vertex and edge group, its shadow: the order
 [G_v : B n G_v] of its image in the quotient, and the count
 [G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
@@ -19,14 +26,15 @@ product chain, say) a vertex carrying some of the images runs
 Schreier-Sims, once, for the order of its image.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvariantViolation, need
+from .errors import InvariantViolation, need, reject_unknown
 from .permgrp import (Perm, PermGroup, compose, orbit, perm_order,
                       subgroup_index, trace_point, word_image)
-from .words import Presentation, Word, parse_word
+from .words import Presentation, Word, commutator, distinct_names, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -58,36 +66,8 @@ class VolumeVector:
         return sum((-1) ** i * e for i, e in enumerate(self.entries))
 
 
-class Block:
-    """Common interface for vertex and edge group shapes."""
-
-    __slots__ = ()
-    aspherical = False
-
-    def local_names(self):
-        raise NotImplementedError
-
-    def presentation(self):
-        raise NotImplementedError
-
-    def volume_vector(self):
-        raise NotImplementedError
-
-    def euler(self):
-        return self.volume_vector().euler()
-
-    def sub_volume_vector(self, index):
-        """Volume vector of a subgroup of the given index."""
-        raise NotImplementedError
-
-    def sub_betti(self, index, j):
-        """dim H_j of a subgroup of the given index, over any field."""
-        raise NotImplementedError
-
-
-class FreeBlock(Block):
+class FreeBlock:
     __slots__ = ("rank",)
-    aspherical = True
 
     def __init__(self, rank):
         if rank < 0:
@@ -111,6 +91,7 @@ class FreeBlock(Block):
         return VolumeVector((1, self.rank))
 
     def sub_volume_vector(self, index):
+        """Volume vector of a subgroup of the given index."""
         if self.rank == 0:
             if index != 1:
                 raise ValueError(f"trivial group has no subgroup of index {index}")
@@ -119,6 +100,7 @@ class FreeBlock(Block):
         return VolumeVector((1, index * (self.rank - 1) + 1))
 
     def sub_betti(self, index, j):
+        """dim H_j of a subgroup of the given index, over any field."""
         return self.sub_volume_vector(index)[j] if j <= 1 else 0
 
 
@@ -126,7 +108,7 @@ TRIVIAL_BLOCK = FreeBlock(0)
 CYCLIC_BLOCK = FreeBlock(1)
 
 
-class AbelianBlock(Block):
+class AbelianBlock:
     __slots__ = ("rank",)
 
     def __init__(self, rank):
@@ -134,22 +116,15 @@ class AbelianBlock(Block):
             raise ValueError(f"abelian rank {rank} < 1")
         self.rank = rank
 
-    @property
-    def aspherical(self):
-        # the n-torus presentation complex is a classifying space only
-        # through dimension 2
-        return self.rank <= 2
-
     def local_names(self):
         return tuple(f"x{i + 1}" for i in range(self.rank))
 
     def presentation(self):
-        names = self.local_names()
-        rels = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                rels.append(parse_word(f"x{i + 1} x{j + 1} x{i + 1}^-1 x{j + 1}^-1", names))
-        return Presentation(names, tuple(rels), aspherical=self.aspherical)
+        x = [Word(((i, 1),)) for i in range(self.rank)]
+        rels = tuple(commutator(u, v) for u, v in itertools.combinations(x, 2))
+        # the n-torus presentation complex is a classifying space only
+        # through dimension 2
+        return Presentation(self.local_names(), rels, aspherical=self.rank <= 2)
 
     def volume_vector(self):
         return VolumeVector(tuple(math.comb(self.rank, k) for k in range(self.rank + 1)))
@@ -162,9 +137,17 @@ class AbelianBlock(Block):
         return math.comb(self.rank, j)
 
 
-class SurfaceBlock(Block):
+def surface_word(genus):
+    """[a1, b1] ... [ag, bg], where ai and bi are the generators 2i - 2 and
+    2i - 1.  No two commutators share a generator, so their runs join
+    without reduction."""
+    return Word(tuple(itertools.chain.from_iterable(
+        commutator(Word(((2 * i, 1),)), Word(((2 * i + 1, 1),))).runs
+        for i in range(genus))))
+
+
+class SurfaceBlock:
     __slots__ = ("genus",)
-    aspherical = True
 
     def __init__(self, genus):
         if genus < 2:
@@ -178,10 +161,8 @@ class SurfaceBlock(Block):
         return tuple(names)
 
     def presentation(self):
-        names = self.local_names()
-        text = " ".join(
-            f"a{i + 1} b{i + 1} a{i + 1}^-1 b{i + 1}^-1" for i in range(self.genus))
-        return Presentation(names, (parse_word(text, names),), aspherical=True)
+        return Presentation(self.local_names(), (surface_word(self.genus),),
+                            aspherical=True)
 
     def volume_vector(self):
         return VolumeVector((1, 2 * self.genus, 1))
@@ -227,9 +208,12 @@ class GraphOfGroups:
     """A connected graph of vertex blocks joined by trivial or cyclic edges.
 
     assertions records what the builder assumed and did not check (that an
-    edge word generates a maximal cyclic subgroup, say).  layout names the
-    generators of the fundamental group and holds its presentation; it is
-    worked out once per graph, on first use, and every reader shares it.
+    edge word generates a maximal cyclic subgroup, say).  The fundamental
+    group's generators are laid out once, with the graph: vertex v's local
+    generators at positions offsets[v] up to offsets[v + 1], then one stable
+    letter per edge off the spanning tree, at position stable_letters[edge].
+    The presentation names them, a local name suffixed with its vertex and
+    a stable letter t<edge>.
     """
 
     def __init__(self, vertices, edges, assertions=()):
@@ -238,94 +222,50 @@ class GraphOfGroups:
         for e in edges:
             if not (0 <= e.source < len(vertices) and 0 <= e.target < len(vertices)):
                 raise ValueError(f"edge {e.source} -> {e.target} references a missing vertex")
-        # connectivity
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for e in edges:
-                if e.source == v and e.target not in seen:
-                    seen.add(e.target)
-                    frontier.append(e.target)
-                if e.target == v and e.source not in seen:
-                    seen.add(e.source)
-                    frontier.append(e.source)
-        if len(seen) != len(vertices):
+        # one breadth-first walk from vertex 0, edges in listed order: it
+        # certifies connectivity, and the edge that first reaches a vertex
+        # joins the spanning tree
+        reached, tree = [0], set()
+        for v in reached:  # reached grows as the walk goes
+            for i, e in enumerate(edges):
+                for a, b in ((e.source, e.target), (e.target, e.source)):
+                    if a == v and b not in reached:
+                        reached.append(b)
+                        tree.add(i)
+        if len(reached) != len(vertices):
             raise ValueError("graph of groups is not connected")
         self.vertices = vertices
         self.edges = edges
         self.assertions = assertions
-
-    @cached_property
-    def layout(self):
-        return _Layout(self)
-
-
-class _Layout:
-    """Generator bookkeeping shared by the presentation and volume code."""
-
-    def __init__(self, g):
-        self.graph = g
-        names = []
-        self.offsets = []
-        for v, block in enumerate(g.vertices):
-            self.offsets.append(len(names))
-            for name in block.local_names():
-                candidate = f"{name}{v}"
-                while candidate in names:
-                    candidate += "_"
-                names.append(candidate)
-        self.vertex_gen_counts = [len(b.local_names()) for b in g.vertices]
-
-        # BFS spanning tree from vertex 0, edges in listed order
-        parent_edge = {0: None}
-        order = [0]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for i, e in enumerate(g.edges):
-                for a, b in ((e.source, e.target), (e.target, e.source)):
-                    if a == v and b not in parent_edge:
-                        parent_edge[b] = i
-                        order.append(b)
-        self.tree_edges = {i for i in parent_edge.values() if i is not None}
-
-        self.stable_letters = {}
-        for i, e in enumerate(g.edges):
-            if i in self.tree_edges:
-                continue
-            candidate = f"t{i}"
-            while candidate in names:
-                candidate += "_"
-            self.stable_letters[i] = len(names)
-            names.append(candidate)
-        self.names = tuple(names)
+        self.offsets = list(itertools.accumulate(
+            (len(b.local_names()) for b in vertices), initial=0))
+        loose = [i for i in range(len(edges)) if i not in tree]
+        self.stable_letters = {i: self.offsets[-1] + k for k, i in enumerate(loose)}
 
     def lift(self, w, vertex):
-        off = self.offsets[vertex]
-        return Word(tuple((g + off, e) for g, e in w.runs))
+        """A word in a vertex's local generators, in the graph's."""
+        return w.shifted(self.offsets[vertex])
 
     @cached_property
     def presentation(self):
-        """Presentation of the fundamental group: vertex generators renamed
-        with their vertex index, plus one stable letter per non-tree edge."""
-        g = self.graph
-        relators = []
-        for v, block in enumerate(g.vertices):
-            for r in block.presentation().relators:
-                relators.append(self.lift(r, v))
-        for i, e in enumerate(g.edges):
+        """Presentation of the fundamental group: the vertex relators, then
+        one relator per edge word, conjugated by the edge's stable letter
+        off the tree."""
+        relators = [self.lift(r, v) for v, block in enumerate(self.vertices)
+                    for r in block.presentation().relators]
+        for i, e in enumerate(self.edges):
             for wi, wt in zip(e.iota_words, e.tau_words):
                 left = self.lift(wi, e.source)
-                right = self.lift(wt, e.target)
-                if i in self.tree_edges:
-                    relators.append(left * right.inverse())
-                else:
+                if i in self.stable_letters:
                     t = Word(((self.stable_letters[i], 1),))
-                    relators.append(t * left * t.inverse() * right.inverse())
-        aspherical = all(isinstance(b, FreeBlock) for b in g.vertices)
-        return Presentation(self.names, tuple(relators), aspherical=aspherical)
+                    left = t * left * t.inverse()
+                relators.append(left * self.lift(wt, e.target).inverse())
+        names = distinct_names(
+            [f"{name}{v}" for v, block in enumerate(self.vertices)
+             for name in block.local_names()]
+            + [f"t{i}" for i in self.stable_letters])
+        aspherical = all(isinstance(b, FreeBlock) for b in self.vertices)
+        return Presentation(names, tuple(relators), aspherical=aspherical)
 
 
 def assembled_volume_vector(g):
@@ -347,7 +287,8 @@ def assembled_volume_vector(g):
 
 def euler_characteristic(g):
     chi = assembled_volume_vector(g).euler()
-    direct = sum(b.euler() for b in g.vertices) - sum(e.block.euler() for e in g.edges)
+    direct = (sum(b.volume_vector().euler() for b in g.vertices)
+              - sum(e.block.volume_vector().euler() for e in g.edges))
     if chi != direct:
         raise InvariantViolation(f"volume vector euler {chi} != vertex-edge sum {direct}")
     return chi
@@ -365,7 +306,7 @@ def _copies(index, local_index):
 def edge_shadow_indices(g, images):
     """[G_e : B n G_e] for each edge: the order of the edge word's image,
     1 for trivial edges (edge groups have at most one generator)."""
-    return [perm_order(word_image(g.layout.lift(e.iota_words[0], e.source),
+    return [perm_order(word_image(g.lift(e.iota_words[0], e.source),
                                   images)) if e.iota_words else 1
             for e in g.edges]
 
@@ -385,8 +326,7 @@ def subgroup_shadows(g, level):
     (permgrp.trace_point, which walks one cycle per run); on any other
     level by its whole image.
     """
-    layout = g.layout
-    p = layout.presentation
+    p = g.presentation
     images, index = level.images, level.index
     if len(images) != len(p.generator_names):
         raise ValueError(f"{len(images)} images for {len(p.generator_names)} generators")
@@ -397,8 +337,7 @@ def subgroup_shadows(g, level):
 
     vertex_rows = []
     for v, block in enumerate(g.vertices):
-        off = layout.offsets[v]
-        v_images = images[off:off + layout.vertex_gen_counts[v]]
+        v_images = images[g.offsets[v]:g.offsets[v + 1]]
         if len(v_images) == len(images):
             local_index = index
         elif level.regular:
@@ -455,8 +394,9 @@ def coset_ratio_check(quotient, h_images):
     return lhs, rhs
 
 
-_SIZED_BLOCKS = {"free": (FreeBlock, "rank"), "abelian": (AbelianBlock, "rank"),
-                 "surface": (SurfaceBlock, "genus")}
+_BLOCKS = {"trivial": (TRIVIAL_BLOCK, None), "cyclic": (CYCLIC_BLOCK, None),
+           "free": (FreeBlock, "rank"), "abelian": (AbelianBlock, "rank"),
+           "surface": (SurfaceBlock, "genus")}
 
 
 def block_from_dict(d):
@@ -464,28 +404,32 @@ def block_from_dict(d):
         raise ValueError(f"block spec must be an object with a 'type', "
                          f"got {d!r}")
     kind = d.get("type")
-    if kind == "trivial":
-        return TRIVIAL_BLOCK
-    if kind == "cyclic":
-        return CYCLIC_BLOCK
-    if not isinstance(kind, str) or kind not in _SIZED_BLOCKS:
+    if not isinstance(kind, str) or kind not in _BLOCKS:
         raise ValueError(f"unknown block type {kind!r}")
-    cls, key = _SIZED_BLOCKS[kind]
-    return cls(need(d, key, f"{kind} block", int))
+    made, key = _BLOCKS[kind]
+    where = f"{kind} block"
+    if key is None:
+        reject_unknown(d, where, ("type",))
+        return made
+    reject_unknown(d, where, ("type", key))
+    return made(need(d, key, where, int))
 
 
 def graph_from_dict(d):
+    reject_unknown(d, "graph", ("vertices", "edges"))
     vertices = tuple(block_from_dict(b)
                      for b in need(d, "vertices", "graph", list, dict))
     edges = []
     for e in need(d, "edges", "graph", list, dict):
         block = block_from_dict(e.get("edge_block", {"type": "cyclic"}))
+        words = ("iota_word", "tau_word") if block.rank == 1 else ()
+        reject_unknown(e, "graph edge", ("source", "target", "edge_block") + words)
         src, tgt = (need(e, key, "graph edge", int)
                     for key in ("source", "target"))
         if not (0 <= src < len(vertices) and 0 <= tgt < len(vertices)):
             raise ValueError(f"graph edge {src} -> {tgt} names a missing vertex")
         iota = tau = ()
-        if block.rank == 1:
+        if words:
             iota = (parse_word(need(e, "iota_word", "graph edge", str),
                                vertices[src].local_names()),)
             tau = (parse_word(need(e, "tau_word", "graph edge", str),

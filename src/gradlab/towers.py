@@ -6,23 +6,26 @@ with, a graph of groups or the records of its direct-product factors.
 graph_group and product_group build the record from a graph and from
 factor records; the catalog and every config spec go through them.
 
-A tower starts from a wedge of base blocks and grows by attaching either a
-torus along a maximal cyclic subgroup or a compact surface with boundary
-along loops; the maximality of the torus word and the retraction a surface
-attachment needs are the caller's assumptions, not checked.  Every stage
-keeps the result a graph of groups with cyclic or trivial edges, so the
-volume calculus applies at every height.
+build_tower reads a config's tower object itself, with no record in
+between.  A tower starts from a wedge of base blocks and grows by attaching
+either a torus along a maximal cyclic subgroup or a compact surface with
+boundary along loops; the maximality of the torus word and the retraction a
+surface attachment needs are the caller's assumptions, not checked.  Every
+stage keeps the result a graph of groups with cyclic or trivial edges, so
+the volume calculus applies at every height.  The words a stage adds are
+built from runs; only the config's attaching words are parsed.
 """
 
+import bisect
 import math
 from functools import cache
 from types import MappingProxyType
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, need, reject_unknown
 from .gog import (AbelianBlock, CYCLIC_BLOCK, Edge, FreeBlock,
-                  GraphOfGroups, SurfaceBlock, TRIVIAL_BLOCK,
-                  euler_characteristic)
-from .words import Presentation, Word, parse_word, product_presentation
+                  GraphOfGroups, SurfaceBlock, TRIVIAL_BLOCK, block_from_dict,
+                  euler_characteristic, surface_word)
+from .words import Word, parse_word, product_presentation
 
 
 class Group:
@@ -46,7 +49,7 @@ class Group:
 
 def graph_group(name, graph):
     """The fundamental group of a graph of groups."""
-    return Group(name, graph.layout.presentation,
+    return Group(name, graph.presentation,
                  euler_characteristic(graph), graph)
 
 
@@ -60,159 +63,95 @@ def product_group(name, factors):
                  math.prod(f.euler for f in factors), None, factors)
 
 
-class TorusAttach:
-    """Attach Z^rank along a cyclic subgroup of the current group.
-
-    The attaching word is written in the current fundamental presentation's
-    generator names and must lie in a single vertex group.
-    """
-
-    __slots__ = ("rank", "word_text")
-
-    def __init__(self, rank, word_text):
-        if rank < 2:
-            raise ValueError(f"torus attachments need rank >= 2, got {rank}")
-        self.rank = rank
-        self.word_text = word_text
-
-
-class SurfaceAttach:
-    """Attach a compact surface of the given genus with one boundary circle
-    per attaching word.  Only the punctured torus may have chi = -1; every
-    other shape must satisfy 2 - 2g - b <= -2.
-    """
-
-    __slots__ = ("genus", "boundary_attach_texts")
-
-    def __init__(self, genus, boundary_attach_texts):
-        b = len(boundary_attach_texts)
-        if b < 1:
-            raise ValueError("surface attachment needs at least one boundary circle")
-        chi = 2 - 2 * genus - b
-        if chi == -1 and (genus, b) != (1, 1):
-            raise ValueError(f"chi = -1 surface attachment must be the punctured torus, "
-                             f"got genus {genus} with {b} boundaries")
-        if chi > -1:
-            raise ValueError(f"surface attachment with chi = {chi} adds no hyperbolicity")
-        self.genus = genus
-        self.boundary_attach_texts = boundary_attach_texts
-
-
-class TowerSpec:
-    __slots__ = ("base", "stages")
-
-    def __init__(self, base, stages=()):
-        self.base = base
-        self.stages = stages
-
-
-def _surface_with_boundary_block(genus, boundaries):
-    """Free block for a compact surface: rank 2g + b - 1 with local names
-    a1 b1 .. ag bg d1 .. d_{b-1}."""
-    names = []
-    for i in range(genus):
-        names.extend((f"a{i + 1}", f"b{i + 1}"))
-    names.extend(f"d{i + 1}" for i in range(boundaries - 1))
-    rank = 2 * genus + boundaries - 1
-    if rank < 1:
-        raise ValueError("degenerate surface (disc) cannot be attached")
-    block = FreeBlock(rank)
-    # FreeBlock picks its own default names; the boundary words below are
-    # written against these explicit ones, so translate by position
-    return block, tuple(names)
-
-
-def _boundary_words(genus, boundaries, names):
-    words = []
-    for i in range(boundaries - 1):
-        words.append(parse_word(f"d{i + 1}", names))
-    humps = " ".join(f"a{i + 1} b{i + 1} a{i + 1}^-1 b{i + 1}^-1" for i in range(genus))
-    tail = " ".join(f"d{i + 1}" for i in range(boundaries - 1))
-    last = (humps + " " + tail).strip()
-    if not last:
-        raise ValueError("surface attachment has a trivial boundary word")
-    words.append(parse_word(last, names))
-    return tuple(words)
-
-
-def _owning_vertex(layout, w):
-    """The unique vertex whose generators a lifted word uses."""
+def _attach(graph, text):
+    """The vertex whose group holds an attaching word, and the word in that
+    vertex's local generators."""
+    w = graph.presentation.word(text)
+    if w.is_empty():
+        raise ValueError("attaching word is trivial")
     owners = set()
     for gen, _ in w.runs:
-        owner = None
-        for v, off in enumerate(layout.offsets):
-            count = layout.vertex_gen_counts[v]
-            if off <= gen < off + count:
-                owner = v
-                break
-        if owner is None:
+        if gen >= graph.offsets[-1]:
             raise ValueError("attaching word uses a stable letter; it must lie "
                              "in a single vertex group")
-        owners.add(owner)
+        owners.add(bisect.bisect_right(graph.offsets, gen) - 1)
     if len(owners) != 1:
         raise ValueError(f"attaching word must lie in one vertex group, spans {sorted(owners)}")
-    return owners.pop()
+    v = owners.pop()
+    return v, w.shifted(-graph.offsets[v])
 
 
-def _localize(layout, w, vertex):
-    off = layout.offsets[vertex]
-    return Word(tuple((g - off, e) for g, e in w.runs))
+def build_tower(tower):
+    """The group a config's tower object describes.
 
-
-def build_tower(spec):
-    """Grow the graph of groups stage by stage.
-
-    Attaching words are parsed against the fundamental presentation of the
-    graph built so far and must lie in a single vertex group; the new block
-    becomes a vertex joined by one cyclic edge per attached circle.
+    The base blocks are wedged at a point, by a star of trivial edges.  Each
+    stage then parses its attaching words against the fundamental
+    presentation of the graph built so far; each word must lie in a single
+    vertex group, and the new block becomes a vertex joined by one cyclic
+    edge per word.  A torus stage attaches Z^rank along its word's cyclic
+    subgroup.  A surface stage attaches a compact surface of the given genus
+    with one boundary circle per word: a free block on a1 b1 .. ag bg
+    d1 .. d(b-1), whose boundary loops are d1, .., d(b-1) and
+    [a1, b1] .. [ag, bg] d1 .. d(b-1).  Only the punctured torus may have
+    chi = -1; every other surface must have chi <= -2.
     """
-    vertices = list(spec.base)
-    edges = []
+    if not isinstance(tower, dict):
+        raise ValueError(f"tower spec must be an object, got {tower!r}")
+    reject_unknown(tower, "tower", ("base", "stages"))
+    vertices = [block_from_dict(b) for b in need(tower, "base", "tower", list)]
+    if not vertices:
+        raise ValueError("tower needs at least one base block")
+    stages = need(tower, "stages", "tower", list) if "stages" in tower else ()
+    edges = [Edge(0, v, TRIVIAL_BLOCK) for v in range(1, len(vertices))]
     assertions = []
-    # wedge the base blocks at a point: a star of trivial edges
-    for v in range(1, len(vertices)):
-        edges.append(Edge(0, v, TRIVIAL_BLOCK))
-    chi = sum(b.euler() for b in vertices) - (len(vertices) - 1)
+    chi = sum(b.volume_vector().euler() for b in vertices) - (len(vertices) - 1)
 
-    for stage in spec.stages:
-        layout = GraphOfGroups(tuple(vertices), tuple(edges)).layout
-        p = layout.presentation
-
-        if isinstance(stage, TorusAttach):
-            w = p.word(stage.word_text)
-            if w.is_empty():
-                raise ValueError("attaching word is trivial")
-            v = _owning_vertex(layout, w)
-            local = _localize(layout, w, v)
-            block = AbelianBlock(stage.rank)
-            new_v = len(vertices)
+    for stage in stages:
+        kind = stage.get("type") if isinstance(stage, dict) else None
+        where = f"tower {kind} stage"
+        graph = GraphOfGroups(tuple(vertices), tuple(edges))
+        new = len(vertices)
+        if kind == "torus":
+            reject_unknown(stage, where, ("type", "rank", "word"))
+            rank = need(stage, "rank", where, int)
+            text = need(stage, "word", where, str)
+            if rank < 2:
+                raise ValueError(f"torus attachments need rank >= 2, got {rank}")
+            v, local = _attach(graph, text)
+            block = AbelianBlock(rank)
             vertices.append(block)
-            tau = parse_word("x1", block.local_names())
-            edges.append(Edge(v, new_v, CYCLIC_BLOCK, (local,), (tau,)))
-            assertions.append(f"torus attachment along {stage.word_text!r} "
+            edges.append(Edge(v, new, CYCLIC_BLOCK, (local,), (Word(((0, 1),)),)))
+            assertions.append(f"torus attachment along {text!r} "
                               "assumed maximal cyclic")
-            chi += block.euler()
-        elif isinstance(stage, SurfaceAttach):
-            b = len(stage.boundary_attach_texts)
-            block, names = _surface_with_boundary_block(stage.genus, b)
-            new_v = len(vertices)
-            vertices.append(block)
-            # boundary words are parsed against the a/b/d naming but carry
-            # positional generator indices, which is all the edge map needs
-            taus = _boundary_words(stage.genus, b, names)
-            for text, tau in zip(stage.boundary_attach_texts, taus):
-                w = p.word(text)
-                if w.is_empty():
-                    raise ValueError("attaching word is trivial")
-                v = _owning_vertex(layout, w)
-                local = _localize(layout, w, v)
-                edges.append(Edge(v, new_v, CYCLIC_BLOCK, (local,), (tau,)))
-            assertions.append(
-                f"surface attachment (genus {stage.genus}, {b} boundaries) "
-                "assumed to admit its retraction")
-            chi += 2 - 2 * stage.genus - b
+            chi += block.volume_vector().euler()
+        elif kind == "surface":
+            reject_unknown(stage, where, ("type", "genus", "boundaries"))
+            genus = need(stage, "genus", where, int)
+            texts = need(stage, "boundaries", where, list, str)
+            b = len(texts)
+            if b < 1:
+                raise ValueError("surface attachment needs at least one boundary circle")
+            chi_surface = 2 - 2 * genus - b
+            if chi_surface == -1 and (genus, b) != (1, 1):
+                raise ValueError(f"chi = -1 surface attachment must be the punctured torus, "
+                                 f"got genus {genus} with {b} boundaries")
+            if chi_surface > -1:
+                raise ValueError(f"surface attachment with chi = {chi_surface} adds no hyperbolicity")
+            if genus < 0:
+                raise ValueError(f"surface attachment needs genus >= 0, got {genus}")
+            loops = [Word(((2 * genus + i, 1),)) for i in range(b - 1)]
+            last = surface_word(genus)
+            for d in loops:
+                last = last * d
+            for text, tau in zip(texts, loops + [last]):
+                v, local = _attach(graph, text)
+                edges.append(Edge(v, new, CYCLIC_BLOCK, (local,), (tau,)))
+            vertices.append(FreeBlock(2 * genus + b - 1))
+            assertions.append(f"surface attachment (genus {genus}, {b} boundaries) "
+                              "assumed to admit its retraction")
+            chi += chi_surface
         else:
-            raise ValueError(f"unknown stage {stage!r}")
+            raise ValueError(f"unknown tower stage type {kind!r}")
 
     group = graph_group("tower", GraphOfGroups(tuple(vertices), tuple(edges),
                                                tuple(assertions)))
@@ -243,7 +182,8 @@ def catalog():
     blocks = ([(f"free_{r}", FreeBlock(r)) for r in (1, 2, 3)]
               + [(f"surface_{g}", SurfaceBlock(g)) for g in (2, 3)]
               + [(f"abelian_{r}", AbelianBlock(r)) for r in (1, 2, 3)])
-    groups = {name: Group(name, block.presentation(), block.euler(),
+    groups = {name: Group(name, block.presentation(),
+                          block.volume_vector().euler(),
                           GraphOfGroups((block,), ()))
               for name, block in blocks}
     zz = GraphOfGroups((FreeBlock(1), FreeBlock(1)), (Edge(0, 1, TRIVIAL_BLOCK),))

@@ -2,10 +2,13 @@
 
 A word is stored run-length encoded: a tuple of (generator index, exponent)
 pairs with nonzero exponents.  Reduction merges adjacent runs on the same
-generator and drops cancelling pairs.  The text format used everywhere
-(configs, relator tables, edge words) is whitespace separated tokens,
-each ``name`` or ``name^k`` with k a nonzero integer, e.g. ``"a b^-2 a^3"``.
+generator and drops cancelling pairs.  Configs and reports write words as
+text: whitespace separated tokens, each ``name`` or ``name^k`` with k a
+nonzero integer, e.g. ``"a b^-2 a^3"``.  A word the code builds itself is
+made from runs, never from text.
 """
+
+import itertools
 
 
 class Word:
@@ -35,6 +38,10 @@ class Word:
 
     def inverse(self):
         return Word(tuple((g, -e) for g, e in reversed(self.runs)))
+
+    def shifted(self, offset):
+        """The same runs with every generator index moved by offset."""
+        return Word(tuple((g + offset, e) for g, e in self.runs))
 
     def __mul__(self, other):
         return free_reduce(Word(self.runs + other.runs))
@@ -112,7 +119,20 @@ def exponent_sums(w, num_generators):
 
 
 def commutator(u, v):
-    return u * v * u.inverse() * v.inverse()
+    """u v u^-1 v^-1, freely reduced once."""
+    return free_reduce(Word(u.runs + v.runs + u.inverse().runs
+                            + v.inverse().runs))
+
+
+def distinct_names(candidates):
+    """The candidates in order, each given trailing underscores until it
+    differs from every name before it."""
+    names = []
+    for candidate in candidates:
+        while candidate in names:
+            candidate += "_"
+        names.append(candidate)
+    return tuple(names)
 
 
 class Presentation:
@@ -187,31 +207,16 @@ def product_presentation(factors):
         raise ValueError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    names = []
-    offsets = []
-    for i, p in enumerate(factors):
-        offsets.append(len(names))
-        for name in p.generator_names:
-            candidate = f"{name}{i}"
-            while candidate in names:
-                candidate += "_"
-            names.append(candidate)
-    names = tuple(names)
-
-    def shift(w, off):
-        return Word(tuple((g + off, e) for g, e in w.runs))
-
-    relators = []
-    for i, p in enumerate(factors):
-        for r in p.relators:
-            relators.append(shift(r, offsets[i]))
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            for gi in range(factors[i].num_generators):
-                for gj in range(factors[j].num_generators):
-                    a = Word(((offsets[i] + gi, 1),))
-                    b = Word(((offsets[j] + gj, 1),))
-                    relators.append(commutator(a, b))
+    names = distinct_names(f"{name}{i}" for i, p in enumerate(factors)
+                           for name in p.generator_names)
+    offsets = list(itertools.accumulate(
+        (p.num_generators for p in factors), initial=0))
+    relators = [r.shifted(off) for p, off in zip(factors, offsets)
+                for r in p.relators]
+    spans = [range(a, b) for a, b in itertools.pairwise(offsets)]
+    for left, right in itertools.combinations(spans, 2):
+        relators.extend(commutator(Word(((a, 1),)), Word(((b, 1),)))
+                        for a in left for b in right)
     aspherical = (
         len(factors) == 2
         and all(not p.relators for p in factors)

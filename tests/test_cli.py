@@ -362,6 +362,25 @@ BAD_INPUTS = {
                                 "subgroup_words": ["b"]},
                                HOMOLOGY_2]}},
         [], "'factors'"),
+    # keys no reader reads ran silently and exited 0: a tower with "stage"
+    # for "stages" was bare F2
+    "tower-stage-typo": (
+        {"group": {"tower": {"base": [{"type": "free", "rank": 2}],
+                             "stage": [{"type": "torus", "rank": 2,
+                                        "word": "a0"}]}},
+         "chain": HOMOLOGY_2},
+        [], "'stage'"),
+    "edge-block-typo": (
+        {"group": {"graph": {"vertices": [{"type": "free", "rank": 1}] * 2,
+                             "edges": [{"source": 0, "target": 1,
+                                        "edge_blok": {"type": "trivial"},
+                                        "iota_word": "a", "tau_word": "a"}]}},
+         "chain": HOMOLOGY_2},
+        [], "'edge_blok'"),
+    "homology-chain-modulus": (
+        {"group": FREE_2, "chain": {"type": "homology", "moduli": [2],
+                                    "modulus": 3}},
+        [], "'modulus'"),
 }
 
 

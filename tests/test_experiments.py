@@ -29,6 +29,68 @@ def make(kind, group, chain, **kw):
     return run_experiment(kind, cfg)
 
 
+FREE = {"catalog": "free_2"}
+TORUS = {"type": "torus", "rank": 2, "word": "a0"}
+KERNEL = {"weights": {"a": 1}, "modulus": 2}
+
+
+def _with(spec, key):
+    return dict(spec, **{key: 1})
+
+
+@pytest.mark.parametrize("group, chain, message", [
+    ({"presentation": {"generators": ["a"], "relator": ["a^2"]}}, None,
+     "unknown presentation keys ['relator']"),
+    ({"product": {"factors": [FREE] * 2, "f": 1}},
+     None, "unknown product keys ['f']"),
+    ({"graph": {"vertices": [{"type": "free", "rank": 2}], "edges": [],
+                "loops": []}}, None, "unknown graph keys ['loops']"),
+    ({"graph": {"vertices": [{"type": "free", "rank": 2, "genus": 2}],
+                "edges": []}}, None, "unknown free block keys ['genus']"),
+    ({"graph": {"vertices": [{"type": "free", "rank": 1}] * 2,
+                "edges": [{"source": 0, "target": 1,
+                           "edge_block": {"type": "trivial"},
+                           "iota_word": "a"}]}}, None,
+     "unknown graph edge keys ['iota_word']"),
+    ({"graph": {"vertices": [{"type": "free", "rank": 1}] * 2,
+                "edges": [{"source": 0, "target": 1,
+                           "edge_block": {"type": "cyclic", "rank": 1},
+                           "iota_word": "a", "tau_word": "a"}]}}, None,
+     "unknown cyclic block keys ['rank']"),
+    ({"tower": {"base": [{"type": "free", "rank": 2}], "stage": [TORUS]}},
+     None, "unknown tower keys ['stage']"),
+    ({"tower": {"base": [{"type": "free", "rank": 2}],
+                "stages": [_with(TORUS, "genus")]}}, None,
+     "unknown tower torus stage keys ['genus']"),
+    ({"tower": {"base": [{"type": "free", "rank": 2}],
+                "stages": [{"type": "surface", "genus": 1,
+                            "boundaries": ["a0"], "word": "a0"}]}}, None,
+     "unknown tower surface stage keys ['word']"),
+    (FREE, {"type": "core", "bounds": [2], "moduli": [2]},
+     "unknown core chain keys ['moduli']"),
+    (FREE, {"type": "homology", "moduli": [2], "modulus": 3},
+     "unknown homology chain keys ['modulus']"),
+    (FREE, {"type": "cyclic", "weights": {"a": 1}, "moduli": [2],
+            "bounds": [2]}, "unknown cyclic chain keys ['bounds']"),
+    ({"catalog": "f2xf2"}, {"type": "product", "factors": [], "inner": {}},
+     "unknown product chain keys ['inner']"),
+    (FREE, {"type": "fiber", "inner": {"type": "homology", "moduli": [2]},
+            "subgroup_words": ["b"], "lable": "x"},
+     "unknown fiber chain keys ['lable']"),
+    (FREE, {"type": "fiber", "inner": {"type": "homology", "moduli": [2]},
+            "kernel": _with(KERNEL, "moduli")},
+     "unknown fiber kernel keys ['moduli']"),
+    (FREE, {"type": "fiber", "inner": {"type": "homology", "moduli": [2]},
+            "subgroup_words": ["b"], "kernel": KERNEL},
+     "fiber chain takes subgroup_words or kernel, not both"),
+])
+def test_every_spec_rejects_a_key_it_does_not_read(group, chain, message):
+    with pytest.raises(ValueError) as err:
+        resolve_chain(chain or {"type": "homology", "moduli": [2]},
+                      resolve_group(group))
+    assert str(err.value) == message
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"group": {"catalog": "free_2"}})
@@ -104,6 +166,22 @@ def test_rank_gradient_free_group():
     for r in table.rows:
         assert Fraction(r["d_upper"] - 1, r["index"]) == r["target_rg"]
     assert [e["volume_vector"] for e in table.extras] == [[1, 5], [1, 17], [1, 65]]
+
+
+@pytest.mark.parametrize("first, target", [
+    ({"catalog": "surface_2"}, 0),
+    ({"catalog": "f2xf2"}, 0),
+    # Z/2 has a finite abelianization, so only one factor is known infinite
+    ({"presentation": {"generators": ["a"], "relators": ["a^2"]}}, None),
+], ids=["surface", "nested-product", "finite-factor"])
+def test_rank_target_of_a_product_is_0_or_blank(first, target):
+    # -chi would be -2 on surface_2 x free_2 and -1 on f2xf2 x free_2
+    chain = {"type": "product",
+             "factors": [{"type": "homology", "moduli": [2]}] * 2}
+    table = make("rank", {"product": {"factors": [first, FREE]}}, chain)
+    assert [row["target_rg"] for row in table.rows] == [target]
+    assert any(n.startswith("target_rg omitted") for n in table.notes) == (
+        target is None)
 
 
 def test_deficiency_gradient_surface():

@@ -137,13 +137,13 @@ def test_assembled_volume_vector(z_star_z, double):
 
 
 def test_fundamental_presentation_free_product(z_star_z):
-    p = z_star_z.layout.presentation
+    p = z_star_z.presentation
     assert p.generator_names == ("a0", "a1")
     assert p.relators == ()
 
 
 def test_fundamental_presentation_double(double):
-    p = double.layout.presentation
+    p = double.presentation
     assert p.generator_names == ("a0", "b0", "a1", "b1")
     assert [p.render(r) for r in p.relators] == ["a0 b0 b1^-1 a1^-1"]
 
@@ -155,13 +155,13 @@ def test_fundamental_presentation_loop_edge():
         (Edge(0, 0, CYCLIC_BLOCK,
               (parse_word("a", ("a", "b")),),
               (parse_word("b", ("a", "b")),)),))
-    p = g.layout.presentation
+    p = g.presentation
     assert p.generator_names == ("a0", "b0", "t0")
     assert [p.render(r) for r in p.relators] == ["t0 a0 t0^-1 b0^-1"]
 
 
 def test_subgroup_volume_vector_double(double):
-    p = double.layout.presentation
+    p = double.presentation
     # kill both vertex words mod 2 by sending every generator to the flip
     vv = subgroup_volume_vector(double, cyclic_level(2, (1, 1, 1, 1)))
     # both vertex groups survive with local index 2, the edge word a b
@@ -224,7 +224,7 @@ def test_graph_from_dict_round_trip():
 
 
 def test_relator_images_checked_through_lift(double):
-    p = double.layout.presentation
+    p = double.presentation
     level = cyclic_level(3, (1, 0, 1, 0))
     for r in p.relators:
         assert word_image(r, level.images).is_identity()
@@ -239,9 +239,10 @@ def _assert_shadows_match_closure(graph, level, regular):
     takes the route (orbit counts or Schreier-Sims) the caller expects."""
     assert level.regular == regular
     assert (len(orbit(0, level.images)) == level.index) == regular
-    # generator positions as graph.layout.presentation lays them out
+    # generator positions as graph.presentation lays them out
     offsets = list(itertools.accumulate(
         (len(b.local_names()) for b in graph.vertices), initial=0))
+    assert graph.offsets == offsets
     vertex_gens = [range(offsets[v], offsets[v + 1])
                    for v in range(len(graph.vertices))]
     edge_words = [[(g + offsets[e.source], sign)

@@ -1,6 +1,6 @@
 """Four constraints on what the code may import, two on what it
-defines, one on how it reads permutations and one on how it reads
-matrices.
+defines, one on how it reads permutations, one on how it reads
+matrices and one on how it builds words.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -18,7 +18,9 @@ package exports nothing that only its tests call.  No module maps a
 bound __getitem__ over points: a tuple of lookups is permgrp.gather, the
 one itemgetter kernel.  No module but homology names a Matrix's
 row_dicts: the others read a matrix through get, nnz and rank, so its
-layout can change in one place.
+layout can change in one place.  No module calls parse_word on a string
+literal or an f-string: a word the code builds itself is made from runs,
+and only text from a config or a caller is parsed.
 """
 
 import ast
@@ -130,3 +132,16 @@ def test_only_homology_reads_the_rows_of_a_matrix():
              if (isinstance(node, ast.Attribute) and node.attr == "row_dicts")
              or (isinstance(node, ast.Name) and node.id == "row_dicts")]
     assert named == []
+
+
+def test_no_module_parses_a_word_it_wrote_itself():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    parsed = [(path.name, node.lineno) for path in sources
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call) and node.args
+              and (node.func.id if isinstance(node.func, ast.Name)
+                   else getattr(node.func, "attr", None)) == "parse_word"
+              and (isinstance(node.args[0], ast.JoinedStr)
+                   or (isinstance(node.args[0], ast.Constant)
+                       and isinstance(node.args[0].value, str)))]
+    assert parsed == []

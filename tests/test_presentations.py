@@ -34,7 +34,7 @@ def test_presentation_is_pinned(name):
     if group.graph is not None:
         # the graph's own presentation has the same relators; only the
         # names differ, a one-block record's carrying no vertex suffix
-        q = group.graph.layout.presentation
+        q = group.graph.presentation
         assert q.relators == p.relators
         assert q.num_generators == p.num_generators
 

@@ -1,18 +1,27 @@
 import pytest
 
 from gradlab.experiments import resolve_group
-from gradlab.gog import (FreeBlock, AbelianBlock, VolumeVector,
+from gradlab.gog import (AbelianBlock, VolumeVector,
                          assembled_volume_vector)
 from gradlab.homology import kunneth_product_dims
-from gradlab.towers import (
-    Group,
-    TorusAttach,
-    SurfaceAttach,
-    TowerSpec,
-    build_tower,
-    double_of_free,
-    catalog,
-)
+from gradlab.towers import Group, build_tower, double_of_free, catalog
+
+
+def free(rank):
+    return {"type": "free", "rank": rank}
+
+
+def torus(rank, word):
+    return {"type": "torus", "rank": rank, "word": word}
+
+
+def surface(genus, *boundaries):
+    return {"type": "surface", "genus": genus, "boundaries": list(boundaries)}
+
+
+def tower(base, *stages):
+    """A config's tower object over the given base blocks."""
+    return {"base": base, "stages": list(stages)}
 
 CATALOG_TABLE = {
     # name: (euler, volume vector, aspherical, has graph)
@@ -83,26 +92,36 @@ def test_catalog_and_specs_return_the_same_records():
     assert spelled.presentation == cat["f2xf2"].presentation
     assert spelled.euler == cat["f2xf2"].euler
     assert type(spelled) is type(product) is type(
-        build_tower(TowerSpec((FreeBlock(2),)))) is Group
+        build_tower({"base": [free(2)]})) is Group
+
+
+BAD_STAGES = [
+    (torus(1, "a0"), "torus attachments need rank >= 2, got 1"),
+    (surface(1), "surface attachment needs at least one boundary circle"),
+    (surface(0, "a0"), "surface attachment with chi = 1 adds no "
+                       "hyperbolicity"),  # disc
+    (surface(0, "a0", "b0", "a0 b0"),
+     "chi = -1 surface attachment must be the punctured torus, got genus 0 "
+     "with 3 boundaries"),
+    # chi = -2, so only the sign of the genus rules it out
+    (surface(-1, "a0", "a0", "a0", "a0", "a0", "b0"),
+     "surface attachment needs genus >= 0, got -1"),
+]
 
 
 def test_attachment_validation():
-    with pytest.raises(ValueError,
-                       match="^torus attachments need rank >= 2, got 1$"):
-        TorusAttach(1, "a0")
-    with pytest.raises(ValueError, match="^surface attachment needs at "
-                                         "least one boundary circle$"):
-        SurfaceAttach(1, ())
-    with pytest.raises(ValueError):
-        SurfaceAttach(0, ("a0",))  # disc, chi = 1
-    with pytest.raises(ValueError):
-        SurfaceAttach(0, ("a0", "b0", "a0 b0"))  # chi = -1 but not the punctured torus
-    SurfaceAttach(1, ("a0",))  # punctured torus is the allowed chi = -1 case
-    SurfaceAttach(0, ("a0", "b0", "a0 b0", "b0 a0"))  # chi = -2 sphere with 4 holes
+    for stage, message in BAD_STAGES:
+        with pytest.raises(ValueError) as err:
+            build_tower(tower([free(2)], stage))
+        assert str(err.value) == message
+    # the punctured torus is the one chi = -1 surface; a sphere with four
+    # holes has chi = -2
+    for stage in (surface(1, "a0"), surface(0, "a0", "b0", "a0 b0", "b0 a0")):
+        assert build_tower(tower([free(2)], stage)).graph is not None
 
 
 def test_torus_stage():
-    res = build_tower(TowerSpec((FreeBlock(2),), (TorusAttach(2, "a0"),)))
+    res = build_tower(tower([free(2)], torus(2, "a0")))
     p = res.presentation
     assert p.generator_names == ("a0", "b0", "x11", "x21")
     assert [p.render(r) for r in p.relators] == \
@@ -113,8 +132,7 @@ def test_torus_stage():
 
 
 def test_punctured_torus_stage_reads_as_genus_two_amalgam():
-    res = build_tower(TowerSpec((FreeBlock(2),),
-                                (SurfaceAttach(1, ("a0 b0 a0^-1 b0^-1",)),)))
+    res = build_tower(tower([free(2)], surface(1, "a0 b0 a0^-1 b0^-1")))
     p = res.presentation
     assert p.generator_names == ("a0", "b0", "a1", "b1")
     assert [p.render(r) for r in p.relators] == \
@@ -123,8 +141,7 @@ def test_punctured_torus_stage_reads_as_genus_two_amalgam():
 
 
 def test_two_stage_tower():
-    res = build_tower(TowerSpec((FreeBlock(2),),
-                                (TorusAttach(2, "a0"), TorusAttach(2, "b0"))))
+    res = build_tower(tower([free(2)], torus(2, "a0"), torus(2, "b0")))
     p = res.presentation
     assert p.generator_names == ("a0", "b0", "x11", "x21", "x12", "x22")
     assert [p.render(r) for r in p.relators] == [
@@ -138,16 +155,15 @@ def test_two_stage_tower():
 
 
 def test_wedge_base():
-    res = build_tower(TowerSpec((FreeBlock(1), FreeBlock(1))))
+    res = build_tower({"base": [free(1), free(1)]})
     assert res.presentation.generator_names == ("a0", "a1")
     assert res.presentation.relators == ()
     assert res.euler == -1
 
 
 def test_multi_boundary_surface_gets_stable_letter():
-    res = build_tower(TowerSpec(
-        (FreeBlock(2),),
-        (SurfaceAttach(1, ("a0",)), SurfaceAttach(2, ("b0", "a1 b1")))))
+    res = build_tower(tower([free(2)], surface(1, "a0"),
+                            surface(2, "b0", "a1 b1")))
     p = res.presentation
     assert p.generator_names == (
         "a0", "b0", "a1", "b1", "a2", "b2", "c2", "d2", "e2", "t2")
@@ -162,21 +178,20 @@ def test_multi_boundary_surface_gets_stable_letter():
 
 
 def test_attaching_word_errors():
-    spec = TowerSpec((FreeBlock(2),), (TorusAttach(2, "z9"),))
-    with pytest.raises(ValueError):
-        build_tower(spec)
-    with pytest.raises(ValueError):
-        build_tower(TowerSpec((FreeBlock(2),), (TorusAttach(2, "a0 a0^-1"),)))
+    with pytest.raises(ValueError, match="unknown generator 'z9'"):
+        build_tower(tower([free(2)], torus(2, "z9")))
+    with pytest.raises(ValueError, match="^attaching word is trivial$"):
+        build_tower(tower([free(2)], torus(2, "a0 a0^-1")))
     # words mixing two vertex groups cannot attach
-    with pytest.raises(ValueError):
-        build_tower(TowerSpec((FreeBlock(1), FreeBlock(1)),
-                              (TorusAttach(2, "a0 a1"),)))
+    with pytest.raises(ValueError, match=r"^attaching word must lie in one "
+                                         r"vertex group, spans \[0, 1\]$"):
+        build_tower(tower([free(1), free(1)], torus(2, "a0 a1")))
     # stable letters are not inside any vertex group
-    with pytest.raises(ValueError):
-        build_tower(TowerSpec(
-            (FreeBlock(2),),
-            (SurfaceAttach(1, ("a0",)), SurfaceAttach(2, ("b0", "a1 b1")),
-             TorusAttach(2, "t2"))))
+    with pytest.raises(ValueError, match="^attaching word uses a stable "
+                                         "letter; it must lie in a single "
+                                         "vertex group$"):
+        build_tower(tower([free(2)], surface(1, "a0"),
+                          surface(2, "b0", "a1 b1"), torus(2, "t2")))
 
 
 def test_double_of_free():
