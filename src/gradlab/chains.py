@@ -318,8 +318,7 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
         index = math.prod(diagonal)
         if index > max_index:
             raise ResourceExhausted(f"homology cover mod {m} has index {index}, "
-                                    f"above the coset budget {max_index}",
-                                    limit=max_index, reached=index)
+                                    f"above the coset budget {max_index}")
         points = tuple(range(index))
         images = []
         for shift in v:
@@ -365,8 +364,7 @@ def cyclic_cover_chain(p, weights, moduli, max_index=DEFAULT_MAX_COSETS):
                                  f"not divisible by {m}")
         if m > max_index:
             raise ResourceExhausted(f"cyclic cover mod {m} acts on {m} points, "
-                                    f"above the coset budget {max_index}",
-                                    limit=max_index, reached=m)
+                                    f"above the coset budget {max_index}")
         images = tuple(Perm(tuple((x + wi) % m for x in range(m))) for wi in w)
         quotient = PermGroup(m, images)
         g = reduce(math.gcd, w, m)
@@ -437,8 +435,7 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
     """
     if level.index > max_cosets:
         raise ResourceExhausted(f"level index {level.index} exceeds the "
-                                f"coset budget", limit=max_cosets,
-                                reached=level.index)
+                                f"coset budget {max_cosets}")
     if level.regular:
         base = (0,)
         table = regular_action_table(p, level.images, level.orbit_of_0)

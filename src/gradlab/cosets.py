@@ -173,8 +173,7 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
         if live >= max_cosets:
             raise ResourceExhausted(
                 f"coset limit {max_cosets} reached enumerating "
-                f"<{[render_word(w, p.generator_names) for w in subgroup_words]}>",
-                limit=max_cosets, reached=live)
+                f"<{[render_word(w, p.generator_names) for w in subgroup_words]}>")
         beta = len(table)
         table.append([-1] * ncols)
         reps.append(beta)
@@ -327,8 +326,7 @@ def base_orbit(images, base, max_order=DEFAULT_MAX_COSETS):
             if y not in seen:
                 if len(walk) >= max_order:
                     raise ResourceExhausted(
-                        f"image group exceeds {max_order} elements",
-                        limit=max_order, reached=len(walk))
+                        f"image group exceeds {max_order} elements")
                 seen.add(y)
                 walk.append(y)
     return walk
@@ -413,8 +411,7 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
-            raise ResourceExhausted(f"low index search exceeded {max_nodes} nodes",
-                                    limit=max_nodes, reached=nodes)
+            raise ResourceExhausted(f"low index search exceeded {max_nodes} nodes")
         if not propagate(work):
             return
         pos = next(((alpha, c) for alpha, row in enumerate(work)

@@ -13,11 +13,6 @@ class GradlabError(Exception):
 class ResourceExhausted(GradlabError):
     """A computation hit a configured ceiling (cosets, search nodes, group order)."""
 
-    def __init__(self, message, limit=None, reached=None):
-        super().__init__(message)
-        self.limit = limit
-        self.reached = reached
-
 
 class InvariantViolation(GradlabError):
     """An internal consistency check failed.

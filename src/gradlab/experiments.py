@@ -257,8 +257,8 @@ def _plan_rank(cfg, group, chain):
     That limit is -chi, except on a product: a direct product of two
     infinite finitely generated groups has rank gradient 0 (Abert,
     Jaikin-Zapirain and Nikolov), and a factor counts as infinite when its
-    abelianization is.  With fewer than two such factors target_rg is left
-    blank.
+    abelianization is.  With fewer than two such factors, or with chi > 0
+    (a rank gradient is never negative), target_rg is left blank.
     """
     if chain.group is None:
         def shadow(n, level, numbers):
@@ -277,6 +277,10 @@ def _plan_rank(cfg, group, chain):
             notes += ("target_rg omitted: fewer than two factors of the "
                       "product have an infinite abelianization, so the "
                       "product is not known to have rank gradient 0",)
+    elif target < 0:
+        target = None
+        notes += (f"target_rg omitted: -chi = {-group.euler} is negative, "
+                  "and a rank gradient never is",)
 
     def fill(n, level, numbers):
         b = numbers[QQ]
@@ -404,8 +408,10 @@ def _plan_mvcheck(cfg, group, chain):
         b_j(B) <= sum_v copies * b_j(B n G_v) + sum_e copies * b_j(B n G_e)
                   + 2 sum_e copies * b_{j-1}(B n G_e)
 
-    with unreduced b_0.  Local terms come from the closed-form subgroup
-    betti numbers of the blocks; a negative slack fails the run.
+    with unreduced b_0.  A local b_j is the block's cell count
+    sub_volume_vector(local)[j]: a block's complex has zero boundary maps,
+    so its cells are its Betti numbers over every field.  A negative slack
+    fails the run.
     """
     _require_presentation(chain, "the gluing check")
     if group.graph is None:
@@ -413,17 +419,17 @@ def _plan_mvcheck(cfg, group, chain):
     graph = group.graph
 
     def fill(n, level, numbers):
-        vertex_rows, edge_rows = subgroup_shadows(graph, level)
+        vertex_rows, edge_rows = (
+            [(copies, block.sub_volume_vector(local))
+             for block, copies, local in rows]
+            for rows in subgroup_shadows(graph, level))
         for f in cfg.fields:
             b = numbers[f]
             for j in (1, 2):
                 lhs = b[j] if j < len(b) else 0
-                rhs = sum(copies * block.sub_betti(local, j)
-                          for block, copies, local in vertex_rows)
-                rhs += sum(copies * block.sub_betti(local, j)
-                           for block, copies, local in edge_rows)
-                rhs += 2 * sum(copies * block.sub_betti(local, j - 1)
-                               for block, copies, local in edge_rows)
+                rhs = sum(copies * cells[j] for copies, cells in vertex_rows)
+                rhs += sum(copies * (cells[j] + 2 * cells[j - 1])
+                           for copies, cells in edge_rows)
                 if lhs > rhs:
                     raise InvariantViolation(
                         f"level {n} field {f.label}: b{j} = {lhs} exceeds "

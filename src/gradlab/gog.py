@@ -2,9 +2,11 @@
 
 Vertex groups come in three block shapes: free, finitely generated abelian
 (free abelian here), or closed orientable surface of genus >= 2.  Volume
-vectors count cells of a chosen classifying space per dimension; the
-calculus below assembles them along the graph and pushes them down to
-finite index subgroups through a permutation quotient.
+vectors count cells of a chosen classifying space per dimension, whose
+boundary maps are all zero, so the cells are Betti numbers over every field
+too.  The calculus below assembles them along the graph and pushes them
+down to finite index subgroups through a permutation quotient, both by one
+loop (_assemble).
 
 A GraphOfGroups walks its graph once, breadth first from vertex 0, when it
 is built: the walk certifies that the graph is connected and picks the
@@ -55,9 +57,7 @@ class VolumeVector:
         return self.entries == other.entries
 
     def __getitem__(self, k):
-        if k < 0:
-            return 0
-        return self.entries[k] if k < len(self.entries) else 0
+        return self.entries[k] if 0 <= k < len(self.entries) else 0
 
     def __len__(self):
         return len(self.entries)
@@ -99,10 +99,6 @@ class FreeBlock:
         # Nielsen-Schreier: rank m(r-1)+1
         return VolumeVector((1, index * (self.rank - 1) + 1))
 
-    def sub_betti(self, index, j):
-        """dim H_j of a subgroup of the given index, over any field."""
-        return self.sub_volume_vector(index)[j] if j <= 1 else 0
-
 
 TRIVIAL_BLOCK = FreeBlock(0)
 CYCLIC_BLOCK = FreeBlock(1)
@@ -132,9 +128,6 @@ class AbelianBlock:
     def sub_volume_vector(self, index):
         # finite index subgroups of Z^n are again Z^n
         return self.volume_vector()
-
-    def sub_betti(self, index, j):
-        return math.comb(self.rank, j)
 
 
 def surface_word(genus):
@@ -171,9 +164,6 @@ class SurfaceBlock:
         # a degree-m cover of a genus-g surface has genus 1 + m(g-1)
         return VolumeVector((1, 2 + 2 * index * (self.genus - 1), 1))
 
-    def sub_betti(self, index, j):
-        return self.sub_volume_vector(index)[j] if j <= 2 else 0
-
 
 class Edge:
     """An edge of the graph with its two boundary injections.
@@ -207,16 +197,17 @@ class Edge:
 class GraphOfGroups:
     """A connected graph of vertex blocks joined by trivial or cyclic edges.
 
-    assertions records what the builder assumed and did not check (that an
-    edge word generates a maximal cyclic subgroup, say).  The fundamental
-    group's generators are laid out once, with the graph: vertex v's local
-    generators at positions offsets[v] up to offsets[v + 1], then one stable
-    letter per edge off the spanning tree, at position stable_letters[edge].
-    The presentation names them, a local name suffixed with its vertex and
-    a stable letter t<edge>.
+    The fundamental group's generators are laid out once, with the graph:
+    vertex v's local generators at positions offsets[v] up to offsets[v + 1],
+    then one stable letter per edge off the spanning tree, at position
+    stable_letters[edge].  The presentation names them, a local name
+    suffixed with its vertex and a stable letter t<edge>.  It is aspherical
+    when every vertex block's presentation is: edge words are taken to
+    generate maximal cyclic subgroups (assumed, not checked), so every edge
+    group injects and the graph of aspherical spaces is aspherical.
     """
 
-    def __init__(self, vertices, edges, assertions=()):
+    def __init__(self, vertices, edges):
         if not vertices:
             raise ValueError("graph needs at least one vertex")
         for e in edges:
@@ -236,7 +227,6 @@ class GraphOfGroups:
             raise ValueError("graph of groups is not connected")
         self.vertices = vertices
         self.edges = edges
-        self.assertions = assertions
         self.offsets = list(itertools.accumulate(
             (len(b.local_names()) for b in vertices), initial=0))
         loose = [i for i in range(len(edges)) if i not in tree]
@@ -251,8 +241,9 @@ class GraphOfGroups:
         """Presentation of the fundamental group: the vertex relators, then
         one relator per edge word, conjugated by the edge's stable letter
         off the tree."""
-        relators = [self.lift(r, v) for v, block in enumerate(self.vertices)
-                    for r in block.presentation().relators]
+        blocks = [block.presentation() for block in self.vertices]
+        relators = [self.lift(r, v) for v, block in enumerate(blocks)
+                    for r in block.relators]
         for i, e in enumerate(self.edges):
             for wi, wt in zip(e.iota_words, e.tau_words):
                 left = self.lift(wi, e.source)
@@ -264,25 +255,25 @@ class GraphOfGroups:
             [f"{name}{v}" for v, block in enumerate(self.vertices)
              for name in block.local_names()]
             + [f"t{i}" for i in self.stable_letters])
-        aspherical = all(isinstance(b, FreeBlock) for b in self.vertices)
-        return Presentation(names, tuple(relators), aspherical=aspherical)
+        return Presentation(names, tuple(relators),
+                            aspherical=all(b.aspherical for b in blocks))
+
+
+def _assemble(pieces):
+    """The volume vector summing (copies, cell vector, shift) pieces: copies
+    of each piece's cells, moved up shift dimensions."""
+    entries = [0] * max(len(cells) + shift for _, cells, shift in pieces)
+    for copies, cells, shift in pieces:
+        for k, e in enumerate(cells.entries, shift):
+            entries[k] += copies * e
+    return VolumeVector(entries)
 
 
 def assembled_volume_vector(g):
     """Lemma-style assembly: vertices contribute their cells in each
     dimension, edges contribute their cells shifted up by one."""
-    length = max([len(b.volume_vector()) for b in g.vertices]
-                 + [len(e.block.volume_vector()) + 1 for e in g.edges])
-    entries = [0] * length
-    for b in g.vertices:
-        vv = b.volume_vector()
-        for k in range(length):
-            entries[k] += vv[k]
-    for e in g.edges:
-        vv = e.block.volume_vector()
-        for k in range(1, length):
-            entries[k] += vv[k - 1]
-    return VolumeVector(tuple(entries))
+    return _assemble([(1, b.volume_vector(), 0) for b in g.vertices]
+                     + [(1, e.block.volume_vector(), 1) for e in g.edges])
 
 
 def euler_characteristic(g):
@@ -362,17 +353,10 @@ def subgroup_volume_vector(g, level):
     words in the level's quotient.
     """
     vertex_rows, edge_rows = subgroup_shadows(g, level)
-    pieces = [(copies, block.sub_volume_vector(local_index), 0)
-              for block, copies, local_index in vertex_rows]
-    pieces.extend((copies, block.sub_volume_vector(local_index), 1)
-                  for block, copies, local_index in edge_rows)
-
-    length = max(len(vv.entries) + shift for _, vv, shift in pieces)
-    entries = [0] * length
-    for copies, vv, shift in pieces:
-        for k in range(length):
-            entries[k] += copies * vv[k - shift]
-    return VolumeVector(tuple(entries))
+    # vertices in place (shift 0), edges one dimension up (shift 1)
+    return _assemble([(copies, block.sub_volume_vector(local_index), shift)
+                      for shift, rows in enumerate((vertex_rows, edge_rows))
+                      for block, copies, local_index in rows])
 
 
 def coset_ratio_check(quotient, h_images):

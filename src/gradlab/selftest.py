@@ -25,13 +25,12 @@ from .words import presentation_from_texts
 
 
 class CheckResult:
-    __slots__ = ("name", "passed", "seconds", "budget", "detail")
+    __slots__ = ("name", "passed", "seconds", "detail")
 
-    def __init__(self, name, passed, seconds, budget, detail):
+    def __init__(self, name, passed, seconds, detail):
         self.name = name
         self.passed = passed
         self.seconds = seconds
-        self.budget = budget
         self.detail = detail
 
 
@@ -305,7 +304,7 @@ def run_check(name, fn, budget):
     if ok and elapsed > budget:
         ok = False
         detail += f"; over budget ({elapsed:.1f}s > {budget:.0f}s)"
-    return CheckResult(name, ok, elapsed, budget, detail)
+    return CheckResult(name, ok, elapsed, detail)
 
 
 def run_all_checks(emit=print):

@@ -103,7 +103,6 @@ def build_tower(tower):
         raise ValueError("tower needs at least one base block")
     stages = need(tower, "stages", "tower", list) if "stages" in tower else ()
     edges = [Edge(0, v, TRIVIAL_BLOCK) for v in range(1, len(vertices))]
-    assertions = []
     chi = sum(b.volume_vector().euler() for b in vertices) - (len(vertices) - 1)
 
     for stage in stages:
@@ -121,8 +120,6 @@ def build_tower(tower):
             block = AbelianBlock(rank)
             vertices.append(block)
             edges.append(Edge(v, new, CYCLIC_BLOCK, (local,), (Word(((0, 1),)),)))
-            assertions.append(f"torus attachment along {text!r} "
-                              "assumed maximal cyclic")
             chi += block.volume_vector().euler()
         elif kind == "surface":
             reject_unknown(stage, where, ("type", "genus", "boundaries"))
@@ -147,14 +144,11 @@ def build_tower(tower):
                 v, local = _attach(graph, text)
                 edges.append(Edge(v, new, CYCLIC_BLOCK, (local,), (tau,)))
             vertices.append(FreeBlock(2 * genus + b - 1))
-            assertions.append(f"surface attachment (genus {genus}, {b} boundaries) "
-                              "assumed to admit its retraction")
             chi += chi_surface
         else:
             raise ValueError(f"unknown tower stage type {kind!r}")
 
-    group = graph_group("tower", GraphOfGroups(tuple(vertices), tuple(edges),
-                                               tuple(assertions)))
+    group = graph_group("tower", GraphOfGroups(tuple(vertices), tuple(edges)))
     if group.euler != chi:
         raise InvariantViolation(f"euler accumulation {chi} != graph value "
                                  f"{group.euler}")
@@ -167,11 +161,8 @@ def double_of_free(rank, word_text):
     w = parse_word(word_text, block.local_names())
     if w.is_empty():
         raise ValueError("doubling word is trivial")
-    graph = GraphOfGroups(
-        (block, FreeBlock(rank)),
-        (Edge(0, 1, CYCLIC_BLOCK, (w,), (w,)),),
-        (f"double along {word_text!r} assumed maximal cyclic",))
-    return graph
+    return GraphOfGroups((block, FreeBlock(rank)),
+                         (Edge(0, 1, CYCLIC_BLOCK, (w,), (w,)),))
 
 
 @cache

@@ -184,6 +184,22 @@ def test_rank_target_of_a_product_is_0_or_blank(first, target):
         target is None)
 
 
+@pytest.mark.parametrize("presentation", [
+    {"generators": ["a"], "relators": ["a^2"]},
+    # F2 x F2 spelled out, not as a product spec
+    {"generators": ["a", "b", "c", "d"],
+     "relators": ["a c a^-1 c^-1", "a d a^-1 d^-1",
+                  "b c b^-1 c^-1", "b d b^-1 d^-1"]},
+], ids=["finite", "f2xf2-presentation"])
+def test_rank_target_is_blank_when_chi_is_positive(presentation):
+    # chi = 1 on both, so -chi would print -1
+    table = make("rank", {"presentation": presentation},
+                 {"type": "homology", "moduli": [2]})
+    assert [row["target_rg"] for row in table.rows] == [None]
+    assert ("target_rg omitted: -chi = -1 is negative, and a rank gradient "
+            "never is") in table.notes
+
+
 def test_deficiency_gradient_surface():
     table = make("deficiency", {"catalog": "surface_2"},
                  {"type": "homology", "moduli": [2]})
@@ -193,6 +209,21 @@ def test_deficiency_gradient_surface():
     assert row["target_dg"] == Fraction(-2)
     # both bounds over the index approach the euler characteristic
     assert Fraction(row["def_upper"], row["index"]) == Fraction(-33, 16)
+
+
+def test_deficiency_of_a_graph_with_a_surface_vertex_is_pinched():
+    # free_2 and surface_2 glued along a cyclic edge: every vertex
+    # presentation is aspherical, so the graph's is
+    graph = {"vertices": [{"type": "free", "rank": 2},
+                          {"type": "surface", "genus": 2}],
+             "edges": [{"source": 0, "target": 1,
+                        "iota_word": "a b", "tau_word": "a1"}]}
+    table = make("deficiency", {"graph": graph},
+                 {"type": "homology", "moduli": [2]})
+    (row,) = table.rows
+    assert row["index"] == 32
+    assert row["def_lower"] == row["def_upper"] == -97
+    assert table.notes == ()
 
 
 def test_deficiency_lower_bound_needs_asphericity():

@@ -24,6 +24,7 @@ from gradlab import chains, gog
 from gradlab.chains import (ChainLevel, core_chain, cyclic_cover_chain,
                             homology_cover_chain, level_coset_table)
 from gradlab.errors import InvariantViolation
+from gradlab.homology import GF2, QQ, betti, covering_complex
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog, double_of_free
 from gradlab.words import parse_word
@@ -93,10 +94,33 @@ def test_block_volume_vectors():
 
 
 def test_block_sub_betti():
-    assert FreeBlock(2).sub_betti(3, 1) == 4
-    assert FreeBlock(2).sub_betti(3, 2) == 0
-    assert AbelianBlock(3).sub_betti(7, 2) == 3
-    assert SurfaceBlock(2).sub_betti(2, 2) == 1
+    # a block's cells are its Betti numbers; past its end they are 0
+    assert FreeBlock(2).sub_volume_vector(3)[1] == 4
+    assert FreeBlock(2).sub_volume_vector(3)[2] == 0
+    assert AbelianBlock(3).sub_volume_vector(7)[2] == 3
+    assert SurfaceBlock(2).sub_volume_vector(2)[2] == 1
+
+
+@pytest.mark.parametrize("name", ["free_1", "free_2", "free_3", "surface_2",
+                                  "surface_3", "abelian_1", "abelian_2",
+                                  "abelian_3"])
+def test_block_cells_are_cover_betti_numbers(name):
+    """The cells of a block's finite index subgroup are the Betti numbers of
+    the level's cover, computed by elimination, over Q and GF(2)."""
+    group = catalog()[name]
+    (block,) = group.graph.vertices
+    p = group.presentation
+    chain = homology_cover_chain(p, [2] if name == "surface_3" else [2, 4])
+    # the 3-torus presentation complex is not aspherical, so its cover's b2
+    # is not the group's
+    degrees = 2 if name == "abelian_3" else 3
+    for level in chain.levels:
+        cx = covering_complex(level_coset_table(p, level))
+        cells = block.sub_volume_vector(level.index)
+        for field in (QQ, GF2):
+            b = betti(cx, field)
+            assert b[:degrees] == [cells[j] for j in range(degrees)], (
+                level.index, field.label)
 
 
 def test_edge_validation():

@@ -1,6 +1,6 @@
 """Four constraints on what the code may import, two on what it
-defines, one on how it reads permutations, one on how it reads
-matrices and one on how it builds words.
+defines, one on what it stores, one on how it reads permutations, one
+on how it reads matrices and one on how it builds words.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -14,13 +14,15 @@ private top-level function or class is named somewhere in src/gradlab
 besides its definition, so a helper whose last caller is deleted goes
 with it.  Every public top-level function or class is named in some
 module of src/gradlab outside its own definition and __init__.py, so the
-package exports nothing that only its tests call.  No module maps a
-bound __getitem__ over points: a tuple of lookups is permgrp.gather, the
-one itemgetter kernel.  No module but homology names a Matrix's
-row_dicts: the others read a matrix through get, nnz and rank, so its
-layout can change in one place.  No module calls parse_word on a string
-literal or an f-string: a word the code builds itself is made from runs,
-and only text from a config or a caller is parsed.
+package exports nothing that only its tests call.  Every attribute a
+method stores on self is read, as an attribute of something, somewhere in
+src/gradlab, so state that no reader reads goes with its last reader.  No
+module maps a bound __getitem__ over points: a tuple of lookups is
+permgrp.gather, the one itemgetter kernel.  No module but homology names
+a Matrix's row_dicts: the others read a matrix through get, nnz and rank,
+so its layout can change in one place.  No module calls parse_word on a
+string literal or an f-string: a word the code builds itself is made from
+runs, and only text from a config or a caller is parsed.
 """
 
 import ast
@@ -111,6 +113,19 @@ def test_every_public_name_has_a_caller():
     called = {name for name, owner in uses if name != owner}
     assert defined
     assert [name for name in defined if name not in called] == []
+
+
+def test_every_attribute_stored_on_self_is_read():
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "gradlab").glob("*.py"))]
+    attributes = [node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    stored = {node.attr for node in attributes
+              if isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
+    assert stored
+    assert sorted(stored - read) == []
 
 
 def test_every_gather_goes_through_permgrp():

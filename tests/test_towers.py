@@ -198,6 +198,5 @@ def test_double_of_free():
     g = double_of_free(2, "a b")
     assert assembled_volume_vector(g).entries == (2, 5, 1)
     assert len(g.edges) == 1
-    assert g.assertions == ("double along 'a b' assumed maximal cyclic",)
     with pytest.raises(ValueError):
         double_of_free(2, "a a^-1")
