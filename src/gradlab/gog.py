@@ -241,9 +241,9 @@ class GraphOfGroups:
         """Presentation of the fundamental group: the vertex relators, then
         one relator per edge word, conjugated by the edge's stable letter
         off the tree."""
-        blocks = [block.presentation() for block in self.vertices]
-        relators = [self.lift(r, v) for v, block in enumerate(blocks)
-                    for r in block.relators]
+        local = [block.presentation() for block in self.vertices]
+        relators = [self.lift(r, v) for v, q in enumerate(local)
+                    for r in q.relators]
         for i, e in enumerate(self.edges):
             for wi, wt in zip(e.iota_words, e.tau_words):
                 left = self.lift(wi, e.source)
@@ -256,7 +256,7 @@ class GraphOfGroups:
              for name in block.local_names()]
             + [f"t{i}" for i in self.stable_letters])
         return Presentation(names, tuple(relators),
-                            aspherical=all(b.aspherical for b in blocks))
+                            aspherical=all(q.aspherical for q in local))
 
 
 def _assemble(pieces):
