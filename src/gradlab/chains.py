@@ -25,26 +25,33 @@ from .cosets import (DEFAULT_MAX_COSETS, base_orbit, low_index_subgroups,
                      perm_rep, regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
 from .homology import diagonalize
-from .permgrp import (Perm, PermGroup, direct_sum_perm, embed_perm, gather,
-                      orbit, trace_point, word_image)
+from .permgrp import (Perm, PermGroup, direct_sum_perm, gather, orbit,
+                      trace_point, word_image)
 from .words import abelianized_relator_matrix
 
 
 class ChainLevel:
-    """One finite quotient: the image group, generator images, the index of
-    the kernel, and a human-readable construction tag.
+    """One finite quotient, given by its generator images on `degree`
+    points, with the index of its kernel (None means the order of the group
+    the images generate) and a human-readable construction tag.
 
-    The orbits of the images and whether the level is regular are worked
-    out once per level, on first use.  Regular means the orbit of 0 has
-    `index` points; on a validated level the quotient then acts regularly
-    on that orbit, so only the identity fixes 0.
+    The level answers for its quotient: satisfies tests a relator and
+    order_of reads the order of a subgroup.  Its orbits are worked out
+    once, on first use.  It is regular when the orbit of 0 has `index`
+    points; once Chain.validate has certified that, only the identity
+    fixes 0, and the level never builds `quotient`, the PermGroup of its
+    images, whose stabilizer chain only other levels need.
     """
 
-    def __init__(self, quotient, images, index, provenance):
-        self.quotient = quotient
+    def __init__(self, degree, images, index, provenance):
+        self.degree = degree
         self.images = images
-        self.index = index
         self.provenance = provenance
+        self.index = self.quotient.order() if index is None else index
+
+    @cached_property
+    def quotient(self):
+        return PermGroup(self.degree, self.images)
 
     @cached_property
     def orbit_of_0(self):
@@ -56,7 +63,7 @@ class ChainLevel:
     def orbits(self):
         """The size of every orbit of the images, keyed by its least point,
         least points in increasing order."""
-        seen = [False] * self.quotient.degree
+        seen = [False] * self.degree
         sizes = {}
         for x in range(len(seen)):
             if not seen[x]:
@@ -69,6 +76,26 @@ class ChainLevel:
     @property
     def regular(self):
         return self.orbits[0] == self.index
+
+    def satisfies(self, word):
+        """Whether word dies in the quotient: on a regular level, whether it
+        fixes 0, which permgrp.trace_point reads off its runs, one cycle per
+        run; on any other level, whether its whole image is the identity."""
+        if self.regular:
+            return trace_point(word, self.images, 0) == 0
+        return word_image(word, self.images).is_identity()
+
+    def order_of(self, images):
+        """The order of the group that images, some of the level's images,
+        generate: the certified index when they are all of them; on a
+        regular level, where only the identity fixes 0, the size of their
+        orbit of 0; on any other (a core or product level, say) by
+        Schreier-Sims."""
+        if len(images) == len(self.images):
+            return self.index
+        if self.regular:
+            return len(orbit(0, images))
+        return PermGroup(self.degree, images).order()
 
 
 class Chain:
@@ -98,10 +125,8 @@ class Chain:
         orbit, so that stabilizer is the kernel and the quotient has
         `index` elements.  An image s that commutes with every image on the
         orbit of 0 is itself the map onto 0.s, a witness that needs no walk
-        (see _witnessed); only the other targets are walked.  Once a level
-        is certified regular, only the identity fixes 0, so a relator holds
-        exactly when it fixes 0, which permgrp.trace_point reads off the
-        relator's runs; every other level checks each relator's whole image.
+        (see _witnessed); only the other targets are walked.  Once a
+        level's index is certified, ChainLevel.satisfies checks each relator.
         The orbits are worked out once per level, and the images' degrees
         are checked before any walk.
         A level of a product chain must hold each factor's level n on a
@@ -137,11 +162,10 @@ class Chain:
                 raise InvariantViolation(f"level {n} index {level.index} does "
                                          f"not increase past {last}")
             last = level.index
-            if any(s.degree != level.quotient.degree for s in level.images):
+            if any(s.degree != level.degree for s in level.images):
                 raise InvariantViolation(f"level {n} images do not act on "
-                                         f"its {level.quotient.degree} points")
-            blanks.append([-1] * level.quotient.degree)
-            regular = not self.factors and level.regular
+                                         f"its {level.degree} points")
+            blanks.append([-1] * level.degree)
             if self.factors:
                 parts = [c.levels[n] for c in self.factors]
                 if level.images != _block_images(parts):
@@ -153,7 +177,7 @@ class Chain:
                     raise InvariantViolation(
                         f"level {n} index {level.index} != {index}, the "
                         "product of its factor indices")
-            elif regular:
+            elif level.regular:
                 targets = ({s.images[0] for s in level.images}
                            | level.orbits.keys()) - _witnessed(level)
                 if not all(_maps_onto(level, level, 0, y, blanks[n])
@@ -168,8 +192,7 @@ class Chain:
                                              f"!= quotient order {order}")
             if self.group is not None:
                 for j, r in enumerate(self.group.relators):
-                    if (trace_point(r, level.images, 0) != 0 if regular
-                            else not word_image(r, level.images).is_identity()):
+                    if not level.satisfies(r):
                         raise InvariantViolation(
                             f"relator {j} survives in level {n} quotient")
         for n in range(len(self.levels) - 1):
@@ -183,15 +206,11 @@ class Chain:
 
 
 def _block_images(parts):
-    """The images of factor levels side by side, each moved to a block of
-    points of its own and fixing every other point."""
-    total = sum(p.quotient.degree for p in parts)
-    images = []
-    offset = 0
-    for part in parts:
-        images.extend(embed_perm(img, offset, total) for img in part.images)
-        offset += part.quotient.degree
-    return tuple(images)
+    """The images of factor levels side by side, each the direct sum of a
+    factor's image on its own block with the identity on every other."""
+    blocks = [Perm(range(part.degree)) for part in parts]
+    return tuple(direct_sum_perm(blocks[:k] + [s] + blocks[k + 1:])
+                 for k, part in enumerate(parts) for s in part.images)
 
 
 def _witnessed(level):
@@ -203,7 +222,7 @@ def _witnessed(level):
     degree; a pair whose images are both known to be no witness is
     skipped."""
     images = [s.images for s in level.images]
-    if level.orbits[0] == level.quotient.degree:
+    if level.orbits[0] == level.degree:
         on_orbit = images
     else:
         on_orbit = [gather(s, level.orbit_of_0) for s in images]
@@ -284,9 +303,8 @@ def core_chain(p, bounds):
         reps = [perm_rep(t)[1] for t in tables]
         images = tuple(direct_sum_perm(tuple(r[g] for r in reps))
                        for g in range(p.num_generators))
-        degree = sum(len(t.table) for t in tables)
-        quotient = PermGroup(degree, images)
-        levels.append(ChainLevel(quotient, images, quotient.order(),
+        levels.append(ChainLevel(sum(len(t.table) for t in tables), images,
+                                 None,
                                  f"core of all subgroups of index <= {bound}"))
     return _make_chain(p, levels, ())
 
@@ -334,9 +352,7 @@ def homology_cover_chain(p, moduli, max_index=DEFAULT_MAX_COSETS):
                     image = rotated
                 block = stride
             images.append(Perm(image))
-        images = tuple(images)
-        quotient = PermGroup(index, images)
-        levels.append(ChainLevel(quotient, images, index,
+        levels.append(ChainLevel(index, tuple(images), index,
                                  f"first homology cover mod {m}"))
     return _make_chain(p, levels, ())
 
@@ -366,10 +382,8 @@ def cyclic_cover_chain(p, weights, moduli, max_index=DEFAULT_MAX_COSETS):
             raise ResourceExhausted(f"cyclic cover mod {m} acts on {m} points, "
                                     f"above the coset budget {max_index}")
         images = tuple(Perm(tuple((x + wi) % m for x in range(m))) for wi in w)
-        quotient = PermGroup(m, images)
         g = reduce(math.gcd, w, m)
-        levels.append(ChainLevel(quotient, images, m // g,
-                                 f"cyclic cover mod {m}"))
+        levels.append(ChainLevel(m, images, m // g, f"cyclic cover mod {m}"))
     return _make_chain(p, levels, ())
 
 
@@ -390,9 +404,8 @@ def product_chain(factor_chains, presentation):
     levels = []
     for k in range(depth):
         parts = [c.levels[k] for c in factor_chains]
-        images = _block_images(parts)
         levels.append(ChainLevel(
-            PermGroup(sum(lvl.quotient.degree for lvl in parts), images), images,
+            sum(lvl.degree for lvl in parts), _block_images(parts),
             math.prod(lvl.index for lvl in parts),
             " x ".join(lvl.provenance for lvl in parts)))
     return _make_chain(presentation, levels, notes, tuple(factor_chains))
@@ -411,9 +424,7 @@ def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):
     levels = []
     for level in ambient_chain.levels:
         h_images = tuple(word_image(wd, level.images) for wd in subgroup_words)
-        quotient = PermGroup(level.quotient.degree, h_images)
-        idx = quotient.order()
-        levels.append(ChainLevel(quotient, h_images, idx,
+        levels.append(ChainLevel(level.degree, h_images, None,
                                  f"shadow of {label} in {level.provenance}"))
     notes = [f"shadow chain: indices are [H : H ^ B_n] for {label}; "
              "no presentation is carried"]

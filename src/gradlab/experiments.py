@@ -251,8 +251,9 @@ def _infinite_abelianization(p):
 
 
 def _plan_rank(cfg, group, chain):
-    """Sandwich the rank of each level kernel: first betti number below,
-    c1 - c0 + 1 of its cells above; target_rg is the limit of d/index.
+    """Sandwich the rank of each level kernel, one row per field K: b1 over
+    K below, since d(G_n) >= dim H_1(G_n; K), and c1 - c0 + 1 of its cells
+    above; target_rg is the limit of d/index.
 
     That limit is -chi, except on a product: a direct product of two
     infinite finitely generated groups has rank gradient 0 (Abert,
@@ -283,27 +284,29 @@ def _plan_rank(cfg, group, chain):
                   "and a rank gradient never is",)
 
     def fill(n, level, numbers):
-        b = numbers[QQ]
-        row = _betti_row(n, level, QQ, b)
-        row["d_lower"] = b[1]
         extra = {"provenance": level.provenance}
         c = _level_cells(group, level, extra)
-        row["d_upper"] = c[1] - c[0] + 1
-        if row["d_lower"] > row["d_upper"]:
-            raise InvariantViolation(f"level {n}: rank bounds crossed, "
-                                     f"{row['d_lower']} > {row['d_upper']}")
-        row["target_rg"] = target
-        yield row, extra
-    return _Plan(CSV_COLUMNS, (QQ,), fill, notes)
+        for f in cfg.fields:
+            b = numbers[f]
+            row = _betti_row(n, level, f, b)
+            row["d_lower"], row["d_upper"] = b[1], c[1] - c[0] + 1
+            if row["d_lower"] > row["d_upper"]:
+                raise InvariantViolation(
+                    f"level {n} field {f.label}: rank bounds crossed, "
+                    f"{row['d_lower']} > {row['d_upper']}")
+            row["target_rg"] = target
+            yield row, dict(extra)
+    return _Plan(CSV_COLUMNS, cfg.fields, fill, notes)
 
 
 def _plan_deficiency(cfg, group, chain):
     """Bound the (negated) deficiency of each kernel.
 
     def_upper = c2 - c1 + c0 - 1 counts the level's cells; def_lower =
-    b2 - b1 over the rationals, valid when the presentation complex is
-    aspherical so the cover's second homology is the group's.  Both bounds
-    divided by the index approach the Euler characteristic.
+    b2 - b1 over each field K, one row per field, since any presentation
+    has r - g >= b2 - b1 over K (Euler characteristic and Hopf), valid when
+    the presentation complex is aspherical so the cover's b2 is the group's.
+    Both bounds divided by the index approach the Euler characteristic.
     """
     _require_presentation(chain, "deficiency bounds")
     aspherical = chain.group.aspherical
@@ -315,19 +318,20 @@ def _plan_deficiency(cfg, group, chain):
     target = Fraction(group.euler)
 
     def fill(n, level, numbers):
-        row = _betti_row(n, level, QQ, numbers[QQ])
         extra = {"provenance": level.provenance}
         c = _level_cells(group, level, extra)
-        row["def_upper"] = c[2] - c[1] + c[0] - 1
-        if aspherical:
-            row["def_lower"] = row["b2"] - row["b1"]
-            if row["def_lower"] > row["def_upper"]:
-                raise InvariantViolation(f"level {n}: deficiency bounds "
-                                         f"crossed, {row['def_lower']} > "
-                                         f"{row['def_upper']}")
-        row["target_dg"] = target
-        yield row, extra
-    return _Plan(CSV_COLUMNS, (QQ,), fill, notes)
+        for f in cfg.fields:
+            row = _betti_row(n, level, f, numbers[f])
+            row["def_upper"] = c[2] - c[1] + c[0] - 1
+            if aspherical:
+                row["def_lower"] = row["b2"] - row["b1"]
+                if row["def_lower"] > row["def_upper"]:
+                    raise InvariantViolation(
+                        f"level {n} field {f.label}: deficiency bounds "
+                        f"crossed, {row['def_lower']} > {row['def_upper']}")
+            row["target_dg"] = target
+            yield row, dict(extra)
+    return _Plan(CSV_COLUMNS, cfg.fields, fill, notes)
 
 
 def _plan_volume(cfg, group, chain):

@@ -19,13 +19,9 @@ Pushing down needs, for each vertex and edge group, its shadow: the order
 [G_v : B n G_v] of its image in the quotient, and the count
 [G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
 cyclic or trivial, so its order is the lcm of the cycle lengths of the edge
-word's image.  The readers take a chain level, whose index Chain.validate
-has certified as the quotient's order.  A vertex carrying every one of the
-images has that order.  On a regular level (ChainLevel.regular) the
-quotient acts regularly on the orbit of 0, so a vertex image's order is the
-size of the orbit of 0 under its generators; on any other level (a core or
-product chain, say) a vertex carrying some of the images runs
-Schreier-Sims, once, for the order of its image.
+word's image.  The chain level answers for its own quotient: a vertex
+group's order is ChainLevel.order_of of its images, and each relator is
+checked by ChainLevel.satisfies.
 """
 
 import itertools
@@ -34,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantViolation, need, reject_unknown
-from .permgrp import (Perm, PermGroup, compose, orbit, perm_order,
-                      subgroup_index, trace_point, word_image)
+from .permgrp import (Perm, PermGroup, compose, perm_order, subgroup_index,
+                      word_image)
 from .words import Presentation, Word, commutator, distinct_names, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -312,29 +308,21 @@ def subgroup_shadows(g, level):
     image and copies = [G : B G_v] = index / local_index counts the lifted
     pieces.
 
-    The images must satisfy every relator.  On a regular level only the
-    identity fixes 0, so a relator is checked by the point it sends 0 to
-    (permgrp.trace_point, which walks one cycle per run); on any other
-    level by its whole image.
+    The images must satisfy every relator, and the level answers both
+    questions: ChainLevel.satisfies for each relator, ChainLevel.order_of
+    for each vertex's images.
     """
     p = g.presentation
     images, index = level.images, level.index
     if len(images) != len(p.generator_names):
         raise ValueError(f"{len(images)} images for {len(p.generator_names)} generators")
     for r in p.relators:
-        if (trace_point(r, images, 0) != 0 if level.regular
-                else not word_image(r, images).is_identity()):
+        if not level.satisfies(r):
             raise ValueError(f"images do not satisfy relator {p.render(r)!r}")
 
     vertex_rows = []
     for v, block in enumerate(g.vertices):
-        v_images = images[g.offsets[v]:g.offsets[v + 1]]
-        if len(v_images) == len(images):
-            local_index = index
-        elif level.regular:
-            local_index = len(orbit(0, v_images))
-        else:
-            local_index = PermGroup(level.quotient.degree, v_images).order()
+        local_index = level.order_of(images[g.offsets[v]:g.offsets[v + 1]])
         vertex_rows.append((block, _copies(index, local_index), local_index))
     edge_rows = [(e.block, _copies(index, local_index), local_index)
                  for e, local_index in zip(g.edges,

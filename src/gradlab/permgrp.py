@@ -133,14 +133,6 @@ def direct_sum_perm(perms):
     return Perm(images)
 
 
-def embed_perm(p, offset, total_degree):
-    """Extend p by the identity outside [offset, offset + degree)."""
-    images = list(range(total_degree))
-    for i, x in enumerate(p.images):
-        images[offset + i] = offset + x
-    return Perm(images)
-
-
 def gather_power(g, k, points):
     """gather(g^k, points) for a tuple g of images of every point and
     k >= 1, by binary powering: points is carried through g, g^2, g^4,

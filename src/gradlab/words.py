@@ -77,8 +77,9 @@ def free_reduce(w):
 def parse_word(text, generator_names):
     """Parse the token format into a freely reduced Word.
 
-    Each token is ``name`` or ``name^k``.  Unknown names and zero exponents
-    are rejected.  The empty string parses to the empty word.
+    Each token is ``name`` or ``name^k``, with k written exactly as str(k)
+    writes it.  Unknown names and zero exponents are rejected.  The empty
+    string parses to the empty word.
     """
     index = {name: i for i, name in enumerate(generator_names)}
     runs = []
@@ -87,6 +88,8 @@ def parse_word(text, generator_names):
             name, _, exp_text = token.partition("^")
             try:
                 exp = int(exp_text)
+                if str(exp) != exp_text:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"bad exponent {exp_text!r} in token {token!r}")
         else:

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradlab import chains, gog
+from gradlab import chains
 from gradlab.chains import (
     Chain,
     ChainLevel,
@@ -15,7 +17,7 @@ from gradlab.chains import (
 from gradlab.cosets import regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
-from gradlab.gog import subgroup_shadows
+from gradlab.gog import subgroup_shadows, subgroup_volume_vector
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
 from gradlab.towers import catalog
 from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
@@ -23,8 +25,8 @@ from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
 from oracles import (box_cover_images, brute_closure, brute_order,
                      element_action_rows, hermite_form,
                      naive_schreier_sims_order, perm_from_cycles,
-                     tuple_compose, walked_level_certificate,
-                     walked_point_rows)
+                     tuple_compose, tuple_word_image,
+                     walked_level_certificate, walked_point_rows)
 
 
 @pytest.fixture
@@ -213,7 +215,6 @@ def test_regular_levels_walk_only_their_nesting(monkeypatch):
         raise AssertionError("a whole relator image on a regular level")
     monkeypatch.setattr(chains, "_maps_onto", spy)
     monkeypatch.setattr(chains, "word_image", no_word_image)
-    monkeypatch.setattr(gog, "word_image", no_word_image)
     group = catalog()["surface_2"]
     chain = homology_cover_chain(group.presentation, (3, 6))
     assert walks == [(1296, 81)]
@@ -248,7 +249,7 @@ def test_a_non_abelian_regular_level_walks_its_targets(free2, monkeypatch):
         return real(src, dst, x, y, image)
     monkeypatch.setattr(chains, "_maps_onto", spy)
     images = tuple(Perm(_regular_image(S3, g)) for g in ((1, 0, 2), (1, 2, 0)))
-    level = ChainLevel(PermGroup(6, images), images, 6, "by hand")
+    level = ChainLevel(6, images, 6, "by hand")
     Chain(free2, (level,)).validate()
     assert sorted(targets) == sorted(s(0) for s in images)
 
@@ -307,13 +308,54 @@ def test_validate_accepts_a_level_exactly_when_the_walked_oracle_does(case):
     images, index, relators = case
     p = Presentation(("a", "b"), tuple(Word(tuple(r)) for r in relators))
     perms = tuple(Perm(s) for s in images)
-    chain = Chain(p, (ChainLevel(PermGroup(len(images[0]), perms), perms,
-                                 index, "by hand"),))
+    chain = Chain(p, (ChainLevel(len(images[0]), perms, index,
+                                 "by hand"),))
     if walked_level_certificate(images, index, relators):
         assert chain.validate() is chain
     else:
         with pytest.raises(InvariantViolation):
             chain.validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_levels(),
+       st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
+                         max_size=8), max_size=3))
+def test_a_validated_level_answers_for_its_quotient(case, words):
+    # satisfies against the brute image of each word, and order_of on
+    # every nonempty subsequence of the images against the brute order
+    images, index, relators = case
+    degree = len(images[0])
+    perms = tuple(Perm(s) for s in images)
+    level = ChainLevel(degree, perms, index, "by hand")
+    p = Presentation(("a", "b"), tuple(Word(tuple(r)) for r in relators))
+    try:
+        Chain(p, (level,)).validate()
+    except InvariantViolation:
+        return
+    identity = tuple(range(degree))
+    for w in relators + words:
+        assert level.satisfies(Word(tuple(w))) == (
+            tuple_word_image(degree, images, w) == identity)
+    for k in range(1, len(perms) + 1):
+        for some in itertools.combinations(perms, k):
+            assert level.order_of(some) == brute_order(
+                degree, [s.images for s in some])
+
+
+@pytest.mark.parametrize("name, build", [
+    ("surface_2", lambda p: homology_cover_chain(p, (3, 6))),
+    ("double_f2_ab",
+     lambda p: cyclic_cover_chain(p, {"a0": 1, "a1": 1}, (2, 4, 8))),
+], ids=["homology", "cyclic"])
+def test_a_regular_level_never_builds_its_quotient(name, build):
+    entry = catalog()[name]
+    chain = build(entry.presentation).validate()
+    for level in chain.levels:
+        betti(covering_complex(level_coset_table(chain.group, level)), QQ)
+        subgroup_volume_vector(entry.graph, level)
+        assert level.regular
+        assert "quotient" not in vars(level)
 
 
 def test_core_chain(free2):
@@ -380,13 +422,13 @@ def test_product_levels_are_certified_from_their_factors(free2):
     def with_levels(levels):
         return Chain(chain.group, levels, chain.notes, chain.factors)
 
-    doubled = ChainLevel(level.quotient, level.images, 2 * level.index,
+    doubled = ChainLevel(level.degree, level.images, 2 * level.index,
                          level.provenance)
     with pytest.raises(InvariantViolation, match="product of its factor"):
         with_levels((doubled,)).validate()
     # the factor images must stay on their own blocks
     a, b, c, d = level.images
-    swapped = ChainLevel(level.quotient, (c, d, a, b), level.index,
+    swapped = ChainLevel(level.degree, (c, d, a, b), level.index,
                          level.provenance)
     with pytest.raises(InvariantViolation, match="blocks"):
         with_levels((swapped,)).validate()
@@ -607,9 +649,9 @@ def test_validate_rejects_non_nested_levels(free2):
     ident4 = Perm((0, 1, 2, 3))
     levels = (
         # kernel: even exponent sum of a
-        ChainLevel(PermGroup(2, [flip]), (flip, ident2), 2, "by hand"),
+        ChainLevel(2, (flip, ident2), 2, "by hand"),
         # kernel: exponent sum of b divisible by 4; contains a, so not nested
-        ChainLevel(PermGroup(4, [step]), (ident4, step), 4, "by hand"),
+        ChainLevel(4, (ident4, step), 4, "by hand"),
     )
     chain = Chain(free2, levels)
     with pytest.raises(InvariantViolation):
@@ -619,7 +661,7 @@ def test_validate_rejects_non_nested_levels(free2):
 def test_validate_rejects_non_increasing_indices(free2):
     flip = Perm((1, 0))
     ident2 = Perm((0, 1))
-    level = ChainLevel(PermGroup(2, [flip]), (flip, ident2), 2, "by hand")
+    level = ChainLevel(2, (flip, ident2), 2, "by hand")
     chain = Chain(free2, (level, level))
     with pytest.raises(InvariantViolation):
         chain.validate()
@@ -628,26 +670,26 @@ def test_validate_rejects_non_increasing_indices(free2):
 def test_validate_rejects_bad_relator_images():
     p = presentation_from_texts(("a",), ("a^2",))
     step = Perm((1, 2, 0))
-    level = ChainLevel(PermGroup(3, [step]), (step,), 3, "by hand")
+    level = ChainLevel(3, (step,), 3, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(p, (level,)).validate()
 
 
 def test_validate_reads_the_degree_off_the_level():
     # no generators: the trivial group on two points, index 1
-    level = ChainLevel(PermGroup(2, []), (), 1, "by hand")
+    level = ChainLevel(2, (), 1, "by hand")
     Chain(None, (level,)).validate()
     # images on four points for a quotient on three
     free1 = catalog()["free_1"].presentation
     step = Perm((1, 2, 3, 0))
-    level = ChainLevel(PermGroup(3, [Perm((1, 2, 0))]), (step,), 4, "by hand")
+    level = ChainLevel(3, (step,), 4, "by hand")
     with pytest.raises(InvariantViolation, match="do not act on its 3"):
         Chain(free1, (level,)).validate()
 
 
 def _cycle_level(length):
     step = Perm(tuple((x + 1) % length for x in range(length)))
-    return ChainLevel(PermGroup(length, [step]), (step,), length, "by hand")
+    return ChainLevel(length, (step,), length, "by hand")
 
 
 def test_validate_rejects_a_wrong_index_on_many_points():
@@ -655,7 +697,7 @@ def test_validate_rejects_a_wrong_index_on_many_points():
     # but a^2 fixes 0 and moves 2, so the action is not regular there
     free1 = catalog()["free_1"].presentation
     a = Perm(perm_from_cycles([(0, 1), (2, 3, 4)], 601))
-    level = ChainLevel(PermGroup(601, [a]), (a,), 2, "by hand")
+    level = ChainLevel(601, (a,), 2, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(free1, (level,)).validate()
 
@@ -666,7 +708,7 @@ def test_validate_checks_the_order_past_two_thousand_points():
     free1 = catalog()["free_1"].presentation
     for degree in (2000, 2001):
         a = Perm(perm_from_cycles([(0, 1), (2, 3, 4)], degree))
-        level = ChainLevel(PermGroup(degree, [a]), (a,), 7, "by hand")
+        level = ChainLevel(degree, (a,), 7, "by hand")
         with pytest.raises(InvariantViolation, match="quotient order 6"):
             Chain(free1, (level,)).validate()
 
@@ -684,7 +726,7 @@ def test_validate_rejects_a_transitive_level_that_is_not_regular():
     # but the stabilizer of 0 moves 1
     free2 = catalog()["free_2"].presentation
     a, b = Perm((1, 0, 2)), Perm((0, 2, 1))
-    level = ChainLevel(PermGroup(3, [a, b]), (a, b), 3, "by hand")
+    level = ChainLevel(3, (a, b), 3, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(free2, (level,)).validate()
 
@@ -694,7 +736,7 @@ def test_validate_checks_nesting_on_every_coarse_orbit():
     # but not in the coarse one, which only the orbit of 1 shows
     free1 = catalog()["free_1"].presentation
     a = Perm((0, 2, 1))
-    coarse = ChainLevel(PermGroup(3, [a]), (a,), 2, "by hand")
+    coarse = ChainLevel(3, (a,), 2, "by hand")
     with pytest.raises(InvariantViolation):
         Chain(free1, (coarse, _cycle_level(3))).validate()
 
@@ -703,8 +745,8 @@ def _brute_level(images):
     """A level built by hand from tuples, with the index by brute force."""
     perms = tuple(Perm(img) for img in images)
     degree = len(images[0])
-    return ChainLevel(PermGroup(degree, perms), perms,
-                      brute_order(degree, images), "by hand")
+    return ChainLevel(degree, perms, brute_order(degree, images),
+                      "by hand")
 
 
 def _accepts(levels):
@@ -725,7 +767,7 @@ def test_validate_certifies_an_index_read_off_the_orbit_of_0(images):
     # claim the orbit size of 0 as the index: right exactly when the
     # images act regularly on that orbit
     true = _brute_level(images)
-    claimed = ChainLevel(true.quotient, true.images,
+    claimed = ChainLevel(true.degree, true.images,
                          len(orbit(0, true.images)), true.provenance)
     assert _accepts((claimed,)) == (claimed.index == true.index)
 

@@ -8,7 +8,7 @@ import pytest
 from gradlab import cli, experiments
 from gradlab.chains import Chain, ChainLevel
 from gradlab.cli import main
-from gradlab.permgrp import Perm, PermGroup
+from gradlab.permgrp import Perm
 
 
 def write_config(tmp_path, config):
@@ -381,6 +381,17 @@ BAD_INPUTS = {
         {"group": FREE_2, "chain": {"type": "homology", "moduli": [2],
                                     "modulus": 3}},
         [], "'modulus'"),
+    # an exponent is read only as str(k) writes it: int() took a^1_0 as
+    # a^10, a^-0_1 as a^-1, and a sign, a leading zero or an Arabic-Indic
+    # digit as well
+    **{f"exponent-{name}": (
+        {"group": {"presentation": {"generators": ["a", "b"],
+                                    "relators": [f"a^{text} b"]}},
+         "chain": HOMOLOGY_2},
+        [], f"bad exponent {text!r}")
+       for name, text in (("underscore", "1_0"),
+                          ("negative-underscore", "-0_1"), ("plus", "+3"),
+                          ("leading-zero", "03"), ("arabic-indic", "\u0663"))},
 }
 
 
@@ -431,7 +442,7 @@ def test_a_hand_built_level_that_fails_its_certificate_exits_three(
     # three points, claimed index 3: S_3 is transitive there but not
     # regular; a 3-cycle acts regularly but does not kill a^2
     def hand_built(p, moduli, max_index):
-        level = ChainLevel(PermGroup(3, images), images, 3, "by hand")
+        level = ChainLevel(3, images, 3, "by hand")
         return Chain(p, (level,)).validate()
     monkeypatch.setattr(experiments, "homology_cover_chain", hand_built)
     group = {"presentation": {"generators": ["a", "b"], "relators": ["a^2"]}}

@@ -234,6 +234,26 @@ def test_deficiency_lower_bound_needs_asphericity():
     assert any("def_lower omitted" in n for n in table.notes)
 
 
+# the trefoil group: a one-relator group whose relator is no proper power,
+# so aspherical; b1 is 1 over q and 2 over gf:3 on both covers below
+TREFOIL = {"presentation": {"generators": ["a", "b"],
+                            "relators": ["a^2 b^-3"], "aspherical": True}}
+
+
+@pytest.mark.parametrize("kind, lower, upper, want", [
+    ("rank", "d_lower", "d_upper",
+     [(2, "q", 1, 3), (2, "gf:3", 2, 3), (4, "q", 1, 5), (4, "gf:3", 2, 5)]),
+    ("deficiency", "def_lower", "def_upper",
+     [(2, "q", -1, -1), (2, "gf:3", -1, -1), (4, "q", -1, -1),
+      (4, "gf:3", -1, -1)]),
+])
+def test_rank_and_deficiency_read_every_field(kind, lower, upper, want):
+    table = make(kind, TREFOIL, {"type": "homology", "moduli": [2, 4]},
+                 fields=["q", "gf:3"])
+    assert [(r["index"], r["field"], r[lower], r[upper])
+            for r in table.rows] == want
+
+
 def test_volume_gradient_double():
     table = make("volume", {"catalog": "double_f2_ab"},
                  {"type": "cyclic", "weights": {"a0": 1, "a1": 1},

@@ -1,6 +1,7 @@
 """Four constraints on what the code may import, two on what it
 defines, one on what it stores, one on how it reads permutations, one
-on how it reads matrices and one on how it builds words.
+on how it reads matrices, one on how it builds words and one on who
+reads a chain level's quotient.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -22,7 +23,10 @@ permgrp.gather, the one itemgetter kernel.  No module but homology names
 a Matrix's row_dicts: the others read a matrix through get, nnz and rank,
 so its layout can change in one place.  No module calls parse_word on a
 string literal or an f-string: a word the code builds itself is made from
-runs, and only text from a config or a caller is parsed.
+runs, and only text from a config or a caller is parsed.  No module but
+chains reads a level's regular, orbits, orbit_of_0 or quotient
+attribute: every other reader asks the level (ChainLevel.satisfies,
+ChainLevel.order_of), so how a level answers can change in one place.
 """
 
 import ast
@@ -160,3 +164,13 @@ def test_no_module_parses_a_word_it_wrote_itself():
                    or (isinstance(node.args[0], ast.Constant)
                        and isinstance(node.args[0].value, str)))]
     assert parsed == []
+
+
+def test_only_chains_reads_what_a_level_knows_of_its_quotient():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    read = [(path.name, node.lineno) for path in sources
+            if path.name != "chains.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("regular", "orbits", "orbit_of_0", "quotient")]
+    assert read == []

@@ -12,7 +12,6 @@ from gradlab.permgrp import (
     inverse_perm,
     perm_order,
     direct_sum_perm,
-    embed_perm,
     trace_point,
     word_image,
     subgroup_index,
@@ -95,7 +94,7 @@ def test_direct_sum_and_embed():
     q = Perm((1, 2, 0))
     s = direct_sum_perm([p, q])
     assert s.images == (1, 0, 3, 4, 2)
-    e = embed_perm(q, 2, 6)
+    e = direct_sum_perm([Perm((0, 1)), q, Perm((0,))])
     assert e.images == (0, 1, 3, 4, 2, 5)
 
 
