@@ -308,8 +308,7 @@ def test_validate_accepts_a_level_exactly_when_the_walked_oracle_does(case):
     images, index, relators = case
     p = Presentation(("a", "b"), tuple(Word(tuple(r)) for r in relators))
     perms = tuple(Perm(s) for s in images)
-    chain = Chain(p, (ChainLevel(len(images[0]), perms, index,
-                                 "by hand"),))
+    chain = Chain(p, (ChainLevel(len(images[0]), perms, index, "by hand"),))
     if walked_level_certificate(images, index, relators):
         assert chain.validate() is chain
     else:
@@ -319,8 +318,9 @@ def test_validate_accepts_a_level_exactly_when_the_walked_oracle_does(case):
 
 @settings(max_examples=300, deadline=None)
 @given(hand_built_levels(),
-       st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
-                         max_size=8), max_size=3))
+       st.lists(st.lists(st.tuples(st.integers(0, 1),
+                                   st.sampled_from((1, -1))), max_size=8),
+                max_size=3))
 def test_a_validated_level_answers_for_its_quotient(case, words):
     # satisfies against the brute image of each word, and order_of on
     # every nonempty subsequence of the images against the brute order
@@ -745,8 +745,7 @@ def _brute_level(images):
     """A level built by hand from tuples, with the index by brute force."""
     perms = tuple(Perm(img) for img in images)
     degree = len(images[0])
-    return ChainLevel(degree, perms, brute_order(degree, images),
-                      "by hand")
+    return ChainLevel(degree, perms, brute_order(degree, images), "by hand")
 
 
 def _accepts(levels):
