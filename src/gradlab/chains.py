@@ -62,7 +62,10 @@ class ChainLevel:
     @cached_property
     def orbits(self):
         """The size of every orbit of the images, keyed by its least point,
-        least points in increasing order."""
+        least points in increasing order; one orbit when the orbit of 0
+        already has every point."""
+        if len(self.orbit_of_0) == self.degree:
+            return {0: self.degree}
         seen = [False] * self.degree
         sizes = {}
         for x in range(len(seen)):
@@ -303,7 +306,7 @@ def core_chain(p, bounds):
         reps = [perm_rep(t)[1] for t in tables]
         images = tuple(direct_sum_perm(tuple(r[g] for r in reps))
                        for g in range(p.num_generators))
-        levels.append(ChainLevel(sum(len(t.table) for t in tables), images,
+        levels.append(ChainLevel(sum(t.num_cosets for t in tables), images,
                                  None,
                                  f"core of all subgroups of index <= {bound}"))
     return _make_chain(p, levels, ())

@@ -6,13 +6,16 @@ working table and are skipped; once every live coset is closed, the live
 ones are renumbered breadth first from coset 0, the subgroup itself, so
 the result is a standardized table.  All iteration orders are fixed, so a
 given presentation, subgroup and limit always produce the identical table.
-Both enumerators share one scan, _scan, and every walk over a complete
-table is one breadth-first walk, _walk.  CosetTable.validate checks a
-complete table column by column in lockstep, one permgrp.gather per
-column, and carries every coset across a relator's runs by powering.
-A table of an image group is read off a walk it is given, the orbit of
-a point or of a base tuple.
+Both enumerators share one scan, _scan, and every walk over a table is
+one breadth-first walk over its columns, _walk.  A complete table is
+stored as its columns; CosetTable.validate certifies a column and its
+inverse column by two permgrp.gather calls and carries every coset
+across a relator's runs by powering.  A table of an image group is
+gathered, column by column, off a walk it is given, the orbit of a
+point or of a base tuple.
 """
+
+from itertools import zip_longest
 
 from .errors import InvariantViolation, ResourceExhausted
 from .permgrp import Perm, PermGroup, gather, gather_power, inverse_perm
@@ -49,21 +52,23 @@ def _scan(table, alpha, cols):
     return f, i, b, j
 
 
-def _walk(rows, start):
-    """Breadth-first discoveries of a table from start.
+def _walk(columns, n, start):
+    """Breadth-first discoveries of a table of n cosets from start.
 
     Lists a triple (alpha, c, beta) per coset beta reached other than
-    start, in discovery order: beta was first reached as rows[alpha][c],
+    start, in discovery order: beta was first reached as columns[c][alpha],
     earlier cosets tried first, then columns in order.  An undefined entry,
     -1, is never followed.
     """
     # the extra True stands for the undefined entry -1
-    seen = [False] * len(rows) + [True]
+    seen = [False] * n + [True]
     seen[start] = True
     queue = [start]
     discoveries = []
+    numbered = tuple(enumerate(columns))
     for alpha in queue:
-        for c, beta in enumerate(rows[alpha]):
+        for c, column in numbered:
+            beta = column[alpha]
             if not seen[beta]:
                 seen[beta] = True
                 discoveries.append((alpha, c, beta))
@@ -71,63 +76,101 @@ def _walk(rows, start):
     return discoveries
 
 
-class CosetTable:
-    """Complete coset table for a subgroup of a finitely presented group.
+def _column_table(presentation, subgroup_words, num_cosets, columns):
+    """A CosetTable of columns already laid out, with no transpose."""
+    t = CosetTable.__new__(CosetTable)
+    t.presentation = presentation
+    t.subgroup_words = tuple(subgroup_words)
+    t.num_cosets = num_cosets
+    t.columns = columns
+    return t
 
-    table[alpha][2g] is the coset alpha.g, table[alpha][2g+1] is alpha.g^-1.
-    Coset 0 is the subgroup.
+
+def _flat_table(presentation, subgroup_words, flat):
+    """The CosetTable of a flattened table, rows one after another:
+    column c is every ncols-th entry from entry c."""
+    ncols = 2 * presentation.num_generators
+    return _column_table(presentation, subgroup_words,
+                         len(flat) // ncols if ncols else 1,
+                         [flat[c::ncols] for c in range(ncols)])
+
+
+def _entry_error(rows, ncols):
+    """The first fault a row-major scan of a table's rows meets: a row of
+    the wrong length, then an entry out of range, then an entry whose
+    inverse entry does not lead back."""
+    n = len(rows)
+    for alpha, row in enumerate(rows):
+        if len(row) != ncols:
+            return f"row {alpha} has {len(row)} columns, wanted {ncols}"
+    for alpha, row in enumerate(rows):
+        for c, beta in enumerate(row):
+            if not 0 <= beta < n:
+                return f"entry ({alpha},{c}) = {beta} out of range"
+            if rows[beta][c ^ 1] != alpha:
+                return f"inverse entry mismatch at ({alpha},{c})"
+
+
+class CosetTable:
+    """Complete coset table for a subgroup of a finitely presented group,
+    stored as its columns.
+
+    columns[2g][alpha] is the coset alpha.g and columns[2g+1][alpha] is
+    alpha.g^-1, so a table over no generators has no columns.  Coset 0
+    is the subgroup.  The constructor transposes rows once; a short row
+    leaves None in the columns it lacks, which validate reports.  table
+    derives the rows afresh on every read.
     """
 
-    def __init__(self, presentation, subgroup_words, table):
+    def __init__(self, presentation, subgroup_words, rows):
+        rows = list(rows)
         self.presentation = presentation
         self.subgroup_words = tuple(subgroup_words)
-        self.table = [list(row) for row in table]
+        self.num_cosets = len(rows)
+        self.columns = (list(zip_longest(*rows)) if rows
+                        else [()] * (2 * presentation.num_generators))
 
     @property
-    def num_cosets(self):
-        return len(self.table)
+    def table(self):
+        rows = zip(*self.columns) if self.columns else [()] * self.num_cosets
+        return [[beta for beta in row if beta is not None] for row in rows]
 
     def trace(self, coset, w):
         for c in _word_cols(w):
-            coset = self.table[coset][c]
+            coset = self.columns[c][coset]
         return coset
 
     def validate(self):
         """Check completeness, inverse consistency, relator and subgroup
         closure.
 
-        After the row lengths, each check runs in lockstep over the
-        columns: a column c is inverse consistent when gathering column
-        c^1 along it gives every coset back, and a relator closes when
-        carrying every coset along it gives every coset back.  A run g^k
-        is carried by permgrp.gather_power through the column of g or of
-        its inverse, so a letter costs one gather and a run O(cosets
-        log |k|) however large k is.
-        A failure names the first entry (alpha, c) in row-major order, or
-        the least coset and then the first relator, as a per-entry scan
-        would.
+        Each check runs in lockstep over the columns.  A column c and its
+        inverse column c^1 are certified by two gathers, one each way:
+        when each carries the other to every coset in order, both are
+        permutations of the cosets, inverse to each other, so no entry is
+        out of range, not even a negative one, which a gather reads from
+        the end.  A relator closes when carrying every coset along it
+        gives every coset back.  A run g^k is carried by
+        permgrp.gather_power through the column of g or of its inverse,
+        so a letter costs one gather and a run O(cosets log |k|) however
+        large k is.
+        A failure names the first row of the wrong length, then the first
+        entry (alpha, c) in row-major order, or the least coset and then
+        the first relator, as a per-entry scan would; the rows are only
+        scanned once a gather has failed.
         """
-        n = len(self.table)
+        columns = self.columns
         ncols = 2 * self.presentation.num_generators
-        for alpha, row in enumerate(self.table):
-            if len(row) != ncols:
-                raise InvariantViolation(f"row {alpha} has {len(row)} columns, wanted {ncols}")
-        columns = list(zip(*self.table)) or [()] * ncols
-        cosets = tuple(range(n))
-        bad = []
-        for c, col in enumerate(columns):
-            inverse = columns[c ^ 1]
-            if (col and (min(col) < 0 or max(col) >= n)) or gather(inverse, col) != cosets:
-                bad.append(next((alpha, c) for alpha, beta in enumerate(col)
-                                if not 0 <= beta < n or inverse[beta] != alpha))
-        if bad:
-            alpha, c = min(bad)
-            beta = self.table[alpha][c]
-            if not 0 <= beta < n:
-                raise InvariantViolation(f"entry ({alpha},{c}) = {beta} out of range")
-            raise InvariantViolation(f"inverse entry mismatch at ({alpha},{c})")
-        # in range and inverse consistent, each column is a permutation: two
-        # cosets with the same image beta under c would both be beta.c^-1
+        cosets = tuple(range(self.num_cosets))
+        try:
+            whole = len(columns) == ncols and all(
+                gather(columns[c ^ 1], column) == cosets
+                for c, column in enumerate(columns))
+        except (IndexError, TypeError):
+            # an entry past the cosets, or the None of a short row
+            whole = False
+        if not whole:
+            raise InvariantViolation(_entry_error(self.table, ncols))
         relators = self.presentation.relators
         unclosed = []
         for j, r in enumerate(relators):
@@ -241,32 +284,29 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
     # the walk from 0 renumbers the live ones; a -1 left in a live row stays
     # -1 and fails validate, whose retrace of every relator and subgroup
     # word is a certificate, not a repair step
-    flat = standardized_table(table, 0)
-    return CosetTable(p, subgroup_words,
-                      (flat[k:k + ncols] for k in range(0, len(flat), ncols))).validate()
+    flat = standardized_table(list(zip(*table)), len(table), 0)
+    return _flat_table(p, subgroup_words, flat).validate()
 
 
 def perm_rep(t):
     """The action on cosets: (PermGroup, generator images)."""
-    images = []
-    for g in range(t.presentation.num_generators):
-        images.append(Perm(tuple(row[2 * g] for row in t.table)))
+    images = [Perm(column) for column in t.columns[::2]]
     return PermGroup(t.num_cosets, images), images
 
 
 def spanning_tree(t):
     """Breadth-first spanning tree of the coset graph, from coset 0.
 
-    Returns (discoveries, symbol): discoveries is _walk(t.table, 0), a
-    triple (alpha, c, beta) per coset beta other than 0.  symbol[alpha *
-    |X| + g] numbers the positive edge (alpha, g) among the edges off the
-    tree, in (alpha, g) order, and is None on a tree edge; k(|X|-1)+1
-    edges are off the tree.  Raises InvariantViolation unless every coset
+    Returns (discoveries, symbol): discoveries is _walk of the columns
+    from 0, a triple (alpha, c, beta) per coset beta other than 0.
+    symbol[alpha * |X| + g] numbers the positive edge (alpha, g) among the
+    edges off the tree, in (alpha, g) order, and is None on a tree edge;
+    k(|X|-1)+1 edges are off the tree.  Raises InvariantViolation unless every coset
     is reached, the certificate that the table is transitive.
     """
     n = t.num_cosets
     ngens = t.presentation.num_generators
-    discoveries = _walk(t.table, 0)
+    discoveries = _walk(t.columns, n, 0)
     if len(discoveries) != n - 1:
         raise InvariantViolation(f"coset table is not transitive: {len(discoveries) + 1} "
                                  f"of {n} cosets reached from coset 0")
@@ -306,7 +346,7 @@ def schreier_generators(t):
     for e, s in enumerate(symbol):
         if s is not None:
             alpha, g = divmod(e, ngens)
-            beta = t.table[alpha][2 * g]
+            beta = t.columns[2 * g][alpha]
             gens.append(transversal[alpha] * Word(((g, 1),))
                         * transversal[beta].inverse())
     return gens
@@ -338,7 +378,8 @@ def regular_action_table(p, images, walk):
     breadth first from its start with the images tried in order.
 
     Coset k is the walk's k-th entry, so coset 0 is the start, and column
-    c reads the position of every entry moved by c.  When only the
+    c is the position of every entry moved by c, gathered whole and
+    handed to the table as it is.  When only the
     identity fixes the start, the table is the regular action of the
     image, one row per element, describing the kernel of the map sending
     generators to images; schreier_generators(table) generates that
@@ -349,30 +390,30 @@ def regular_action_table(p, images, walk):
     columns = [c for g in images for c in (g.images, inverse_perm(g).images)]
     position = dict(zip(walk, range(len(walk))))
     if walk and isinstance(walk[0], tuple):
-        rows = zip(*(gather(position, [gather(c, x) for x in walk])
-                     for c in columns))
+        moved = [gather(position, [gather(c, x) for x in walk]) for c in columns]
     else:
-        rows = zip(*(gather(position, gather(c, walk)) for c in columns))
-    table = CosetTable(p, (), rows)
+        moved = [gather(position, gather(c, walk)) for c in columns]
+    table = _column_table(p, (), len(walk), moved)
     # the table check needs neither the position map nor the inverse columns
     del position, columns
     return table.validate()
 
 
-def standardized_table(rows, start=0):
-    """Flatten a complete table after BFS renumbering from a basepoint.
+def standardized_table(columns, n, start=0):
+    """Flatten a table on n cosets, given by its columns, after BFS
+    renumbering from a basepoint, rows one after another.
 
     Two (table, basepoint) pairs describe the same subgroup exactly when
     their standardized flattenings agree, so the set of flattenings over all
     basepoints counts the conjugates of the subgroup a table describes.
     Rows not reached from start are left out; an entry -1 stays -1.
     """
-    order = [start] + [beta for _, _, beta in _walk(rows, start)]
+    order = [start] + [beta for _, _, beta in _walk(columns, n, start)]
     # the extra slot keeps number[-1] == -1
-    number = [-1] * (len(rows) + 1)
+    number = [-1] * (n + 1)
     for new, old in enumerate(order):
         number[old] = new
-    return tuple(number[beta] for alpha in order for beta in rows[alpha])
+    return tuple(number[column[alpha]] for alpha in order for column in columns)
 
 
 def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
@@ -417,7 +458,9 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
         pos = next(((alpha, c) for alpha, row in enumerate(work)
                     for c, beta in enumerate(row) if beta == -1), None)
         if pos is None:
-            found.add(min(standardized_table(work, s) for s in range(len(work))))
+            columns = list(zip(*work))
+            found.add(min(standardized_table(columns, len(work), s)
+                          for s in range(len(work))))
             return
         alpha, c = pos
         candidates = [b for b in range(len(work)) if work[b][c ^ 1] == -1]
@@ -434,5 +477,5 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     search([[-1] * ncols])
-    return [CosetTable(p, (), (canon[k:k + ncols] for k in range(0, len(canon), ncols)))
-            .validate() for canon in sorted(found, key=lambda f: (len(f), f))]
+    return [_flat_table(p, (), canon).validate()
+            for canon in sorted(found, key=lambda f: (len(f), f))]

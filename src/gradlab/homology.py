@@ -402,10 +402,13 @@ def covering_complex(t):
     is exactly d1.d2 = 0 on the full cover, whose column for a face is the
     sum of head - tail over the letters crossed.
 
-    The faces of one relator are traced in lockstep: one gather per letter
-    carries the current coset of every face across it, and one more reads
-    the edges crossed from the symbols of that generator.  A trace that
-    does not close is reported at the least coset, then the first relator.
+    The faces of one relator are traced in lockstep off the table's
+    columns: one gather per letter carries the current coset of every face
+    across it, and one more reads the edges crossed from the symbols of
+    that generator.  An entry whose sum comes to 0, a letter and its
+    inverse crossing the same edge, is dropped as it is traced, so d2
+    holds no zero.  A trace that does not close is reported at the least
+    coset, then the first relator.
     """
     p = t.presentation
     nx = p.num_generators
@@ -415,7 +418,7 @@ def covering_complex(t):
     edges = len(symbol) - symbol.count(None)
     symbols = [symbol[g::nx] for g in range(nx)]
     del symbol
-    columns = list(zip(*t.table))
+    columns = t.columns
     d2 = Matrix(edges, n * nr)
     rows = d2.row_dicts
     cosets = tuple(range(n))
@@ -430,7 +433,11 @@ def covering_complex(t):
             for face, s in zip(faces, gather(symbols[gen], cur)):
                 if s is not None:
                     row = rows[s]
-                    row[face] = row.get(face, 0) + sign
+                    value = row.get(face, 0) + sign
+                    if value:
+                        row[face] = value
+                    else:
+                        del row[face]
             if sign > 0:
                 cur = gather(columns[2 * gen], cur)
         if cur != cosets:
@@ -438,10 +445,6 @@ def covering_complex(t):
     if unclosed:
         alpha, j = min(unclosed)
         raise InvariantViolation(f"relator {j} does not close from coset {alpha}")
-    for row in rows:
-        if 0 in row.values():
-            for face in [face for face, v in row.items() if not v]:
-                del row[face]
     return ChainComplex((1, edges, n * nr), (Matrix(1, edges), d2))
 
 

@@ -27,11 +27,10 @@ class Perm:
 
     def __init__(self, images):
         images = tuple(images)
-        seen = [False] * len(images)
-        for x in images:
-            if not 0 <= x < len(images) or seen[x]:
-                raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
-            seen[x] = True
+        n = len(images)
+        # n distinct points of 0..n-1 are all of them
+        if images and (min(images) < 0 or max(images) >= n or len(set(images)) < n):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {images}")
         self.images = images
 
     @property

@@ -180,10 +180,10 @@ def check_enumeration_counts():
     classes = {}
     subgroups = {}
     for t in tables:
-        k = len(t.table)
+        k = t.num_cosets
         classes[k] = classes.get(k, 0) + 1
         subgroups[k] = subgroups.get(k, 0) + len(
-            {standardized_table(t.table, s) for s in range(k)})
+            {standardized_table(t.columns, k, s) for s in range(k)})
     if classes != {1: 1, 2: 3, 3: 7}:
         return False, f"classes {classes}"
     # brute force: transitive generator pairs on k points, divided by (k-1)!
@@ -198,8 +198,8 @@ def check_enumeration_counts():
     a4 = presentation_from_texts(("a", "b"), ("a^2", "b^3", "a b a b a b"))
     t = todd_coxeter(a4, ())
     group, _ = perm_rep(t)
-    if len(t.table) != 12 or group.order() != 12:
-        return False, f"enumeration gave {len(t.table)} cosets, order {group.order()}"
+    if t.num_cosets != 12 or group.order() != 12:
+        return False, f"enumeration gave {t.num_cosets} cosets, order {group.order()}"
     return True, (f"3 + 13 subgroups of index 2, 3 match brute transitive "
                   f"counts; enumeration closes at 12")
 

@@ -14,7 +14,11 @@ table of a level's kernel built by enumerating its image group as whole
 permutations, and the per-entry loops that coset tables and covers ran
 before their lockstep passes over columns: entrywise_table_error, the
 table check, and coset_face_columns, the face traces of a collapsed
-cover.  So is walked_level_certificate, the check of one chain level by
+cover.  walk_rows reads a table off a walk row by row, as
+regular_action_table did before it gathered whole columns;
+orbit_sizes walks every orbit of a level, as ChainLevel.orbits did when
+the orbit of 0 was already every point; and is_permutation_tuple is
+Perm's check, one point at a time.  So is walked_level_certificate, the check of one chain level by
 an orbit walk per target and every relator's whole image, from before
 commuting images served as their own orbit maps.  None of it imports
 from gradlab, so a bug in the library cannot hide in its own oracle.
@@ -204,6 +208,47 @@ def _tuple_orbit(point, images):
                 seen.add(s[x])
                 points.append(s[x])
     return points
+
+
+def orbit_sizes(degree, images):
+    """The size of every orbit of the image tuples on range(degree), keyed
+    by its least point, as a list of (least point, size) in increasing
+    order, every orbit walked."""
+    seen = set()
+    sizes = []
+    for x in range(degree):
+        if x not in seen:
+            points = _tuple_orbit(x, images)
+            sizes.append((x, len(points)))
+            seen.update(points)
+    return sizes
+
+
+def is_permutation_tuple(images):
+    """Whether an int tuple lists every point of 0..len-1 once, checked
+    one point at a time against the points already seen."""
+    seen = [False] * len(images)
+    for x in images:
+        if not 0 <= x < len(images) or seen[x]:
+            return False
+        seen[x] = True
+    return True
+
+
+def walk_rows(images, walk):
+    """Rows of the action of the image tuples on a walk closed under them,
+    row by row: row k holds the positions in the walk of x.g and x.g^-1,
+    for x the walk's k-th entry, for every image g.  An entry is a point
+    or a tuple of points, which an image moves point by point."""
+    position = {x: k for k, x in enumerate(walk)}
+    inverses = [tuple_inverse(g) for g in images]
+
+    def moved(h, x):
+        return tuple(h[y] for y in x) if isinstance(x, tuple) else h[x]
+
+    return [[position[moved(h, x)] for g, g_inv in zip(images, inverses)
+             for h in (g, g_inv)]
+            for x in walk]
 
 
 def _orbit_map_is_defined(images, x, y):
@@ -555,7 +600,8 @@ def full_covering_complex(table):
     multiplying d1 by d2 out and asserting the product is zero.
     """
     p = table.presentation
-    k = len(table.table)
+    rows = table.table
+    k = len(rows)
     nx = p.num_generators
     nr = len(p.relators)
     d1, d2 = {}, {}
@@ -567,7 +613,7 @@ def full_covering_complex(table):
 
     for alpha in range(k):
         for g in range(nx):
-            add(d1, (table.table[alpha][2 * g], alpha * nx + g), 1)
+            add(d1, (rows[alpha][2 * g], alpha * nx + g), 1)
             add(d1, (alpha, alpha * nx + g), -1)
     for alpha in range(k):
         for j, r in enumerate(p.relators):
@@ -575,9 +621,9 @@ def full_covering_complex(table):
             for gen, sign in r.letters():
                 if sign > 0:
                     add(d2, (cur * nx + gen, alpha * nr + j), 1)
-                    cur = table.table[cur][2 * gen]
+                    cur = rows[cur][2 * gen]
                 else:
-                    cur = table.table[cur][2 * gen + 1]
+                    cur = rows[cur][2 * gen + 1]
                     add(d2, (cur * nx + gen, alpha * nr + j), -1)
     faces_of = {}
     for (e, f), w in d2.items():
@@ -642,19 +688,20 @@ def coset_face_columns(table, symbol):
     p = table.presentation
     nx = p.num_generators
     nr = len(p.relators)
+    rows = table.table
     entries, unclosed = {}, []
-    for alpha in range(len(table.table)):
+    for alpha in range(len(rows)):
         for j, r in enumerate(p.relators):
             column = {}
             cur = alpha
             for gen, sign in r.letters():
                 if sign < 0:
-                    cur = table.table[cur][2 * gen + 1]
+                    cur = rows[cur][2 * gen + 1]
                 s = symbol[cur * nx + gen]
                 if s is not None:
                     column[s] = column.get(s, 0) + sign
                 if sign > 0:
-                    cur = table.table[cur][2 * gen]
+                    cur = rows[cur][2 * gen]
             if cur != alpha:
                 unclosed.append((alpha, j))
             for s, v in column.items():

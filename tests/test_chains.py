@@ -14,7 +14,7 @@ from gradlab.chains import (
     fiber_restrict,
     level_coset_table,
 )
-from gradlab.cosets import regular_action_table, schreier_generators
+from gradlab.cosets import base_orbit, regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.gog import subgroup_shadows, subgroup_volume_vector
@@ -24,8 +24,8 @@ from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
                            presentation_from_texts, product_presentation)
 from oracles import (box_cover_images, brute_closure, brute_order,
                      element_action_rows, hermite_form,
-                     naive_schreier_sims_order, perm_from_cycles,
-                     tuple_compose, tuple_word_image,
+                     naive_schreier_sims_order, orbit_sizes, perm_from_cycles,
+                     tuple_compose, tuple_word_image, walk_rows,
                      walked_level_certificate, walked_point_rows)
 
 
@@ -530,6 +530,54 @@ def test_level_coset_table_matches_the_element_oracle():
                                == _oracle_rows(level))
     assert len(checked) >= 28
     assert all(checked)
+
+
+def _catalog_levels():
+    """Every level of index at most 256 of a homology, cyclic, core and
+    product chain of the catalog's groups, with its presentation."""
+    entries = catalog()
+    chains = []
+    for entry in entries.values():
+        p = entry.presentation
+        chains += [homology_cover_chain(p, [2, 4]), core_chain(p, [2])]
+        try:
+            chains.append(cyclic_cover_chain(
+                p, dict.fromkeys(p.generator_names, 1), [2, 4, 8]))
+        except ValueError:
+            pass  # a relator's exponent sum is no multiple of the modulus
+    free2 = entries["free_2"].presentation
+    chains += [core_chain(free2, [2, 3]),
+               product_chain([homology_cover_chain(free2, [2, 4])] * 2,
+                             presentation=entries["f2xf2"].presentation),
+               product_chain([core_chain(free2, [2]),
+                              homology_cover_chain(free2, [2])],
+                             presentation=entries["f2xf2"].presentation)]
+    return [(chain.group, level) for chain in chains for level in chain.levels
+            if level.index <= 256]
+
+
+def test_orbits_match_every_orbit_walked():
+    levels = _catalog_levels()
+    assert len(levels) >= 74
+    for _, level in levels:
+        assert list(level.orbits.items()) == orbit_sizes(
+            level.degree, [g.images for g in level.images])
+
+
+def test_regular_action_table_matches_the_row_route_on_the_catalog():
+    checked = 0
+    for p, level in _catalog_levels():
+        if level.provenance.startswith(("first homology", "core")):
+            images = level.images
+            walk = (level.orbit_of_0 if level.regular
+                    else base_orbit(images, level.quotient.base()))
+            t = regular_action_table(p, images, walk)
+            rows = walk_rows([g.images for g in images], walk)
+            assert t.num_cosets == len(walk)
+            assert t.table == rows
+            assert t.columns == list(zip(*rows))
+            checked += 1
+    assert checked >= 38
 
 
 def test_level_coset_table_walks_a_base_off_regular_levels(free2, monkeypatch):

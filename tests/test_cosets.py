@@ -1,8 +1,10 @@
+import functools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradlab.chains import homology_cover_chain, level_coset_table
 from gradlab.cosets import (
     CosetTable,
     todd_coxeter,
@@ -17,6 +19,7 @@ from gradlab.cosets import (
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
 from gradlab.permgrp import Perm, PermGroup, orbit, word_image
+from gradlab.towers import catalog
 from gradlab.words import Presentation, Word, presentation_from_texts
 from oracles import (
     alternating_tetrahedral_images,
@@ -86,17 +89,26 @@ def _fails_as_the_entrywise_scan(table):
     return str(err.value)
 
 
+def _with_entry(rows, alpha, c, beta):
+    """A copy of the rows with rows[alpha][c] set to beta; None drops the
+    entry, which leaves row alpha short."""
+    rows = [list(row) for row in rows]
+    if beta is None:
+        del rows[alpha][c]
+    else:
+        rows[alpha][c] = beta
+    return rows
+
+
 def test_validate_catches_corruption(sym3):
     good = todd_coxeter(sym3, ())
     n, rows = good.num_cosets, good.table
-    t = CosetTable(sym3, (), rows)
-    t.table[2][0] = t.table[3][0]
+    t = CosetTable(sym3, (), _with_entry(rows, 2, 0, rows[3][0]))
     assert _fails_as_the_entrywise_scan(t) == "inverse entry mismatch at (2,0)"
     # every short row, out-of-range entry and inverse mismatch on one entry
     seen = set()
     for alpha, row in enumerate(rows):
-        short = CosetTable(sym3, (), rows)
-        short.table[alpha].pop()
+        short = CosetTable(sym3, (), _with_entry(rows, alpha, -1, None))
         with pytest.raises(InvariantViolation, match=f"^row {alpha} has 3 columns, wanted 4$"):
             short.validate()
         try:
@@ -106,8 +118,7 @@ def test_validate_catches_corruption(sym3):
             pass  # the per-entry scan stepped into the short row first
         for c in range(4):
             for beta in (-1, n, n + 3, *(b for b in range(n) if b != row[c])):
-                bad = CosetTable(sym3, (), rows)
-                bad.table[alpha][c] = beta
+                bad = CosetTable(sym3, (), _with_entry(rows, alpha, c, beta))
                 seen.add(_fails_as_the_entrywise_scan(bad).split(" ")[0])
     # an entry out of range can first show as the inverse mismatch of the
     # entry that leads to it
@@ -124,6 +135,72 @@ def test_validate_catches_corruption(sym3):
     words = tuple(sym3.word(w) for w in ("a^2", "b", "a"))
     assert (_fails_as_the_entrywise_scan(CosetTable(sym3, words, rows))
             == "subgroup word Word([(1, 1)]) leaves coset 0")
+
+
+@functools.cache
+def _complete_tables():
+    """Tables to corrupt: catalog homology levels and enumerations."""
+    tables = []
+    for name in ("free_2", "surface_2", "abelian_2", "double_f2_ab"):
+        p = catalog()[name].presentation
+        tables += [level_coset_table(p, level)
+                   for m in (2, 3) for level in homology_cover_chain(p, [m]).levels]
+    sym3 = presentation_from_texts(("a", "b"), ("a^2", "b^2", "a b a b a b"))
+    a4 = presentation_from_texts(("a", "b"), ("a^2", "b^3", "a b a b a b"))
+    tables += [todd_coxeter(sym3, ()), todd_coxeter(sym3, (sym3.word("a"),)),
+               todd_coxeter(a4, ()), todd_coxeter(dihedral_model(7)[0], ())]
+    return tuple(tables)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A complete table with one fault: an entry set past the cosets, set
+    negative, or set to another coset; a row without its last entry; or
+    one more relator or subgroup word, which may or may not close."""
+    t = draw(st.sampled_from(_complete_tables()))
+    p, rows, n, words = t.presentation, t.table, t.num_cosets, t.subgroup_words
+    alpha = draw(st.integers(0, n - 1))
+    c = draw(st.integers(0, 2 * p.num_generators - 1))
+    word = st.lists(st.tuples(st.integers(0, p.num_generators - 1),
+                              st.sampled_from((1, -1))), min_size=1, max_size=8)
+    kind = draw(st.sampled_from(("past", "negative", "other", "short",
+                                 "relator", "subgroup word")))
+    if kind == "past":
+        rows = _with_entry(rows, alpha, c, draw(st.integers(n, 2 * n)))
+    elif kind == "negative":
+        rows = _with_entry(rows, alpha, c, draw(st.integers(-2 * n, -1)))
+    elif kind == "other":
+        shift = draw(st.integers(1, max(n - 1, 1)))
+        rows = _with_entry(rows, alpha, c, (rows[alpha][c] + shift) % n)
+    elif kind == "short":
+        # the last entry goes, so every other entry keeps its column
+        rows = _with_entry(rows, alpha, -1, None)
+    elif kind == "relator":
+        p = Presentation(p.generator_names,
+                         p.relators + (Word(tuple(draw(word))),))
+    else:
+        words += (Word(tuple(draw(word))),)
+    return CosetTable(p, words, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_tables())
+def test_validate_fails_as_the_entrywise_scan_on_one_fault(table):
+    ncols = 2 * table.presentation.num_generators
+    try:
+        expected = entrywise_table_error(table)
+    except IndexError:
+        # the per-entry scan stepped into the short row before its turn;
+        # validate measures every row first
+        expected = next(f"row {alpha} has {len(row)} columns, wanted {ncols}"
+                        for alpha, row in enumerate(table.table)
+                        if len(row) != ncols)
+    if expected is None:
+        assert table.validate() is table
+    else:
+        with pytest.raises(InvariantViolation) as err:
+            table.validate()
+        assert str(err.value) == expected
 
 
 def dihedral_model(n):
@@ -160,7 +237,8 @@ def test_todd_coxeter_matches_the_permutation_model(case):
         assert tuple_word_image(t.num_cosets, [g.images for g in action],
                                 list(rel.letters())) == ident
     # rows are numbered breadth first from coset 0
-    assert tuple(e for row in t.table for e in row) == standardized_table(t.table, 0)
+    assert (tuple(e for row in t.table for e in row)
+            == standardized_table(t.columns, t.num_cosets, 0))
 
 
 @st.composite
@@ -177,7 +255,7 @@ def test_low_index_counts_match_the_transitive_actions(relators):
     counts = {}
     for t in low_index_subgroups(p, 4):
         k = t.num_cosets
-        counts[k] = counts.get(k, 0) + len({standardized_table(t.table, s)
+        counts[k] = counts.get(k, 0) + len({standardized_table(t.columns, k, s)
                                             for s in range(k)})
     assert counts == {k: n for k in range(1, 5)
                       if (n := count_subgroups_by_actions(k, relators))}
@@ -314,8 +392,8 @@ def test_standardized_table_counts_conjugates(free2):
     # index 2 subgroups are normal: every basepoint gives the same flattening
     t = todd_coxeter(free2, (free2.word("a"), free2.word("b^2"), free2.word("b a b^-1")))
     assert t.num_cosets == 2
-    flat0 = standardized_table(t.table, 0)
-    assert standardized_table(t.table, 1) == flat0
+    flat0 = standardized_table(t.columns, 2, 0)
+    assert standardized_table(t.columns, 2, 1) == flat0
 
 
 def test_low_index_class_and_subgroup_counts(free2):
@@ -328,7 +406,7 @@ def test_low_index_class_and_subgroup_counts(free2):
         seen = set()
         for t in by_index[k]:
             for s in range(k):
-                seen.add(standardized_table(t.table, s))
+                seen.add(standardized_table(t.columns, k, s))
         assert len(seen) == count_transitive_pairs(k) // factorial(k - 1)
 
 

@@ -1,7 +1,7 @@
 """Four constraints on what the code may import, two on what it
 defines, one on what it stores, one on how it reads permutations, one
-on how it reads matrices, one on how it builds words and one on who
-reads a chain level's quotient.
+on how it reads matrices, one on how it builds words, one on who reads
+a chain level's quotient and one on who reads a coset table's rows.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -27,6 +27,9 @@ runs, and only text from a config or a caller is parsed.  No module but
 chains reads a level's regular, orbits, orbit_of_0 or quotient
 attribute: every other reader asks the level (ChainLevel.satisfies,
 ChainLevel.order_of), so how a level answers can change in one place.
+No module but cosets reads a CosetTable's table, the rows it derives
+afresh from its columns on every read: the others read num_cosets and
+columns, so no hot path rebuilds the rows.
 """
 
 import ast
@@ -173,4 +176,13 @@ def test_only_chains_reads_what_a_level_knows_of_its_quotient():
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Attribute)
             and node.attr in ("regular", "orbits", "orbit_of_0", "quotient")]
+    assert read == []
+
+
+def test_only_cosets_reads_the_rows_of_a_coset_table():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    read = [(path.name, node.lineno) for path in sources
+            if path.name != "cosets.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "table"]
     assert read == []

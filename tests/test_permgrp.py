@@ -17,9 +17,9 @@ from gradlab.permgrp import (
     subgroup_index,
 )
 from gradlab.words import Word, parse_word
-from oracles import (brute_closure, brute_order, naive_schreier_sims_order,
-                     perm_from_cycles, tuple_compose, tuple_inverse,
-                     tuple_word_image)
+from oracles import (brute_closure, brute_order, is_permutation_tuple,
+                     naive_schreier_sims_order, perm_from_cycles,
+                     tuple_compose, tuple_inverse, tuple_word_image)
 
 
 def test_perm_basics():
@@ -36,6 +36,30 @@ def test_perm_rejects_non_bijections():
         Perm((0, 0, 1))
     with pytest.raises(ValueError):
         Perm((0, 3, 1))
+
+
+@st.composite
+def near_permutations(draw):
+    """A permutation of up to 8 points, possibly with a few entries
+    overwritten by ints from -3 to 11: duplicates, negative points and
+    points past the end, or the empty tuple."""
+    images = list(draw(st.integers(0, 8).flatmap(lambda n: st.permutations(range(n)))))
+    for _ in range(draw(st.integers(0, 2)) if images else 0):
+        images[draw(st.integers(0, len(images) - 1))] = draw(st.integers(-3, 11))
+    return images
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_permutations() | st.lists(st.integers(-3, 11), max_size=8))
+def test_perm_accepts_exactly_the_permutations(images):
+    images = tuple(images)
+    if is_permutation_tuple(images):
+        assert Perm(images).images == images
+    else:
+        with pytest.raises(ValueError) as err:
+            Perm(images)
+        assert str(err.value) == (f"not a permutation of 0..{len(images) - 1}: "
+                                  f"{images}")
 
 
 def test_compose_convention():
