@@ -15,7 +15,9 @@ Chain.validate certifies every nesting by orbit maps, and every level's
 index by orbit maps, by the factor levels of a product chain, or on any
 other level by Schreier-Sims, at any degree.  On a regular level an image
 that commutes with every image is its own orbit map, a witness that needs
-no walk, and each relator is checked by the point it sends 0 to.
+no walk, and each relator is checked by the point it sends 0 to.  A
+level's words and its coset table read one set of columns, its images and
+their inverses in a table's layout, through permgrp.carry.
 """
 
 import math
@@ -25,8 +27,8 @@ from .cosets import (DEFAULT_MAX_COSETS, base_orbit, low_index_subgroups,
                      perm_rep, regular_action_table)
 from .errors import InvariantViolation, ResourceExhausted
 from .homology import diagonalize
-from .permgrp import (Perm, PermGroup, direct_sum_perm, gather, orbit,
-                      trace_point, word_image)
+from .permgrp import (Perm, PermGroup, carry, direct_sum_perm, gather,
+                      inverse_perm, orbit, trace_point)
 from .words import abelianized_relator_matrix
 
 
@@ -35,12 +37,13 @@ class ChainLevel:
     points, with the index of its kernel (None means the order of the group
     the images generate) and a human-readable construction tag.
 
-    The level answers for its quotient: satisfies tests a relator and
-    order_of reads the order of a subgroup.  Its orbits are worked out
-    once, on first use.  It is regular when the orbit of 0 has `index`
-    points; once Chain.validate has certified that, only the identity
-    fixes 0, and the level never builds `quotient`, the PermGroup of its
-    images, whose stabilizer chain only other levels need.
+    The level answers for its quotient: satisfies tests a relator, image
+    is a word's permutation and order_of reads the order of a subgroup.
+    Its orbits and columns are worked out once, on first use.  It is
+    regular when the orbit of 0 has `index` points; once Chain.validate
+    has certified that, only the identity fixes 0, and the level never
+    builds `quotient`, the PermGroup of its images, whose stabilizer chain
+    only other levels need.
     """
 
     def __init__(self, degree, images, index, provenance):
@@ -80,21 +83,34 @@ class ChainLevel:
     def regular(self):
         return self.orbits[0] == self.index
 
+    @cached_property
+    def columns(self):
+        """The images and their inverses in a coset table's layout: image g
+        at 2g, its inverse at 2g+1."""
+        return tuple(c for s in self.images
+                     for c in (s.images, inverse_perm(s).images))
+
+    def image(self, word):
+        """The permutation of the points that word induces, every point
+        carried along it by permgrp.carry."""
+        return Perm(carry(word, self.columns, tuple(range(self.degree))))
+
     def satisfies(self, word):
         """Whether word dies in the quotient: on a regular level, whether it
         fixes 0, which permgrp.trace_point reads off its runs, one cycle per
-        run; on any other level, whether its whole image is the identity."""
+        run, with no inverse; on any other level, whether its image is the
+        identity."""
         if self.regular:
             return trace_point(word, self.images, 0) == 0
-        return word_image(word, self.images).is_identity()
+        return self.image(word).is_identity()
 
     def order_of(self, images):
-        """The order of the group that images, some of the level's images,
-        generate: the certified index when they are all of them; on a
-        regular level, where only the identity fixes 0, the size of their
-        orbit of 0; on any other (a core or product level, say) by
-        Schreier-Sims."""
-        if len(images) == len(self.images):
+        """The order of the group that images, permutations of the level's
+        points in its quotient, generate: the certified index when they
+        are the level's own images; on a regular level, where only the
+        identity fixes 0, the size of their orbit of 0; on any other (a
+        core or product level, say) by Schreier-Sims."""
+        if tuple(images) == self.images:
             return self.index
         if self.regular:
             return len(orbit(0, images))
@@ -290,19 +306,20 @@ def _require_ladder(moduli):
                              f"{a} does not divide {b}")
 
 
-def core_chain(p, bounds):
+def core_chain(p, bounds, max_cosets=DEFAULT_MAX_COSETS):
     """Kernels of the action on every coset space of index up to each bound.
 
     The level quotient is the image of the group acting on the disjoint
     union of all coset spaces found by the low-index search, so its kernel
     is the intersection of the normal cores of every subgroup of index at
     most the bound.  Increasing bounds give nested kernels for free.
+    max_cosets, the coset budget, bounds each low-index search.
     """
     if list(bounds) != sorted(set(bounds)):
         raise ValueError(f"bounds must be strictly increasing, got {bounds!r}")
     levels = []
     for bound in bounds:
-        tables = low_index_subgroups(p, bound)
+        tables = low_index_subgroups(p, bound, max_cosets)
         reps = [perm_rep(t)[1] for t in tables]
         images = tuple(direct_sum_perm(tuple(r[g] for r in reps))
                        for g in range(p.num_generators))
@@ -426,7 +443,7 @@ def fiber_restrict(ambient_chain, subgroup_words, label="subgroup"):
         raise ValueError("need at least one subgroup generator word")
     levels = []
     for level in ambient_chain.levels:
-        h_images = tuple(word_image(wd, level.images) for wd in subgroup_words)
+        h_images = tuple(level.image(wd) for wd in subgroup_words)
         levels.append(ChainLevel(level.degree, h_images, None,
                                  f"shadow of {label} in {level.provenance}"))
     notes = [f"shadow chain: indices are [H : H ^ B_n] for {label}; "
@@ -452,11 +469,11 @@ def level_coset_table(p, level, max_cosets=DEFAULT_MAX_COSETS):
                                 f"coset budget {max_cosets}")
     if level.regular:
         base = (0,)
-        table = regular_action_table(p, level.images, level.orbit_of_0)
+        table = regular_action_table(p, level.columns, level.orbit_of_0)
     else:
         base = level.quotient.base()
         table = regular_action_table(
-            p, level.images, base_orbit(level.images, base, max_cosets))
+            p, level.columns, base_orbit(level.images, base, max_cosets))
     if table.num_cosets != level.index:
         raise InvariantViolation(f"walking the images of base {base} gave "
                                  f"{table.num_cosets} cosets, not the level "

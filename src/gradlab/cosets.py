@@ -9,22 +9,21 @@ given presentation, subgroup and limit always produce the identical table.
 Both enumerators share one scan, _scan, and every walk over a table is
 one breadth-first walk over its columns, _walk.  A complete table is
 stored as its columns; CosetTable.validate certifies a column and its
-inverse column by two permgrp.gather calls and carries every coset
-across a relator's runs by powering.  A table of an image group is
-gathered, column by column, off a walk it is given, the orbit of a
-point or of a base tuple.
+inverse column by two permgrp.gather calls and carries cosets along
+relators and subgroup words by permgrp.carry.  A table of an image group
+is gathered, column by column, off a walk it is given, the orbit of a
+point or of a base tuple, through a chain level's columns.
 """
 
 from itertools import zip_longest
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, gather, gather_power, inverse_perm
+from .permgrp import Perm, PermGroup, carry, gather
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
 
 DEFAULT_MAX_COSETS = 50000
-DEFAULT_MAX_NODES = 500000
 
 
 def _word_cols(w):
@@ -135,11 +134,6 @@ class CosetTable:
         rows = zip(*self.columns) if self.columns else [()] * self.num_cosets
         return [[beta for beta in row if beta is not None] for row in rows]
 
-    def trace(self, coset, w):
-        for c in _word_cols(w):
-            coset = self.columns[c][coset]
-        return coset
-
     def validate(self):
         """Check completeness, inverse consistency, relator and subgroup
         closure.
@@ -150,10 +144,8 @@ class CosetTable:
         permutations of the cosets, inverse to each other, so no entry is
         out of range, not even a negative one, which a gather reads from
         the end.  A relator closes when carrying every coset along it
-        gives every coset back.  A run g^k is carried by
-        permgrp.gather_power through the column of g or of its inverse,
-        so a letter costs one gather and a run O(cosets log |k|) however
-        large k is.
+        gives every coset back; a subgroup word, when it carries coset 0
+        back.  permgrp.carry costs O(cosets log |k|) for a run g^k.
         A failure names the first row of the wrong length, then the first
         entry (alpha, c) in row-major order, or the least coset and then
         the first relator, as a per-entry scan would; the rows are only
@@ -174,16 +166,14 @@ class CosetTable:
         relators = self.presentation.relators
         unclosed = []
         for j, r in enumerate(relators):
-            ends = cosets
-            for gen, exp in r.runs:
-                ends = gather_power(columns[2 * gen + (exp < 0)], abs(exp), ends)
+            ends = carry(r, columns, cosets)
             if ends != cosets:
                 unclosed.append(next((alpha, j) for alpha in cosets if ends[alpha] != alpha))
         if unclosed:
             alpha, j = min(unclosed)
             raise InvariantViolation(f"relator {relators[j]!r} does not close from coset {alpha}")
         for w in self.subgroup_words:
-            if self.trace(0, w) != 0:
+            if carry(w, columns, (0,)) != (0,):
                 raise InvariantViolation(f"subgroup word {w!r} leaves coset 0")
         return self
 
@@ -372,30 +362,30 @@ def base_orbit(images, base, max_order=DEFAULT_MAX_COSETS):
     return walk
 
 
-def regular_action_table(p, images, walk):
+def regular_action_table(p, columns, walk):
     """Coset table of the image group acting on a walk: the orbit of a
     point, from permgrp.orbit, or of a base tuple, from base_orbit, listed
     breadth first from its start with the images tried in order.
 
-    Coset k is the walk's k-th entry, so coset 0 is the start, and column
-    c is the position of every entry moved by c, gathered whole and
-    handed to the table as it is.  When only the
-    identity fixes the start, the table is the regular action of the
+    columns holds the images and their inverses in a table's layout, as
+    ChainLevel.columns does.  Coset k is the walk's k-th entry, so coset 0
+    is the start, and column c is the position of every entry moved by
+    columns[c], gathered whole and handed to the table as it is.  When
+    only the identity fixes the start, the table is the regular action of the
     image, one row per element, describing the kernel of the map sending
     generators to images; schreier_generators(table) generates that
     kernel.  The walk must be closed under the images.
     """
-    if len(images) != p.num_generators:
-        raise ValueError(f"{len(images)} images for {p.num_generators} generators")
-    columns = [c for g in images for c in (g.images, inverse_perm(g).images)]
+    if len(columns) != 2 * p.num_generators:
+        raise ValueError(f"{len(columns)} columns for {p.num_generators} generators")
     position = dict(zip(walk, range(len(walk))))
     if walk and isinstance(walk[0], tuple):
         moved = [gather(position, [gather(c, x) for x in walk]) for c in columns]
     else:
         moved = [gather(position, gather(c, walk)) for c in columns]
     table = _column_table(p, (), len(walk), moved)
-    # the table check needs neither the position map nor the inverse columns
-    del position, columns
+    # the table check does not need the position map
+    del position
     return table.validate()
 
 
@@ -416,7 +406,7 @@ def standardized_table(columns, n, start=0):
     return tuple(number[column[alpha]] for alpha in order for column in columns)
 
 
-def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
+def low_index_subgroups(p, max_index, max_cosets=DEFAULT_MAX_COSETS):
     """All subgroups of index <= max_index, one table per conjugacy class.
 
     Backtracking over partial tables with relator-driven deductions.  Every
@@ -424,9 +414,11 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
     lexicographically least flattening is kept, which both canonicalizes
     the numbering and collapses conjugate subgroups.  Output is sorted by
     index, then by canonical table; the tables carry no subgroup words.
+    Past ten nodes per coset of max_cosets it raises ResourceExhausted.
     """
     ncols = 2 * p.num_generators
     relator_cols = [_word_cols(r) for r in p.relators]
+    max_nodes = 10 * max_cosets
     nodes = 0
     found = set()
 
@@ -452,7 +444,8 @@ def low_index_subgroups(p, max_index, max_nodes=DEFAULT_MAX_NODES):
         nonlocal nodes
         nodes += 1
         if nodes > max_nodes:
-            raise ResourceExhausted(f"low index search exceeded {max_nodes} nodes")
+            raise ResourceExhausted(f"low index search exceeded {max_nodes} nodes, "
+                                    f"ten per coset of the budget {max_cosets}")
         if not propagate(work):
             return
         pos = next(((alpha, c) for alpha, row in enumerate(work)

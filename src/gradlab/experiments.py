@@ -67,8 +67,8 @@ def resolve_group(spec):
 
 def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     """Build the chain a spec dict describes over the resolved group.
-    max_cosets also bounds the index of a homology chain's levels and the
-    modulus of a cyclic chain or fiber kernel."""
+    max_cosets also bounds a core chain's search, the index of a homology
+    chain's levels and the modulus of a cyclic chain or fiber kernel."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError(f"chain spec must be a dict with a type, got {spec!r}")
     kind = spec["type"]
@@ -79,7 +79,7 @@ def resolve_chain(spec, group, max_cosets=DEFAULT_MAX_COSETS):
     where = f"{kind} chain"
     if kind == "core":
         reject_unknown(spec, where, ("type", "bounds"))
-        return core_chain(p, need(spec, "bounds", where, list, int))
+        return core_chain(p, need(spec, "bounds", where, list, int), max_cosets)
     if kind == "homology":
         reject_unknown(spec, where, ("type", "moduli"))
         return homology_cover_chain(p, need(spec, "moduli", where, list, int),
@@ -357,7 +357,7 @@ def _plan_volume(cfg, group, chain):
         extra["volume_degree"] = k
         row = _row(CSV_COLUMNS, level=n, index=level.index, vol2_ratio=ratio)
         if check_edges:
-            shadows = edge_shadow_indices(graph, level.images)
+            shadows = edge_shadow_indices(graph, level)
             expected = Fraction(0)
             for e, s in zip(graph.edges, shadows):
                 weight = e.block.sub_volume_vector(s)[k - 1]

@@ -17,11 +17,10 @@ never parsed from text.
 
 Pushing down needs, for each vertex and edge group, its shadow: the order
 [G_v : B n G_v] of its image in the quotient, and the count
-[G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  An edge group is
-cyclic or trivial, so its order is the lcm of the cycle lengths of the edge
-word's image.  The chain level answers for its own quotient: a vertex
-group's order is ChainLevel.order_of of its images, and each relator is
-checked by ChainLevel.satisfies.
+[G : B G_v] = [G : B] / [G_v : B n G_v] of its lifts.  The chain level
+answers for its own quotient: ChainLevel.order_of reads the order of a
+vertex group's images and of an edge word's ChainLevel.image, and each
+relator is checked by ChainLevel.satisfies.
 """
 
 import itertools
@@ -30,8 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantViolation, need, reject_unknown
-from .permgrp import (Perm, PermGroup, compose, perm_order, subgroup_index,
-                      word_image)
+from .permgrp import Perm, PermGroup, compose, subgroup_index
 from .words import Presentation, Word, commutator, distinct_names, parse_word
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -290,12 +288,12 @@ def _copies(index, local_index):
     return copies
 
 
-def edge_shadow_indices(g, images):
-    """[G_e : B n G_e] for each edge: the order of the edge word's image,
-    1 for trivial edges (edge groups have at most one generator)."""
-    return [perm_order(word_image(g.lift(e.iota_words[0], e.source),
-                                  images)) if e.iota_words else 1
-            for e in g.edges]
+def edge_shadow_indices(g, level):
+    """[G_e : B n G_e] for each edge: the order of the edge word's image in
+    the chain level's quotient, read by ChainLevel.order_of, 1 for trivial
+    edges (edge groups have at most one generator)."""
+    return [level.order_of((level.image(g.lift(e.iota_words[0], e.source)),))
+            if e.iota_words else 1 for e in g.edges]
 
 
 def subgroup_shadows(g, level):
@@ -310,7 +308,7 @@ def subgroup_shadows(g, level):
 
     The images must satisfy every relator, and the level answers both
     questions: ChainLevel.satisfies for each relator, ChainLevel.order_of
-    for each vertex's images.
+    for each vertex's images and each edge word's image.
     """
     p = g.presentation
     images, index = level.images, level.index
@@ -326,7 +324,7 @@ def subgroup_shadows(g, level):
         vertex_rows.append((block, _copies(index, local_index), local_index))
     edge_rows = [(e.block, _copies(index, local_index), local_index)
                  for e, local_index in zip(g.edges,
-                                           edge_shadow_indices(g, images))]
+                                           edge_shadow_indices(g, level))]
     return vertex_rows, edge_rows
 
 

@@ -13,7 +13,9 @@ the inverses, so a sift step is one gather.
 Every product of image tuples, here and in the coset tables and covers
 built over them, is one call of gather, which reads a whole tuple of
 points through a single operator.itemgetter instead of one Python-level
-lookup per point.
+lookup per point.  A word moves points through carry, which reads
+generator images and their inverses in a coset table's column layout, so
+chain levels and coset tables share it.
 """
 
 import math
@@ -92,22 +94,6 @@ def inverse_perm(p):
     return _trusted(_invert(p.images))
 
 
-def perm_order(p):
-    """Order of p: the lcm of its cycle lengths."""
-    seen = [False] * p.degree
-    order = 1
-    for start in range(p.degree):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p.images[x]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
-
-
 def orbit(point, perms):
     """The orbit of point under the group the perms generate, in
     breadth-first order with the perms tried in the given order."""
@@ -146,24 +132,16 @@ def gather_power(g, k, points):
         g = gather(g, g)
 
 
-def word_image(w, generator_images):
-    """Evaluate a Word through a list of generator images.
+def carry(w, columns, points):
+    """The tuple of points carried along a Word through columns laid out
+    as a coset table's: generator g's images at columns[2g] and their
+    inverse at columns[2g+1].
 
-    A run g^k is one gather_power, so it costs O(degree log |k|) however
-    large k is."""
-    if not generator_images:
-        raise ValueError("no generator images")
-    out = tuple(range(generator_images[0].degree))
-    inverses = {}
+    A run g^k is one gather_power through the column of g or of its
+    inverse, so it costs O(len(column) log |k|) however large k is."""
     for gen, exp in w.runs:
-        if exp > 0:
-            g = generator_images[gen].images
-        else:
-            if gen not in inverses:
-                inverses[gen] = _invert(generator_images[gen].images)
-            g, exp = inverses[gen], -exp
-        out = gather_power(g, exp, out)
-    return _trusted(out)
+        points = gather_power(columns[2 * gen + (exp < 0)], abs(exp), points)
+    return points
 
 
 def trace_point(w, generator_images, x):

@@ -191,6 +191,12 @@ def naive_schreier_sims_order(degree, gens):
     return order
 
 
+def tuple_columns(images):
+    """Image tuples and their inverses in a coset table's layout: image g
+    at 2g, its inverse at 2g+1."""
+    return [c for g in images for c in (g, tuple_inverse(g))]
+
+
 def tuple_word_image(degree, images, letters):
     """Image of a word given as (generator, sign) letters, sign +1 or -1."""
     out = tuple(range(degree))

@@ -18,14 +18,14 @@ from gradlab.cosets import base_orbit, regular_action_table, schreier_generators
 from gradlab.errors import InvariantViolation, ResourceExhausted
 from gradlab.homology import covering_complex, betti, QQ, GF2
 from gradlab.gog import subgroup_shadows, subgroup_volume_vector
-from gradlab.permgrp import Perm, PermGroup, orbit, word_image
+from gradlab.permgrp import Perm, PermGroup, orbit
 from gradlab.towers import catalog
 from gradlab.words import (Presentation, Word, abelianized_relator_matrix,
                            presentation_from_texts, product_presentation)
 from oracles import (box_cover_images, brute_closure, brute_order,
                      element_action_rows, hermite_form,
                      naive_schreier_sims_order, orbit_sizes, perm_from_cycles,
-                     tuple_compose, tuple_word_image, walk_rows,
+                     tuple_columns, tuple_compose, tuple_word_image, walk_rows,
                      walked_level_certificate, walked_point_rows)
 
 
@@ -55,7 +55,7 @@ def test_homology_cover_respects_relators():
     assert chain.indices() == (16,)
     level = chain.levels[0]
     for r in surf.presentation.relators:
-        assert word_image(r, list(level.images)).is_identity()
+        assert level.image(r).is_identity()
 
 
 def test_homology_cover_ladder_and_budget(free2):
@@ -89,8 +89,9 @@ def _assert_cover_table_matches_the_box_oracle(p, level, h):
     walk to the same coset table from point 0: the same regular action,
     whatever the numbering of its points."""
     box = tuple(Perm(images) for images in box_cover_images(h))
-    assert (regular_action_table(p, level.images, orbit(0, level.images)).table
-            == regular_action_table(p, box, orbit(0, box)).table)
+    columns = tuple_columns([b.images for b in box])
+    assert (regular_action_table(p, level.columns, orbit(0, level.images)).table
+            == regular_action_table(p, columns, orbit(0, box)).table)
 
 
 def _assert_cover_images_match_the_box_oracle(p, moduli):
@@ -211,16 +212,18 @@ def test_regular_levels_walk_only_their_nesting(monkeypatch):
         walks.append((src.index, dst.index))
         return real(src, dst, x, y, image)
 
-    def no_word_image(*args):
+    def no_carry(*args):
         raise AssertionError("a whole relator image on a regular level")
     monkeypatch.setattr(chains, "_maps_onto", spy)
-    monkeypatch.setattr(chains, "word_image", no_word_image)
+    monkeypatch.setattr(chains, "carry", no_carry)
     group = catalog()["surface_2"]
     chain = homology_cover_chain(group.presentation, (3, 6))
     assert walks == [(1296, 81)]
     for level in chain.levels:
         vertex_rows, edge_rows = subgroup_shadows(group.graph, level)
         assert vertex_rows[0][1:] == (1, level.index) and edge_rows == []
+        # nor are the inverse columns built
+        assert "columns" not in vars(level)
 
 
 def _group_elements(degree, gens):
@@ -322,8 +325,9 @@ def test_validate_accepts_a_level_exactly_when_the_walked_oracle_does(case):
                                    st.sampled_from((1, -1))), max_size=8),
                 max_size=3))
 def test_a_validated_level_answers_for_its_quotient(case, words):
-    # satisfies against the brute image of each word, and order_of on
-    # every nonempty subsequence of the images against the brute order
+    # satisfies and image against the brute image of each word, and
+    # order_of on every nonempty subsequence of the images, and on each
+    # word's image, against the brute order
     images, index, relators = case
     degree = len(images[0])
     perms = tuple(Perm(s) for s in images)
@@ -335,8 +339,11 @@ def test_a_validated_level_answers_for_its_quotient(case, words):
         return
     identity = tuple(range(degree))
     for w in relators + words:
-        assert level.satisfies(Word(tuple(w))) == (
-            tuple_word_image(degree, images, w) == identity)
+        want = tuple_word_image(degree, images, w)
+        assert level.satisfies(Word(tuple(w))) == (want == identity)
+        image = level.image(Word(tuple(w)))
+        assert image.images == want
+        assert level.order_of((image,)) == brute_order(degree, [want])
     for k in range(1, len(perms) + 1):
         for some in itertools.combinations(perms, k):
             assert level.order_of(some) == brute_order(
@@ -477,7 +484,7 @@ def test_kernel_generator_words(free2):
         ["a^2", "b a b^-1 a^-1", "b^2", "a b a b^-1", "a b^2 a^-1"]
     # every word really dies in the quotient
     for w in words:
-        assert word_image(w, list(chain.levels[0].images)).is_identity()
+        assert chain.levels[0].image(w).is_identity()
     with pytest.raises(ResourceExhausted):
         level_coset_table(free2, chain.levels[0], 2)
 
@@ -571,7 +578,7 @@ def test_regular_action_table_matches_the_row_route_on_the_catalog():
             images = level.images
             walk = (level.orbit_of_0 if level.regular
                     else base_orbit(images, level.quotient.base()))
-            t = regular_action_table(p, images, walk)
+            t = regular_action_table(p, level.columns, walk)
             rows = walk_rows([g.images for g in images], walk)
             assert t.num_cosets == len(walk)
             assert t.table == rows
@@ -591,10 +598,10 @@ def test_level_coset_table_walks_a_base_off_regular_levels(free2, monkeypatch):
         calls.append("base")
         return real_base(group)
 
-    def spy(p, images, walk):
+    def spy(p, columns, walk):
         calls.append(walk[0])
         walks.append(walk)
-        return regular_action_table(p, images, walk)
+        return regular_action_table(p, columns, walk)
 
     walks = []
     monkeypatch.setattr(PermGroup, "base", spy_base)
@@ -669,9 +676,9 @@ def test_a_regular_level_is_walked_once(free2, monkeypatch):
             walks.append(out)
         return out
 
-    def table_spy(p, images, walk):
+    def table_spy(p, columns, walk):
         tables.append(walk)
-        return real_table(p, images, walk)
+        return real_table(p, columns, walk)
 
     monkeypatch.setattr(chains, "orbit", orbit_spy)
     monkeypatch.setattr(chains, "regular_action_table", table_spy)
@@ -738,6 +745,15 @@ def test_validate_reads_the_degree_off_the_level():
 def _cycle_level(length):
     step = Perm(tuple((x + 1) % length for x in range(length)))
     return ChainLevel(length, (step,), length, "by hand")
+
+
+def test_order_of_reads_the_index_only_for_the_level_s_own_images():
+    # one image, a 6-cycle: its square is one image too, of order 3
+    level = _cycle_level(6)
+    square = level.image(Word(((0, 2),)))
+    assert square.images == (2, 3, 4, 5, 0, 1)
+    assert level.order_of((square,)) == 3
+    assert level.order_of(level.images) == level.order_of(list(level.images)) == 6
 
 
 def test_validate_rejects_a_wrong_index_on_many_points():

@@ -152,6 +152,25 @@ def test_budget_refuses_cyclic_moduli_before_building_points(tmp_path, chain, ki
     assert "above the coset budget 1000" in out.stderr
 
 
+Z2_STAR_Z = {"graph": {
+    "vertices": [{"type": "abelian", "rank": 2}, {"type": "cyclic"}],
+    "edges": [{"source": 0, "target": 1, "edge_block": {"type": "trivial"}}]}}
+
+
+@pytest.mark.parametrize("group, bound", [
+    (Z2_STAR_Z, 8), ({"catalog": "surface_2"}, 4), ({"catalog": "free_2"}, 5)])
+@pytest.mark.parametrize("kind", ["rank", "volume"])
+def test_budget_bounds_the_low_index_search_of_core_chains(tmp_path, group,
+                                                           bound, kind):
+    path = write_config(tmp_path, {"group": group,
+                                   "chain": {"type": "core", "bounds": [bound]}})
+    start = time.monotonic()
+    out = run_cli(kind, "--config", path, "--max-cosets", "64")
+    assert time.monotonic() - start < 2
+    assert out.returncode == 2
+    assert "exceeded 640 nodes, ten per coset of the budget 64" in out.stderr
+
+
 def test_main_callable_in_process(tmp_path, capsys):
     path = write_config(tmp_path, {
         "group": {"catalog": "free_2"},

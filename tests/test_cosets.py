@@ -18,7 +18,7 @@ from gradlab.cosets import (
 )
 from gradlab.errors import ResourceExhausted, InvariantViolation
 from gradlab.homology import covering_complex, betti, FieldSpec
-from gradlab.permgrp import Perm, PermGroup, orbit, word_image
+from gradlab.permgrp import Perm, PermGroup, carry, orbit
 from gradlab.towers import catalog
 from gradlab.words import Presentation, Word, presentation_from_texts
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     factorial,
     full_covering_complex,
     predicted_betti,
+    tuple_columns,
     tuple_word_image,
     walked_point_rows,
 )
@@ -50,7 +51,7 @@ def test_cyclic_enumeration():
     p = presentation_from_texts(("a",), ("a^5",))
     t = todd_coxeter(p, ())
     assert t.num_cosets == 5
-    assert t.trace(0, p.word("a^5")) == 0
+    assert carry(p.word("a^5"), t.columns, (0,)) == (0,)
 
 
 def test_sym3_counts(sym3):
@@ -68,16 +69,18 @@ def test_tetrahedral_group_against_explicit_permutations():
     # the explicit degree-4 model satisfies the same presentation
     a, b = alternating_tetrahedral_images()
     for rel in p.relators:
-        assert word_image(rel, [Perm(a), Perm(b)]).is_identity()
+        assert carry(rel, tuple_columns([a, b]), tuple(range(4))) == (0, 1, 2, 3)
 
 
 def test_perm_rep_respects_relators(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
     _, images = perm_rep(t)
+    cosets = tuple(range(t.num_cosets))
     for rel in sym3.relators:
-        assert word_image(rel, images).is_identity()
+        assert carry(rel, tuple_columns([g.images for g in images]),
+                     cosets) == cosets
     # subgroup words fix coset 0
-    assert t.trace(0, sym3.word("a")) == 0
+    assert carry(sym3.word("a"), t.columns, (0,)) == (0,)
 
 
 def _fails_as_the_entrywise_scan(table):
@@ -129,7 +132,8 @@ def test_validate_catches_corruption(sym3):
     loose = presentation_from_texts(("a", "b"), ("a^2", "a", "b"))
     assert (_fails_as_the_entrywise_scan(CosetTable(loose, (), cosets_of_a))
             == "relator Word([(1, 1)]) does not close from coset 0")
-    assert CosetTable(loose, (), cosets_of_a).trace(1, loose.word("a")) != 1
+    assert carry(loose.word("a"), CosetTable(loose, (), cosets_of_a).columns,
+                 (1,)) != (1,)
     relabel = presentation_from_texts(("a", "b"), ("a b", "b a b a"))
     assert _fails_as_the_entrywise_scan(CosetTable(relabel, (), rows)).startswith("relator")
     words = tuple(sym3.word(w) for w in ("a^2", "b", "a"))
@@ -275,7 +279,7 @@ def test_schreier_transversal_carries_basepoint(free2):
     assert len(transversal) == t.num_cosets
     assert transversal[0].is_empty()
     for alpha, w in enumerate(transversal):
-        assert t.trace(0, w) == alpha
+        assert carry(w, t.columns, (0,)) == (alpha,)
 
 
 def test_schreier_generator_count_free_group(free2):
@@ -327,20 +331,21 @@ def test_rewritten_first_homology_matches_cover_complex():
 
 def test_regular_action_table(free2):
     images = [Perm((1, 0, 2)), Perm((0, 2, 1))]
-    t = regular_action_table(free2, images,
+    columns = tuple_columns([g.images for g in images])
+    t = regular_action_table(free2, columns,
                              base_orbit(images, PermGroup(3, images).base()))
     assert t.num_cosets == 6
     group, action = perm_rep(t)
     assert group.order() == 6
     # kernel membership: subgroup words act trivially on the image side
     for w in schreier_generators(t):
-        assert word_image(w, images).is_identity()
+        assert carry(w, columns, (0, 1, 2)) == (0, 1, 2)
 
 
 def test_regular_action_budget(free2):
     images = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
     with pytest.raises(ResourceExhausted):
-        regular_action_table(free2, images,
+        regular_action_table(free2, tuple_columns([g.images for g in images]),
                              base_orbit(images, PermGroup(5, images).base(),
                                         max_order=30))
 
@@ -372,11 +377,12 @@ def test_regular_action_table_on_a_base_matches_the_element_oracle(images):
     group = PermGroup(len(images[0]), perms)
     rows = element_action_rows(images)
     walk = base_orbit(perms, group.base())
-    assert regular_action_table(p, perms, walk).table == rows
+    columns = tuple_columns(images)
+    assert regular_action_table(p, columns, walk).table == rows
     zero = orbit(0, perms)
     if len(zero) < len(rows):
         # 0 alone is no base: the walk is the action on its orbit
-        short = regular_action_table(p, perms, zero)
+        short = regular_action_table(p, columns, zero)
         assert short.num_cosets == len(zero) < len(rows)
         assert short.table == walked_point_rows(images, 0)
 
@@ -384,7 +390,7 @@ def test_regular_action_table_on_a_base_matches_the_element_oracle(images):
 def test_normal_core(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
     group, images = perm_rep(t)
-    core = regular_action_table(sym3, images, base_orbit(images, group.base()))
+    core = regular_action_table(sym3, t.columns, base_orbit(images, group.base()))
     assert core.num_cosets == 6
 
 
@@ -419,7 +425,9 @@ def test_low_index_respects_relators():
     for t in tables:
         _, images = perm_rep(t)
         for rel in p.relators:
-            assert word_image(rel, images).is_identity()
+            assert (tuple_word_image(t.num_cosets, [g.images for g in images],
+                                     list(rel.letters()))
+                    == tuple(range(t.num_cosets)))
 
 
 def _cycle_table(p, length):

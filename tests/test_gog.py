@@ -25,7 +25,7 @@ from gradlab.chains import (ChainLevel, core_chain, cyclic_cover_chain,
                             homology_cover_chain, level_coset_table)
 from gradlab.errors import InvariantViolation
 from gradlab.homology import GF2, QQ, betti, covering_complex
-from gradlab.permgrp import Perm, PermGroup, orbit, word_image
+from gradlab.permgrp import Perm, PermGroup, orbit
 from gradlab.towers import catalog, double_of_free
 from gradlab.words import parse_word
 from oracles import closure_shadows
@@ -199,7 +199,7 @@ def test_subgroup_shadow_bookkeeping(double):
     assert [(copies, local) for _, copies, local in vertex_rows] == [(1, 2), (1, 2)]
     # edge word a b maps to the flip: one copy, local index 2
     assert [(copies, local) for _, copies, local in edge_rows] == [(1, 2)]
-    assert edge_shadow_indices(double, level.images) == [2]
+    assert edge_shadow_indices(double, level) == [2]
     vv = subgroup_volume_vector(double, level)
     assert vv.entries == (2, 7, 1)
     assert vv.euler() == -4
@@ -250,7 +250,7 @@ def test_relator_images_checked_through_lift(double):
     p = double.presentation
     level = cyclic_level(3, (1, 0, 1, 0))
     for r in p.relators:
-        assert word_image(r, level.images).is_identity()
+        assert level.image(r).is_identity()
     vv = subgroup_volume_vector(double, level)
     # index 3: two free rank-4 pieces joined along three cyclic stripes
     assert vv.entries == (2, 9, 1)
@@ -277,7 +277,7 @@ def _assert_shadows_match_closure(graph, level, regular):
     rows = subgroup_shadows(graph, level)
     got = tuple([(copies, local) for _, copies, local in r] for r in rows)
     assert got == want
-    assert edge_shadow_indices(graph, level.images) == [
+    assert edge_shadow_indices(graph, level) == [
         local for _, local in want[1]]
 
 

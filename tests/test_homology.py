@@ -393,7 +393,7 @@ def test_circle_and_euler():
 
 def test_projective_plane_covering_complex():
     p = presentation_from_texts(("a",), ("a^2",))
-    t = regular_action_table(p, [Perm((1, 0))], (0, 1))
+    t = regular_action_table(p, [(1, 0), (1, 0)], (0, 1))
     full = full_complex(t)
     assert full.dims == (2, 2, 2)
     cx = covering_complex(t)

@@ -1,7 +1,8 @@
 """Four constraints on what the code may import, two on what it
 defines, one on what it stores, one on how it reads permutations, one
-on how it reads matrices, one on how it builds words, one on who reads
-a chain level's quotient and one on who reads a coset table's rows.
+on how it reads matrices, one on how it builds words, one on how it
+moves points along words, one on who reads a chain level's quotient and
+one on who reads a coset table's rows.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -24,8 +25,10 @@ a Matrix's row_dicts: the others read a matrix through get, nnz and rank,
 so its layout can change in one place.  No module calls parse_word on a
 string literal or an f-string: a word the code builds itself is made from
 runs, and only text from a config or a caller is parsed.  No module but
-chains reads a level's regular, orbits, orbit_of_0 or quotient
-attribute: every other reader asks the level (ChainLevel.satisfies,
+permgrp names gather_power: a word moves points through permgrp.carry,
+for chain levels and coset tables alike.  No module but chains reads a
+level's regular, orbits, orbit_of_0 or quotient attribute: every other
+reader asks the level (ChainLevel.satisfies, ChainLevel.image,
 ChainLevel.order_of), so how a level answers can change in one place.
 No module but cosets reads a CosetTable's table, the rows it derives
 afresh from its columns on every read: the others read num_cosets and
@@ -167,6 +170,18 @@ def test_no_module_parses_a_word_it_wrote_itself():
                    or (isinstance(node.args[0], ast.Constant)
                        and isinstance(node.args[0].value, str)))]
     assert parsed == []
+
+
+def test_only_permgrp_names_gather_power():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    named = [(path.name, node.lineno) for path in sources
+             if path.name != "permgrp.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Name) and node.id == "gather_power")
+             or (isinstance(node, ast.Attribute)
+                 and node.attr == "gather_power")
+             or (isinstance(node, ast.alias) and node.name == "gather_power")]
+    assert named == []
 
 
 def test_only_chains_reads_what_a_level_knows_of_its_quotient():
