@@ -320,7 +320,7 @@ def core_chain(p, bounds, max_cosets=DEFAULT_MAX_COSETS):
     levels = []
     for bound in bounds:
         tables = low_index_subgroups(p, bound, max_cosets)
-        reps = [perm_rep(t)[1] for t in tables]
+        reps = [perm_rep(t) for t in tables]
         images = tuple(direct_sum_perm(tuple(r[g] for r in reps))
                        for g in range(p.num_generators))
         levels.append(ChainLevel(sum(t.num_cosets for t in tables), images,

@@ -8,17 +8,20 @@ the result is a standardized table.  All iteration orders are fixed, so a
 given presentation, subgroup and limit always produce the identical table.
 Both enumerators share one scan, _scan, and every walk over a table is
 one breadth-first walk over its columns, _walk.  A complete table is
-stored as its columns; CosetTable.validate certifies a column and its
+built one way, CosetTable(presentation, subgroup_words, columns), and
+stored as those columns; CosetTable.validate certifies a column and its
 inverse column by two permgrp.gather calls and carries cosets along
 relators and subgroup words by permgrp.carry.  A table of an image group
 is gathered, column by column, off a walk it is given, the orbit of a
-point or of a base tuple, through a chain level's columns.
+point or of a base tuple, through a chain level's columns.  The edges
+off a table's spanning tree are numbered in one pass and handed out as
+the table's columns are, one column per generator.
 """
 
-from itertools import zip_longest
+from itertools import count
 
 from .errors import InvariantViolation, ResourceExhausted
-from .permgrp import Perm, PermGroup, carry, gather
+from .permgrp import Perm, carry, gather
 from .words import Word, free_reduce, render_word
 
 STRATEGY_VERSION = "hlt-1"
@@ -75,29 +78,16 @@ def _walk(columns, n, start):
     return discoveries
 
 
-def _column_table(presentation, subgroup_words, num_cosets, columns):
-    """A CosetTable of columns already laid out, with no transpose."""
-    t = CosetTable.__new__(CosetTable)
-    t.presentation = presentation
-    t.subgroup_words = tuple(subgroup_words)
-    t.num_cosets = num_cosets
-    t.columns = columns
-    return t
-
-
-def _flat_table(presentation, subgroup_words, flat):
-    """The CosetTable of a flattened table, rows one after another:
-    column c is every ncols-th entry from entry c."""
-    ncols = 2 * presentation.num_generators
-    return _column_table(presentation, subgroup_words,
-                         len(flat) // ncols if ncols else 1,
-                         [flat[c::ncols] for c in range(ncols)])
-
-
-def _entry_error(rows, ncols):
-    """The first fault a row-major scan of a table's rows meets: a row of
-    the wrong length, then an entry out of range, then an entry whose
-    inverse entry does not lead back."""
+def _entry_error(columns, rows, ncols):
+    """The first fault a scan of a table meets: a column of another length
+    than column 0, no coset at all, then, row-major over the rows, a row
+    of the wrong length, an entry out of range, an entry whose inverse
+    entry does not lead back."""
+    for c, column in enumerate(columns):
+        if len(column) != len(columns[0]):
+            return f"column {c} has {len(column)} entries, column 0 has {len(columns[0])}"
+    if not rows:
+        return "no cosets"
     n = len(rows)
     for alpha, row in enumerate(rows):
         if len(row) != ncols:
@@ -116,18 +106,17 @@ class CosetTable:
 
     columns[2g][alpha] is the coset alpha.g and columns[2g+1][alpha] is
     alpha.g^-1, so a table over no generators has no columns.  Coset 0
-    is the subgroup.  The constructor transposes rows once; a short row
-    leaves None in the columns it lacks, which validate reports.  table
-    derives the rows afresh on every read.
+    is the subgroup.  The columns are kept as given; num_cosets is the
+    length of column 0, or 1 with no columns.  A None entry, or a column
+    of another length, is a fault validate reports.  table derives the
+    rows afresh on every read.
     """
 
-    def __init__(self, presentation, subgroup_words, rows):
-        rows = list(rows)
+    def __init__(self, presentation, subgroup_words, columns):
         self.presentation = presentation
         self.subgroup_words = tuple(subgroup_words)
-        self.num_cosets = len(rows)
-        self.columns = (list(zip_longest(*rows)) if rows
-                        else [()] * (2 * presentation.num_generators))
+        self.columns = columns
+        self.num_cosets = len(columns[0]) if columns else 1
 
     @property
     def table(self):
@@ -146,23 +135,24 @@ class CosetTable:
         the end.  A relator closes when carrying every coset along it
         gives every coset back; a subgroup word, when it carries coset 0
         back.  permgrp.carry costs O(cosets log |k|) for a run g^k.
-        A failure names the first row of the wrong length, then the first
-        entry (alpha, c) in row-major order, or the least coset and then
-        the first relator, as a per-entry scan would; the rows are only
-        scanned once a gather has failed.
+        A failure names the first column of another length than column 0,
+        a table with no coset, the first row of the wrong length, the
+        first entry (alpha, c) in row-major order, or the least coset and
+        then the first relator, as a per-entry scan would; the rows are
+        only scanned once a gather has failed.
         """
         columns = self.columns
         ncols = 2 * self.presentation.num_generators
         cosets = tuple(range(self.num_cosets))
         try:
-            whole = len(columns) == ncols and all(
+            whole = len(columns) == ncols and cosets and all(
                 gather(columns[c ^ 1], column) == cosets
                 for c, column in enumerate(columns))
         except (IndexError, TypeError):
-            # an entry past the cosets, or the None of a short row
+            # an entry past the cosets, a None, or a column too long
             whole = False
         if not whole:
-            raise InvariantViolation(_entry_error(self.table, ncols))
+            raise InvariantViolation(_entry_error(columns, self.table, ncols))
         relators = self.presentation.relators
         unclosed = []
         for j, r in enumerate(relators):
@@ -275,24 +265,24 @@ def todd_coxeter(p, subgroup_words, max_cosets=DEFAULT_MAX_COSETS):
     # -1 and fails validate, whose retrace of every relator and subgroup
     # word is a certificate, not a repair step
     flat = standardized_table(list(zip(*table)), len(table), 0)
-    return _flat_table(p, subgroup_words, flat).validate()
+    return CosetTable(p, subgroup_words,
+                      [flat[c::ncols] for c in range(ncols)]).validate()
 
 
 def perm_rep(t):
-    """The action on cosets: (PermGroup, generator images)."""
-    images = [Perm(column) for column in t.columns[::2]]
-    return PermGroup(t.num_cosets, images), images
+    """The action on cosets: the generator images."""
+    return [Perm(column) for column in t.columns[::2]]
 
 
 def spanning_tree(t):
     """Breadth-first spanning tree of the coset graph, from coset 0.
 
-    Returns (discoveries, symbol): discoveries is _walk of the columns
+    Returns (discoveries, symbols): discoveries is _walk of the columns
     from 0, a triple (alpha, c, beta) per coset beta other than 0.
-    symbol[alpha * |X| + g] numbers the positive edge (alpha, g) among the
+    symbols[g][alpha] numbers the positive edge (alpha, g) among the
     edges off the tree, in (alpha, g) order, and is None on a tree edge;
-    k(|X|-1)+1 edges are off the tree.  Raises InvariantViolation unless every coset
-    is reached, the certificate that the table is transitive.
+    k(|X|-1)+1 edges are off the tree.  Raises InvariantViolation unless
+    every coset is reached, the certificate that the table is transitive.
     """
     n = t.num_cosets
     ngens = t.presentation.num_generators
@@ -300,46 +290,26 @@ def spanning_tree(t):
     if len(discoveries) != n - 1:
         raise InvariantViolation(f"coset table is not transitive: {len(discoveries) + 1} "
                                  f"of {n} cosets reached from coset 0")
-    symbol = [0] * (n * ngens)
+    on_tree = [False] * (n * ngens)
     for alpha, c, beta in discoveries:
-        g, sign = divmod(c, 2)
-        symbol[(beta if sign else alpha) * ngens + g] = None
-    count = 0
-    for e, s in enumerate(symbol):
-        if s is not None:
-            symbol[e] = count
-            count += 1
-    return discoveries, symbol
-
-
-def schreier_tree(t):
-    """Schreier transversal along the spanning tree.
-
-    Returns (transversal, symbol): transversal[alpha] is a minimal length
-    word carrying coset 0 to alpha, and symbol is spanning_tree's edge
-    numbering.
-    """
-    discoveries, symbol = spanning_tree(t)
-    transversal = [None] * t.num_cosets
-    transversal[0] = Word()
-    for alpha, c, beta in discoveries:
-        g, sign = divmod(c, 2)
-        transversal[beta] = transversal[alpha] * Word(((g, -1 if sign else 1),))
-    return transversal, symbol
+        on_tree[(beta if c & 1 else alpha) * ngens + (c >> 1)] = True
+    numbers = count()
+    symbol = [None if tree else next(numbers) for tree in on_tree]
+    return discoveries, [symbol[g::ngens] for g in range(ngens)]
 
 
 def schreier_generators(t):
-    """Subgroup generators u_alpha g u_{alpha.g}^-1 for non-tree edges."""
-    transversal, symbol = schreier_tree(t)
-    ngens = t.presentation.num_generators
-    gens = []
-    for e, s in enumerate(symbol):
-        if s is not None:
-            alpha, g = divmod(e, ngens)
-            beta = t.columns[2 * g][alpha]
-            gens.append(transversal[alpha] * Word(((g, 1),))
-                        * transversal[beta].inverse())
-    return gens
+    """Subgroup generators u_alpha g u_{alpha.g}^-1, one per edge (alpha, g)
+    off the spanning tree, in (alpha, g) order; u_alpha is the word of
+    minimal length along the tree carrying coset 0 to alpha."""
+    discoveries, symbols = spanning_tree(t)
+    transversal = [Word()] * t.num_cosets
+    for alpha, c, beta in discoveries:
+        transversal[beta] = transversal[alpha] * Word(((c >> 1, -1 if c & 1 else 1),))
+    return [transversal[alpha] * Word(((g, 1),))
+            * transversal[t.columns[2 * g][alpha]].inverse()
+            for alpha in range(t.num_cosets)
+            for g, symbol in enumerate(symbols) if symbol[alpha] is not None]
 
 
 def base_orbit(images, base, max_order=DEFAULT_MAX_COSETS):
@@ -383,7 +353,7 @@ def regular_action_table(p, columns, walk):
         moved = [gather(position, [gather(c, x) for x in walk]) for c in columns]
     else:
         moved = [gather(position, gather(c, walk)) for c in columns]
-    table = _column_table(p, (), len(walk), moved)
+    table = CosetTable(p, (), moved)
     # the table check does not need the position map
     del position
     return table.validate()
@@ -470,5 +440,5 @@ def low_index_subgroups(p, max_index, max_cosets=DEFAULT_MAX_COSETS):
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
     search([[-1] * ncols])
-    return [_flat_table(p, (), canon).validate()
+    return [CosetTable(p, (), [canon[c::ncols] for c in range(ncols)]).validate()
             for canon in sorted(found, key=lambda f: (len(f), f))]

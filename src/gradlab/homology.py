@@ -395,29 +395,28 @@ def covering_complex(t):
     and one face per (coset, relator).  Its breadth-first spanning tree
     (cosets.spanning_tree) is contractible, and collapsing it keeps the
     homology over Z.  What is left is one vertex, one edge per positive
-    edge (alpha, g) off the tree, numbered in (alpha, g) order, k(|X|-1)+1
-    in all, and every face.  d1 is zero.  Faces attach along the relator
-    trace: each positive letter crossing an edge off the tree contributes
-    +1 on it, each negative letter -1.  Each trace must close, and closing
-    is exactly d1.d2 = 0 on the full cover, whose column for a face is the
-    sum of head - tail over the letters crossed.
+    edge (alpha, g) off the tree, numbered in (alpha, g) order, and every
+    face; the tree has k-1 edges, so k(|X|-1)+1 are off it.  d1 is zero.
+    Faces attach along the relator trace: each positive letter crossing
+    an edge off the tree contributes +1 on it, each negative letter -1.
+    Each trace must close, and closing is exactly d1.d2 = 0 on the full
+    cover, whose column for a face is the sum of head - tail over the
+    letters crossed.
 
     The faces of one relator are traced in lockstep off the table's
     columns: one gather per letter carries the current coset of every face
-    across it, and one more reads the edges crossed from the symbols of
-    that generator.  An entry whose sum comes to 0, a letter and its
-    inverse crossing the same edge, is dropped as it is traced, so d2
-    holds no zero.  A trace that does not close is reported at the least
-    coset, then the first relator.
+    across it, and one more reads the edges crossed from that generator's
+    column of edge numbers, as spanning_tree returns it.  An entry whose
+    sum comes to 0, a letter and its inverse crossing the same edge, is
+    dropped as it is traced, so d2 holds no zero.  A trace that does not
+    close is reported at the least coset, then the first relator.
     """
     p = t.presentation
     nx = p.num_generators
     nr = len(p.relators)
     n = t.num_cosets
-    symbol = spanning_tree(t)[1]
-    edges = len(symbol) - symbol.count(None)
-    symbols = [symbol[g::nx] for g in range(nx)]
-    del symbol
+    symbols = spanning_tree(t)[1]
+    edges = n * (nx - 1) + 1
     columns = t.columns
     d2 = Matrix(edges, n * nr)
     rows = d2.row_dicts

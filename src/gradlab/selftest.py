@@ -197,7 +197,7 @@ def check_enumeration_counts():
         return False, f"subgroup counts {subgroups} vs brute {brute}"
     a4 = presentation_from_texts(("a", "b"), ("a^2", "b^3", "a b a b a b"))
     t = todd_coxeter(a4, ())
-    group, _ = perm_rep(t)
+    group = PermGroup(t.num_cosets, perm_rep(t))
     if t.num_cosets != 12 or group.order() != 12:
         return False, f"enumeration gave {t.num_cosets} cosets, order {group.order()}"
     return True, (f"3 + 13 subgroups of index 2, 3 match brute transitive "

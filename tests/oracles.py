@@ -14,8 +14,10 @@ table of a level's kernel built by enumerating its image group as whole
 permutations, and the per-entry loops that coset tables and covers ran
 before their lockstep passes over columns: entrywise_table_error, the
 table check, and coset_face_columns, the face traces of a collapsed
-cover.  walk_rows reads a table off a walk row by row, as
-regular_action_table did before it gathered whole columns;
+cover.  tree_edge_numbers numbers the edges off a table's spanning
+tree and writes its Schreier generators from the rows, one coset and
+one generator at a time.  walk_rows reads a table off a walk row by
+row, as regular_action_table did before it gathered whole columns;
 orbit_sizes walks every orbit of a level, as ChainLevel.orbits did when
 the orbit of 0 was already every point; and is_permutation_tuple is
 Perm's check, one point at a time.  So is walked_level_certificate, the check of one chain level by
@@ -189,6 +191,12 @@ def naive_schreier_sims_order(degree, gens):
         build_level(i)
         order *= len(levels[i][1])
     return order
+
+
+def rows_to_columns(rows):
+    """A coset table's columns from its rows, one tuple per column; a
+    short row leaves None in each column it lacks."""
+    return list(itertools.zip_longest(*rows))
 
 
 def tuple_columns(images):
@@ -681,18 +689,17 @@ def entrywise_table_error(table):
     return None
 
 
-def coset_face_columns(table, symbol):
+def coset_face_columns(table, symbols):
     """(entries, unclosed) of a collapsed cover's d2, traced coset by coset.
 
-    symbol[alpha * |X| + g] numbers the edge (alpha, g) off the spanning
-    tree, or is None on the tree.  Each face (alpha, j), numbered alpha *
+    symbols[g][alpha] numbers the edge (alpha, g) off the spanning tree,
+    or is None on the tree.  Each face (alpha, j), numbered alpha *
     |R| + j, walks relator j from coset alpha; a positive letter g adds +1
     on the edge it leaves by, a negative one -1 on the edge it arrives
     along.  entries maps (edge, face) to the nonzero sums; unclosed lists
     each (alpha, j) whose trace does not end at alpha, cosets outermost.
     """
     p = table.presentation
-    nx = p.num_generators
     nr = len(p.relators)
     rows = table.table
     entries, unclosed = {}, []
@@ -703,7 +710,7 @@ def coset_face_columns(table, symbol):
             for gen, sign in r.letters():
                 if sign < 0:
                     cur = rows[cur][2 * gen + 1]
-                s = symbol[cur * nx + gen]
+                s = symbols[gen][cur]
                 if s is not None:
                     column[s] = column.get(s, 0) + sign
                 if sign > 0:
@@ -714,6 +721,46 @@ def coset_face_columns(table, symbol):
                 if v:
                     entries[s, alpha * nr + j] = v
     return entries, unclosed
+
+
+def tree_edge_numbers(rows, ngens):
+    """(symbols, generators) of a transitive coset table, read off its
+    rows by a breadth-first walk of its own.
+
+    The walk starts at coset 0 and reads each row's entries in order,
+    taking a tree edge to each coset it reaches first.  symbols[g][alpha]
+    numbers the edge (alpha, g) off that tree, counting in (alpha, g)
+    order, and is None on the tree.  generators holds, for each numbered
+    edge, the Schreier generator: the tree word to alpha, then g, then the
+    tree word to alpha.g backwards, freely reduced and written as runs
+    (generator, exponent).
+    """
+    path = {0: []}
+    tree = set()
+    queue = [0]
+    for alpha in queue:
+        for c, beta in enumerate(rows[alpha]):
+            if beta not in path:
+                g, sign = c // 2, -1 if c % 2 else 1
+                path[beta] = path[alpha] + [(g, sign)]
+                tree.add((beta, g) if sign < 0 else (alpha, g))
+                queue.append(beta)
+    symbols = [[None] * len(rows) for _ in range(ngens)]
+    generators = []
+    for alpha, row in enumerate(rows):
+        for g in range(ngens):
+            if (alpha, g) in tree:
+                continue
+            symbols[g][alpha] = len(generators)
+            back = [(h, -sign) for h, sign in reversed(path[row[2 * g]])]
+            runs = []
+            for h, sign in reduce_letters(path[alpha] + [(g, 1)] + back):
+                if runs and runs[-1][0] == h:
+                    runs[-1] = (h, runs[-1][1] + sign)
+                else:
+                    runs.append((h, sign))
+            generators.append(tuple(runs))
+    return symbols, generators
 
 
 def hermite_form(rows, n):

@@ -9,8 +9,8 @@ from gradlab.cosets import (
     CosetTable,
     todd_coxeter,
     perm_rep,
-    schreier_tree,
     schreier_generators,
+    spanning_tree,
     base_orbit,
     regular_action_table,
     standardized_table,
@@ -31,6 +31,8 @@ from oracles import (
     factorial,
     full_covering_complex,
     predicted_betti,
+    rows_to_columns,
+    tree_edge_numbers,
     tuple_columns,
     tuple_word_image,
     walked_point_rows,
@@ -64,8 +66,7 @@ def test_tetrahedral_group_against_explicit_permutations():
     p = presentation_from_texts(("a", "b"), ("a^2", "b^3", "a b a b a b"))
     t = todd_coxeter(p, ())
     assert t.num_cosets == 12
-    group, images = perm_rep(t)
-    assert group.order() == 12
+    assert PermGroup(t.num_cosets, perm_rep(t)).order() == 12
     # the explicit degree-4 model satisfies the same presentation
     a, b = alternating_tetrahedral_images()
     for rel in p.relators:
@@ -74,7 +75,7 @@ def test_tetrahedral_group_against_explicit_permutations():
 
 def test_perm_rep_respects_relators(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
-    _, images = perm_rep(t)
+    images = perm_rep(t)
     cosets = tuple(range(t.num_cosets))
     for rel in sym3.relators:
         assert carry(rel, tuple_columns([g.images for g in images]),
@@ -106,12 +107,12 @@ def _with_entry(rows, alpha, c, beta):
 def test_validate_catches_corruption(sym3):
     good = todd_coxeter(sym3, ())
     n, rows = good.num_cosets, good.table
-    t = CosetTable(sym3, (), _with_entry(rows, 2, 0, rows[3][0]))
+    t = CosetTable(sym3, (), rows_to_columns(_with_entry(rows, 2, 0, rows[3][0])))
     assert _fails_as_the_entrywise_scan(t) == "inverse entry mismatch at (2,0)"
     # every short row, out-of-range entry and inverse mismatch on one entry
     seen = set()
     for alpha, row in enumerate(rows):
-        short = CosetTable(sym3, (), _with_entry(rows, alpha, -1, None))
+        short = CosetTable(sym3, (), rows_to_columns(_with_entry(rows, alpha, -1, None)))
         with pytest.raises(InvariantViolation, match=f"^row {alpha} has 3 columns, wanted 4$"):
             short.validate()
         try:
@@ -121,24 +122,52 @@ def test_validate_catches_corruption(sym3):
             pass  # the per-entry scan stepped into the short row first
         for c in range(4):
             for beta in (-1, n, n + 3, *(b for b in range(n) if b != row[c])):
-                bad = CosetTable(sym3, (), _with_entry(rows, alpha, c, beta))
+                bad = CosetTable(sym3, (), rows_to_columns(_with_entry(rows, alpha, c, beta)))
                 seen.add(_fails_as_the_entrywise_scan(bad).split(" ")[0])
     # an entry out of range can first show as the inverse mismatch of the
     # entry that leads to it
     assert seen == {"short", "entry", "inverse"}
     # relators: the least coset, then the first relator; here relator 2
     # fails from coset 0 and relator 1 only from a later coset
-    cosets_of_a = todd_coxeter(sym3, (sym3.word("a"),)).table
+    cosets_of_a = rows_to_columns(todd_coxeter(sym3, (sym3.word("a"),)).table)
     loose = presentation_from_texts(("a", "b"), ("a^2", "a", "b"))
     assert (_fails_as_the_entrywise_scan(CosetTable(loose, (), cosets_of_a))
             == "relator Word([(1, 1)]) does not close from coset 0")
     assert carry(loose.word("a"), CosetTable(loose, (), cosets_of_a).columns,
                  (1,)) != (1,)
     relabel = presentation_from_texts(("a", "b"), ("a b", "b a b a"))
-    assert _fails_as_the_entrywise_scan(CosetTable(relabel, (), rows)).startswith("relator")
+    assert (_fails_as_the_entrywise_scan(CosetTable(relabel, (), rows_to_columns(rows)))
+            .startswith("relator"))
     words = tuple(sym3.word(w) for w in ("a^2", "b", "a"))
-    assert (_fails_as_the_entrywise_scan(CosetTable(sym3, words, rows))
+    assert (_fails_as_the_entrywise_scan(CosetTable(sym3, words, rows_to_columns(rows)))
             == "subgroup word Word([(1, 1)]) leaves coset 0")
+
+
+def test_validate_names_a_column_of_another_length():
+    # the rows view stops at the shortest column, so the lengths are
+    # compared before the rows are scanned
+    checked = 0
+    for t in _complete_tables():
+        n = t.num_cosets
+        for c in range(len(t.columns)):
+            for column in (t.columns[c][:-1], (*t.columns[c], 0)):
+                columns = list(t.columns)
+                columns[c] = column
+                with pytest.raises(InvariantViolation) as err:
+                    CosetTable(t.presentation, (), columns).validate()
+                wanted = (f"column {c} has {len(column)} entries, column 0 has {n}" if c
+                          else f"column 1 has {n} entries, column 0 has {len(column)}")
+                assert str(err.value) == wanted
+                checked += 1
+    assert checked > 100
+    free1 = presentation_from_texts(("a",), ())
+    with pytest.raises(InvariantViolation, match="^column 1 has 3 entries, column 0 has 2$"):
+        CosetTable(free1, (), [(1, 0), (1, 0, 2)]).validate()
+    # columns of length 0 leave no coset 0 to be the subgroup, whatever
+    # their number
+    for columns in ([()], [(), ()]):
+        with pytest.raises(InvariantViolation, match="^no cosets$"):
+            CosetTable(free1, (free1.word("a"),), columns).validate()
 
 
 @functools.cache
@@ -184,7 +213,7 @@ def corrupted_tables(draw):
                          p.relators + (Word(tuple(draw(word))),))
     else:
         words += (Word(tuple(draw(word))),)
-    return CosetTable(p, words, rows)
+    return CosetTable(p, words, rows_to_columns(rows))
 
 
 @settings(max_examples=400, deadline=None)
@@ -235,7 +264,7 @@ def test_todd_coxeter_matches_the_permutation_model(case):
     p, images, words = case
     t = todd_coxeter(p, tuple(Word(tuple(w)) for w in words))
     assert t.num_cosets == closure_index(len(images[0]), images, words)
-    _, action = perm_rep(t)
+    action = perm_rep(t)
     ident = tuple(range(t.num_cosets))
     for rel in p.relators:
         assert tuple_word_image(t.num_cosets, [g.images for g in action],
@@ -275,11 +304,14 @@ def test_schreier_transversal_carries_basepoint(free2):
     t = todd_coxeter(free2, tuple(free2.word(w) for w in
                                   ("b", "a^3", "a b a^-1", "a^2 b a^-2")))
     assert t.num_cosets == 3
-    transversal = schreier_tree(t)[0]
-    assert len(transversal) == t.num_cosets
-    assert transversal[0].is_empty()
-    for alpha, w in enumerate(transversal):
-        assert carry(w, t.columns, (0,)) == (alpha,)
+    # each generator runs along the tree to alpha, across the edge
+    # (alpha, g) and back along the tree from alpha.g, so it fixes coset 0
+    # when the tree words carry coset 0 where they should
+    words = schreier_generators(t)
+    assert len(words) == 4
+    for w in words:
+        assert carry(w, t.columns, (0,)) == (0,)
+    assert [w.runs for w in words] == tree_edge_numbers(t.table, 2)[1]
 
 
 def test_schreier_generator_count_free_group(free2):
@@ -335,8 +367,7 @@ def test_regular_action_table(free2):
     t = regular_action_table(free2, columns,
                              base_orbit(images, PermGroup(3, images).base()))
     assert t.num_cosets == 6
-    group, action = perm_rep(t)
-    assert group.order() == 6
+    assert PermGroup(t.num_cosets, perm_rep(t)).order() == 6
     # kernel membership: subgroup words act trivially on the image side
     for w in schreier_generators(t):
         assert carry(w, columns, (0, 1, 2)) == (0, 1, 2)
@@ -389,8 +420,9 @@ def test_regular_action_table_on_a_base_matches_the_element_oracle(images):
 
 def test_normal_core(sym3):
     t = todd_coxeter(sym3, (sym3.word("a"),))
-    group, images = perm_rep(t)
-    core = regular_action_table(sym3, t.columns, base_orbit(images, group.base()))
+    images = perm_rep(t)
+    core = regular_action_table(sym3, t.columns,
+                                base_orbit(images, PermGroup(t.num_cosets, images).base()))
     assert core.num_cosets == 6
 
 
@@ -423,7 +455,7 @@ def test_low_index_respects_relators():
     # Sym(3) has one conjugacy class of subgroups per order divisor
     assert orders == [1, 2, 3, 6]
     for t in tables:
-        _, images = perm_rep(t)
+        images = perm_rep(t)
         for rel in p.relators:
             assert (tuple_word_image(t.num_cosets, [g.images for g in images],
                                      list(rel.letters()))
@@ -433,8 +465,8 @@ def test_low_index_respects_relators():
 def _cycle_table(p, length):
     """The table of Z/length acting on itself, a as the step and b as the
     identity."""
-    return CosetTable(p, (), ([(x + 1) % length, (x - 1) % length, x, x]
-                              for x in range(length)))
+    return CosetTable(p, (), rows_to_columns([(x + 1) % length, (x - 1) % length, x, x]
+                                             for x in range(length)))
 
 
 def test_validate_powers_a_run_across_the_table():
@@ -470,9 +502,48 @@ def tables_and_relators(draw):
 @given(tables_and_relators())
 def test_powered_relator_check_fails_as_the_entrywise_scan(drawn):
     p, rows = drawn
-    table = CosetTable(p, (), rows)
+    table = CosetTable(p, (), rows_to_columns(rows))
     expected = entrywise_table_error(table)
     if expected is None:
         assert table.validate() is table
     else:
         assert _fails_as_the_entrywise_scan(table) == expected
+
+
+@st.composite
+def transitive_tables(draw):
+    """The table of zero to three random permutations of at most 7 points
+    acting on the orbit of 0, every coset but 0 renumbered at random."""
+    ngens = draw(st.integers(0, 3))
+    degree = draw(st.integers(1, 7))
+    images = [tuple(draw(st.permutations(range(degree)))) for _ in range(ngens)]
+    rows = walked_point_rows(images, 0)
+    number = [0, *draw(st.permutations(range(1, len(rows))))]
+    renumbered = [None] * len(rows)
+    for x, row in enumerate(rows):
+        renumbered[number[x]] = [number[y] for y in row]
+    p = presentation_from_texts(tuple(f"x{i}" for i in range(ngens)), ())
+    return CosetTable(p, (), rows_to_columns(renumbered)).validate()
+
+
+def _check_tree_edges(t):
+    symbols, generators = tree_edge_numbers(t.table, t.presentation.num_generators)
+    assert spanning_tree(t)[1] == symbols
+    assert [w.runs for w in schreier_generators(t)] == generators
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitive_tables())
+def test_tree_edges_and_schreier_generators_match_the_row_walk(t):
+    _check_tree_edges(t)
+
+
+def test_tree_edges_and_schreier_generators_match_the_row_walk_on_catalog_levels():
+    checked = 0
+    for entry in catalog().values():
+        p = entry.presentation
+        for level in homology_cover_chain(p, [2, 4]).levels:
+            if level.index <= 256:
+                _check_tree_edges(level_coset_table(p, level))
+                checked += 1
+    assert checked >= 20

@@ -40,6 +40,7 @@ from oracles import (
     integer_smith_divisors,
     kunneth_by_subsets,
     predicted_betti,
+    rows_to_columns,
 )
 
 
@@ -438,9 +439,9 @@ def _orbit_table(p, images):
     points = orbit(0, images)
     position = {x: i for i, x in enumerate(points)}
     pairs = [(g.images, inverse_perm(g).images) for g in images]
-    return CosetTable(p, (), [[position[y] for g, ginv in pairs
-                               for y in (g[x], ginv[x])]
-                              for x in points]).validate()
+    return CosetTable(p, (), rows_to_columns([position[y] for g, ginv in pairs
+                                              for y in (g[x], ginv[x])]
+                                             for x in points)).validate()
 
 
 @st.composite
@@ -481,7 +482,7 @@ def test_collapsed_cover_matches_the_full_cover_on_random_quotients(t):
 def test_covering_complex_rejects_a_disconnected_table():
     # a fixes both cosets: two components, so no spanning tree
     p = presentation_from_texts(("a",), ("a^2",))
-    t = CosetTable(p, (), [[0, 0], [1, 1]])
+    t = CosetTable(p, (), rows_to_columns([[0, 0], [1, 1]]))
     with pytest.raises(InvariantViolation, match="not transitive"):
         covering_complex(t)
 
@@ -490,17 +491,17 @@ def test_covering_complex_rejects_a_relator_that_does_not_close():
     # a acts as a 3-cycle, so a^2 does not close; with d1 collapsed the
     # trace check is what stands for d1.d2 = 0
     p = presentation_from_texts(("a",), ("a^2",))
-    t = CosetTable(p, (), [[1, 2], [2, 0], [0, 1]])
+    t = CosetTable(p, (), rows_to_columns([[1, 2], [2, 0], [0, 1]]))
     with pytest.raises(InvariantViolation, match="does not close"):
         covering_complex(t)
     # the least coset, then the first relator: on the cosets of <a> in
     # Sym(3), relator 1 (a) first fails from a later coset than relator
     # 2 (b), which fails from coset 0
     sym3 = presentation_from_texts(("a", "b"), ("a^2", "b^2", "a b a b a b"))
-    rows = todd_coxeter(sym3, (sym3.word("a"),)).table
+    columns = todd_coxeter(sym3, (sym3.word("a"),)).columns
     for relators, alpha, j in ((("a^2", "a", "b"), 0, 2),
                                (("a^2", "a"), 1, 1)):
-        t = CosetTable(presentation_from_texts(("a", "b"), relators), (), rows)
+        t = CosetTable(presentation_from_texts(("a", "b"), relators), (), columns)
         unclosed = coset_face_columns(t, spanning_tree(t)[1])[1]
         assert min(unclosed) == (alpha, j)
         with pytest.raises(InvariantViolation,

@@ -1,8 +1,8 @@
 """Four constraints on what the code may import, two on what it
 defines, one on what it stores, one on how it reads permutations, one
 on how it reads matrices, one on how it builds words, one on how it
-moves points along words, one on who reads a chain level's quotient and
-one on who reads a coset table's rows.
+moves points along words, one on who reads a chain level's quotient,
+one on who reads a coset table's rows and one on how objects are built.
 
 The runtime uses only the standard library, so every import in
 src/gradlab is relative or names a standard-library module.  Importing
@@ -32,7 +32,10 @@ reader asks the level (ChainLevel.satisfies, ChainLevel.image,
 ChainLevel.order_of), so how a level answers can change in one place.
 No module but cosets reads a CosetTable's table, the rows it derives
 afresh from its columns on every read: the others read num_cosets and
-columns, so no hot path rebuilds the rows.
+columns, so no hot path rebuilds the rows.  No module but permgrp calls
+a class's __new__: every object goes through its constructor, except
+the Perm that permgrp._trusted makes of images already known to be a
+permutation.
 """
 
 import ast
@@ -201,3 +204,14 @@ def test_only_cosets_reads_the_rows_of_a_coset_table():
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Attribute) and node.attr == "table"]
     assert read == []
+
+
+def test_only_permgrp_calls_new():
+    sources = sorted((ROOT / "src" / "gradlab").glob("*.py"))
+    called = [(path.name, node.lineno) for path in sources
+              if path.name != "permgrp.py"
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__"]
+    assert called == []
